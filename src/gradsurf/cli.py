@@ -26,6 +26,7 @@ from .artifacts import (
 )
 from .config import ConfigError, from_mapping, load_mapping
 from .experiment import run_experiment
+from .kernels import single_threaded_blas
 from .problem import (
     GridSpec,
     MiniBatchPolicy,
@@ -107,6 +108,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+@single_threaded_blas()
 def _cmd_fit(args) -> int:
     observations = read_observations_csv(args.observations)
     recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)

@@ -6,7 +6,10 @@ config seed with the cell label, samples a fresh mini-batch loss surface,
 fits a surrogate, and writes its artifacts under cells/<id>/; the analytic
 full-batch reference surface is written once under reference/.  index.json
 ties the tree together.  Output is byte-identical for identical configs,
-regardless of worker-thread count.
+regardless of worker-thread count: cells run in parallel across workers,
+while numpy's bundled OpenBLAS runs on one thread for the whole run, so
+no result depends on how BLAS splits a reduction across its threads
+(whatever OPENBLAS_NUM_THREADS says).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .artifacts import (
     write_surface_csv,
 )
 from .config import ExperimentConfig
+from .kernels import single_threaded_blas
 from .problem import (
     MiniBatchPolicy,
     analytic_loss,
@@ -145,6 +149,7 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
     return entry
 
 
+@single_threaded_blas()
 def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> Path:
     """Run the full study; returns the path of the written index.json."""
     out = Path(out_dir if out_dir is not None else config.output_dir)

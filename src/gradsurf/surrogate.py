@@ -27,7 +27,10 @@ from .kernels import (
     NumericalError,
     assemble_gradient_matrix,
     assemble_value_matrix,
+    gradient_block,
+    pairwise,
     solve_least_squares,
+    value_block,
 )
 from .problem import LossObservation
 
@@ -143,18 +146,24 @@ def _stack(observations: list[LossObservation]):
     return points, values, gradients
 
 
-def _system(points, values, gradients, centres, params, mode):
+def _targets(values, gradients, mode):
     if mode is FitMode.F:
-        return assemble_value_matrix(points, centres, params), values
+        return values
     if mode is FitMode.G:
-        return assemble_gradient_matrix(points, centres, params), gradients.ravel()
-    a = np.vstack(
-        [
-            assemble_value_matrix(points, centres, params),
-            assemble_gradient_matrix(points, centres, params),
-        ]
-    )
-    return a, np.concatenate([values, gradients.ravel()])
+        return gradients.ravel()
+    return np.concatenate([values, gradients.ravel()])
+
+
+def _system(geometry, eps: float, mode):
+    """Design matrix of one candidate from the fit's eps-independent geometry."""
+    diff, r = geometry
+    phi = value_block(r, eps)
+    if mode is FitMode.F:
+        return phi
+    g = gradient_block(diff, phi, eps)
+    if mode is FitMode.G:
+        return g
+    return np.vstack([phi, g])
 
 
 def build_system(
@@ -170,7 +179,8 @@ def build_system(
     stacks the f block on top of the g block.
     """
     points, values, gradients = _stack(observations)
-    return _system(points, values, gradients, centres, params, mode)
+    a = _system(pairwise(points, centres), params.shape, mode)
+    return a, _targets(values, gradients, mode)
 
 
 def training_mse(surrogate: Surrogate, observations: list[LossObservation], mode: FitMode) -> float:
@@ -189,41 +199,60 @@ def training_mse(surrogate: Surrogate, observations: list[LossObservation], mode
     return float(np.mean(r * r))
 
 
+def _solve_candidate(a, b):
+    """(training MSE, coefficients) of one candidate, or None if it is skipped."""
+    try:
+        coef = solve_least_squares(a, b)
+    except NumericalError:
+        return None
+    # overflow here just means another skipped candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a @ coef - b
+        mse = float(np.mean(r * r))
+    return (mse, coef) if np.isfinite(mse) else None
+
+
 def fit_surrogate(observations: list[LossObservation], recipe: FitRecipe, stream) -> Surrogate:
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
-    Centres are drawn once and shared by every candidate.  Candidates that
-    fail the solve or give a non-finite training MSE are skipped; among the
-    rest the lowest MSE wins, ties going to the smallest shape.  Raises
-    FitFailure if every candidate is skipped.
+    Centres are drawn once and shared by every candidate, so the
+    point-centre geometry is computed once per fit.  Candidates that fail
+    the solve or give a non-finite training MSE are skipped; among the rest
+    the lowest MSE wins, ties going to the smallest shape.  A candidate
+    whose matrix is bitwise equal to the previous one (past the exp
+    underflow every off-centre entry is 0.0) has the same outcome and is
+    not solved again.  Raises FitFailure if every candidate is skipped.
     """
     points, values, gradients = _stack(observations)
     centres = sample_centres(stream, observations, recipe)
+    geometry = pairwise(points, centres)
+    b = _targets(values, gradients, recipe.mode)
     best = None
     skipped: list[float] = []
+    prev_a = outcome = None
     for eps in shape_candidates(recipe):
-        params = KernelParams(float(eps))
-        try:
-            a, b = _system(points, values, gradients, centres, params, recipe.mode)
-            coef = solve_least_squares(a, b)
-        except NumericalError:
-            skipped.append(float(eps))
+        eps = float(eps)
+        a = _system(geometry, eps, recipe.mode)
+        # a bitwise-repeated system keeps the previous outcome
+        if prev_a is None or not np.array_equal(a, prev_a):
+            outcome = _solve_candidate(a, b)
+        prev_a = a
+        if outcome is None:
+            skipped.append(eps)
             continue
-        # overflow here just means another skipped candidate
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = a @ coef - b
-            mse = float(np.mean(r * r))
-        if not np.isfinite(mse):
-            skipped.append(float(eps))
-            continue
+        mse, coef = outcome
         # strict < keeps the earliest, i.e. smallest, eps on ties
         if best is None or mse < best[0]:
-            best = (mse, params, coef)
+            best = (mse, eps, coef)
     if best is None:
         raise FitFailure(skipped)
-    _, params, coef = best
+    _, eps, coef = best
     return Surrogate(
-        centres=centres, coefficients=coef, params=params, mode=recipe.mode, offset=0.0
+        centres=centres,
+        coefficients=coef,
+        params=KernelParams(eps),
+        mode=recipe.mode,
+        offset=0.0,
     )
 
 

@@ -15,9 +15,12 @@ from gradsurf.kernels import (
     NumericalError,
     assemble_gradient_matrix,
     assemble_value_matrix,
+    gradient_block,
     kernel_gradient,
     kernel_value,
+    pairwise,
     solve_least_squares,
+    value_block,
 )
 from gradsurf.rng import derive_stream
 
@@ -117,6 +120,30 @@ def test_gradient_matrix_layout_point_major():
             want = kernel_gradient(points[i], centres[j], params)
             assert g[2 * i, j] == pytest.approx(want[0], rel=1e-13, abs=1e-15)
             assert g[2 * i + 1, j] == pytest.approx(want[1], rel=1e-13, abs=1e-15)
+
+
+def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
+    # the sweep evaluates value_block/gradient_block on geometry computed
+    # once; every candidate must give the bytes of a fresh assembly and of
+    # the defining expressions on the (N, M, d) differences
+    stream = derive_stream(11, "kernel/blocks")
+    points = np.array([[stream.uniform(-2, 2), stream.uniform(-2, 2)] for _ in range(30)])
+    centres = points[:7]
+    diff, r = pairwise(points, centres)
+    ref_diff = points[:, None, :] - centres[None, :, :]
+    ref_r = np.sqrt((ref_diff**2).sum(axis=-1))
+    assert np.array_equal(r, ref_r)
+    for eps in 10.0 ** np.linspace(-4.0, 5.0, 121):
+        eps = float(eps)
+        params = KernelParams(eps)
+        phi = value_block(r, eps)
+        g = gradient_block(diff, phi, eps)
+        ref_phi = np.exp(-((eps * ref_r) ** 2))
+        ref_g = (-2.0 * eps**2 * ref_diff * ref_phi[:, :, None]).transpose(0, 2, 1).reshape(60, 7)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(g, ref_g)
+        assert np.array_equal(phi, assemble_value_matrix(points, centres, params))
+        assert np.array_equal(g, assemble_gradient_matrix(points, centres, params))
 
 
 def test_matrix_dimension_mismatch():

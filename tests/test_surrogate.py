@@ -5,8 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from gradsurf.kernels import KernelParams, NumericalError, solve_least_squares
-from gradsurf.problem import GridSpec, LossObservation, generate_full_batch, full_batch_observations
+from gradsurf.config import ExperimentConfig
+from gradsurf.experiment import RunCell
+from gradsurf.kernels import (
+    KernelParams,
+    NumericalError,
+    single_threaded_blas,
+    solve_least_squares,
+)
+from gradsurf.problem import (
+    GridSpec,
+    LossObservation,
+    MiniBatchPolicy,
+    full_batch_observations,
+    generate_full_batch,
+    sample_loss_surface,
+)
 from gradsurf.rng import derive_stream
 from gradsurf.surrogate import (
     FitFailure,
@@ -250,7 +264,44 @@ def test_fit_surrogate_all_candidates_fail():
     recipe = FitRecipe(mode=FitMode.F, n_centres=1, shape_count=21)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
-    assert len(err.value.skipped) == 21
+    # repeated systems past the exp underflow are skipped without a solve,
+    # but still listed
+    assert err.value.skipped == list(shape_candidates(recipe))
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
+    # the sweep hoists the geometry and skips bitwise-repeated systems; a
+    # plain solve of every candidate must pick the same shape and the same
+    # coefficient bytes
+    cell = RunCell(batch_max=3, mode=mode, n_centres=n_centres, repeat=0)
+    config = ExperimentConfig()
+    observations = sample_loss_surface(
+        config.train_grid,
+        generate_full_batch(),
+        MiniBatchPolicy(3),
+        derive_stream(cell.derived_seed(0), "sample"),
+    )
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    best = None
+    # both sides under the pin the study runs with; 121 solves on a
+    # threaded BLAS are several times slower on small machines
+    with single_threaded_blas():
+        fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
+        centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+        for eps in shape_candidates(recipe):
+            a, b = build_system(observations, centres, KernelParams(float(eps)), mode)
+            try:
+                coef = solve_least_squares(a, b)
+            except NumericalError:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                mse = float(np.mean((a @ coef - b) ** 2))
+            if np.isfinite(mse) and (best is None or mse < best[0]):
+                best = (mse, float(eps), coef)
+    assert fitted.params.shape == best[1]
+    assert fitted.coefficients.tobytes() == best[2].tobytes()
 
 
 def test_fresh_fit_has_zero_offset():
