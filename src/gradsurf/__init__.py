@@ -1,57 +1,4 @@
 """Gradient-only, function-only and gradient-enhanced RBF surrogates,
 with a reproducible mini-batch loss-surface experiment harness."""
 
-from .analysis import (
-    SurfaceGrid,
-    SurfaceReport,
-    count_local_minima,
-    evaluate_surface,
-    locate_min,
-    make_report,
-    negative_fraction,
-    surface_rmse,
-)
-from .config import ConfigError, ExperimentConfig, from_mapping, load_config
-from .experiment import RunCell, enumerate_cells, run_cell, run_experiment
-from .kernels import (
-    KernelParams,
-    NumericalError,
-    assemble_gradient_matrix,
-    assemble_value_matrix,
-    kernel_gradient,
-    kernel_value,
-    solve_least_squares,
-)
-from .problem import (
-    Dataset1D,
-    GridSpec,
-    LossObservation,
-    MiniBatchPolicy,
-    analytic_loss,
-    batch_gradient,
-    batch_loss,
-    full_batch_observations,
-    generate_full_batch,
-    model_predict,
-    sample_batch_indices,
-    sample_loss_surface,
-)
-from .rng import Stream, derive_key, derive_stream
-from .surrogate import (
-    FitFailure,
-    FitMode,
-    FitRecipe,
-    Surrogate,
-    build_system,
-    evaluate,
-    evaluate_gradient,
-    fit_surrogate,
-    predict_gradients,
-    predict_values,
-    sample_centres,
-    shape_candidates,
-    training_mse,
-    translate_to_zero,
-)
-
 __version__ = "0.1.0"

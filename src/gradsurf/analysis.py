@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import GridSpec, LossObservation
+from .problem import GridSpec
 from .surrogate import Surrogate, predict_values
 
 
@@ -52,9 +52,8 @@ class SurfaceReport:
 def evaluate_surface(source, grid: GridSpec) -> SurfaceGrid:
     """Evaluate a surface source on every grid node.
 
-    The source may be a fitted Surrogate, a callable taking an (n, 2) array
-    of points and returning n values (e.g. the closed-form loss), or a list
-    of LossObservation taken on exactly this grid in node order.
+    The source is a fitted Surrogate or a callable taking an (n, 2) array
+    of points and returning n values (e.g. the closed-form loss).
     """
     res = grid.resolution
     pts = grid.points()
@@ -64,13 +63,6 @@ def evaluate_surface(source, grid: GridSpec) -> SurfaceGrid:
         flat = np.asarray(source(pts), dtype=np.float64)
         if flat.shape != (pts.shape[0],):
             raise ValueError(f"callable returned shape {flat.shape}, expected ({pts.shape[0]},)")
-    elif isinstance(source, list):
-        if len(source) != pts.shape[0]:
-            raise ValueError(f"{len(source)} observations for {pts.shape[0]} grid nodes")
-        obs_pts = np.array([o.w for o in source], dtype=np.float64)
-        if not np.array_equal(obs_pts, pts):
-            raise ValueError("observation locations do not match the grid nodes")
-        flat = np.array([o.value for o in source], dtype=np.float64)
     else:
         raise TypeError(f"cannot evaluate a surface from {type(source).__name__}")
     return SurfaceGrid(grid=grid, values=flat.reshape(res, res))

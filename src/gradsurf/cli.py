@@ -24,28 +24,18 @@ from .artifacts import (
     write_observations_csv,
     write_surface_csv,
 )
-from .config import ConfigError, from_mapping, load_mapping
-from .experiment import run_experiment
+from .config import ConfigError, ExperimentConfig, from_mapping, load_mapping
+from .experiment import fit_cell, run_experiment
 from .kernels import single_threaded_blas
 from .problem import (
-    GridSpec,
     MiniBatchPolicy,
     analytic_loss,
     generate_full_batch,
     sample_loss_surface,
 )
 from .rng import derive_stream
-from .surrogate import (
-    FitFailure,
-    FitMode,
-    FitRecipe,
-    fit_surrogate,
-    training_mse,
-    translate_to_zero,
-)
+from .surrogate import FitFailure, FitMode, FitRecipe
 from .svg import render_heatmap_svg
-
-_BOX = (-2.0, 2.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _grid(resolution: int) -> GridSpec:
-    return GridSpec(lower=(_BOX[0], _BOX[0]), upper=(_BOX[1], _BOX[1]), resolution=resolution)
 
 
 def _cmd_run(args) -> int:
@@ -87,7 +73,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     data = generate_full_batch()
-    grid = _grid(args.grid)
+    grid = ExperimentConfig().grid(args.grid)
     surface = evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
     out = Path(args.out)
     write_surface_csv(surface, out / "surface.csv")
@@ -99,7 +85,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sample(args) -> int:
     data = generate_full_batch()
-    grid = _grid(args.grid)
+    grid = ExperimentConfig().grid(args.grid)
     stream = derive_stream(args.seed, "sample")
     observations = sample_loss_surface(grid, data, MiniBatchPolicy(args.batch_max), stream)
     out = Path(args.out)
@@ -113,11 +99,8 @@ def _cmd_fit(args) -> int:
     observations = read_observations_csv(args.observations)
     recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)
     stream = derive_stream(args.seed, "fit/centres")
-    surrogate = fit_surrogate(observations, recipe, stream)
-    grid = _grid(args.report_grid)
-    surrogate = translate_to_zero(surrogate, grid.points())
-    mse = training_mse(surrogate, observations, surrogate.mode)
-    surface = evaluate_surface(surrogate, grid)
+    grid = ExperimentConfig().grid(args.report_grid)
+    surrogate, mse, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)
     write_json(surrogate_json(surrogate, mse), out / "model.json")
     write_surface_csv(surface, out / "surface.csv")

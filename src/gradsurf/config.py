@@ -41,15 +41,18 @@ class ExperimentConfig:
     dataset_coefficients: tuple[float, float] = (0.1, 0.1)
     output_dir: str = "out"
 
+    def grid(self, resolution: int) -> GridSpec:
+        """The square grid of the given resolution over the study box."""
+        lo, hi = self.box
+        return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=resolution)
+
     @property
     def train_grid(self) -> GridSpec:
-        lo, hi = self.box
-        return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=self.train_resolution)
+        return self.grid(self.train_resolution)
 
     @property
     def report_grid(self) -> GridSpec:
-        lo, hi = self.box
-        return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=self.report_resolution)
+        return self.grid(self.report_resolution)
 
     def to_mapping(self) -> dict:
         """Canonical echo of the config (output location excluded)."""

@@ -5,11 +5,13 @@ count, repeat).  Every cell derives its own 64-bit seed by mixing the
 config seed with the cell label, samples a fresh mini-batch loss surface,
 fits a surrogate, and writes its artifacts under cells/<id>/; the analytic
 full-batch reference surface is written once under reference/.  index.json
-ties the tree together.  Output is byte-identical for identical configs,
-regardless of worker-thread count: cells run in parallel across workers,
-while numpy's bundled OpenBLAS runs on one thread for the whole run, so
-no result depends on how BLAS splits a reduction across its threads
-(whatever OPENBLAS_NUM_THREADS says).
+ties the tree together.  The fit goes through fit_cell, which the
+`gradsurf fit` verb calls too, so both give the same bytes for the same
+observations, recipe and centre stream.  Output is byte-identical for
+identical configs, regardless of worker-thread count: cells run in
+parallel across workers, while numpy's bundled OpenBLAS runs on one thread
+for the whole run, so no result depends on how BLAS splits a reduction
+across its threads (whatever OPENBLAS_NUM_THREADS says).
 """
 
 from __future__ import annotations
@@ -87,17 +89,31 @@ def enumerate_cells(config: ExperimentConfig) -> list[RunCell]:
     ]
 
 
+def fit_cell(observations, recipe: FitRecipe, stream, report_grid):
+    """Fit one surrogate and evaluate it on the report grid.
+
+    The chain is fit, translate to zero on the report grid, training MSE,
+    evaluation; returns (surrogate, training MSE, report surface).  Both
+    run_cell and the fit verb go through it.  Raises FitFailure if every
+    shape candidate fails.
+    """
+    surrogate = fit_surrogate(observations, recipe, stream)
+    surrogate = translate_to_zero(surrogate, report_grid.points())
+    mse = training_mse(surrogate, observations, recipe.mode)
+    return surrogate, mse, evaluate_surface(surrogate, report_grid)
+
+
 def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir: Path) -> dict:
     """Run one cell and write its artifacts; failures become index entries."""
+    cell_seed = cell.derived_seed(config.seed)
     entry = {
         "id": cell.cell_id,
         "batch_max": cell.batch_max,
         "mode": cell.mode.value,
         "n_centres": cell.n_centres,
         "repeat": cell.repeat,
-        "derived_seed": cell.derived_seed(config.seed),
+        "derived_seed": cell_seed,
     }
-    cell_seed = cell.derived_seed(config.seed)
     sample_stream = derive_stream(cell_seed, "sample")
     centre_stream = derive_stream(cell_seed, "centres")
 
@@ -106,16 +122,15 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
     )
     recipe = FitRecipe(mode=cell.mode, n_centres=cell.n_centres)
     try:
-        surrogate = fit_surrogate(observations, recipe, centre_stream)
+        surrogate, mse, report_surface = fit_cell(
+            observations, recipe, centre_stream, config.report_grid
+        )
     except FitFailure as e:
         entry["status"] = "failed"
         entry["error"] = str(e)
         return entry
 
-    surrogate = translate_to_zero(surrogate, config.report_grid.points())
-    mse = training_mse(surrogate, observations, cell.mode)
     train_surface = evaluate_surface(surrogate, config.train_grid)
-    report_surface = evaluate_surface(surrogate, config.report_grid)
     ref_train, ref_report = references
 
     cell_dir = out_dir / "cells" / cell.cell_id
@@ -131,7 +146,7 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
                 "n_centres": cell.n_centres,
                 "repeat": cell.repeat,
             },
-            "derived_seed": entry["derived_seed"],
+            "derived_seed": cell_seed,
             "fit": {"shape": surrogate.params.shape, "training_mse": mse, "offset": surrogate.offset},
             "report_surface": make_report(report_surface, ref_report).as_dict(),
             "train_surface": make_report(train_surface, ref_train).as_dict(),
@@ -152,6 +167,8 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
 @single_threaded_blas()
 def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> Path:
     """Run the full study; returns the path of the written index.json."""
+    if workers < 1:
+        raise ValueError(f"workers: must be >= 1, got {workers}")
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

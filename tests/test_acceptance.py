@@ -19,7 +19,7 @@ from gradsurf.analysis import count_local_minima, evaluate_surface, negative_fra
 from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ConfigError, ExperimentConfig, from_mapping
 from gradsurf.experiment import RunCell, run_experiment
-from gradsurf.kernels import KernelParams, NumericalError, solve_least_squares
+from gradsurf.kernels import KernelParams, NumericalError, single_threaded_blas, solve_least_squares
 from gradsurf.problem import (
     MiniBatchPolicy,
     analytic_loss,
@@ -213,7 +213,8 @@ def test_criterion_4_gradient_only_shape():
     cells = [
         (seed, b, c) for seed in range(10) for b in (3, 30) for c in (1, 100)
     ]
-    with ThreadPoolExecutor(max_workers=4) as pool:
+    # one BLAS thread per fit, as in `gradsurf run`
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=4) as pool:
         stats = list(pool.map(lambda t: _gradient_only_cell(*t, data), cells))
     elapsed = time.perf_counter() - start
 
@@ -389,7 +390,8 @@ def test_criterion_8_selection_optimality(default_run):
     fitted = [c for c in index["cells"] if c["status"] == "ok"]
     assert fitted, "no fitted cells to check"
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
+    # one BLAS thread per solve, as in the run that recorded the winners
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda e: _check_cell_optimality(out, e), fitted))
 
     bad = [

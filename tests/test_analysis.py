@@ -18,7 +18,6 @@ from gradsurf.kernels import KernelParams
 from gradsurf.problem import (
     Dataset1D,
     GridSpec,
-    LossObservation,
     analytic_loss,
     generate_full_batch,
 )
@@ -67,32 +66,6 @@ def test_evaluate_surface_from_surrogate():
     surf = surface_from(s)
     flat = predict_values(s, BOX.points())
     assert np.array_equal(surf.values.reshape(-1), flat)
-
-
-def test_evaluate_surface_from_observations():
-    grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=3)
-    obs = [
-        LossObservation(w=w, value=float(i), gradient=np.zeros(2), batch_size=1)
-        for i, w in enumerate(grid.points())
-    ]
-    surf = evaluate_surface(obs, grid)
-    assert np.array_equal(surf.values.reshape(-1), np.arange(9.0))
-
-
-def test_evaluate_surface_observation_mismatch():
-    grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=3)
-    obs = [
-        LossObservation(w=w, value=0.0, gradient=np.zeros(2), batch_size=1)
-        for w in grid.points()
-    ]
-    with pytest.raises(ValueError):
-        evaluate_surface(obs[:-1], grid)  # missing a node
-    moved = obs[:]
-    moved[4] = LossObservation(
-        w=np.array([0.25, 0.0]), value=0.0, gradient=np.zeros(2), batch_size=1
-    )
-    with pytest.raises(ValueError):
-        evaluate_surface(moved, grid)
 
 
 def test_evaluate_surface_bad_source():

@@ -126,6 +126,18 @@ def test_fit_verb_numerical_failure_exits_2(tmp_path, capsys):
     assert "121 shape candidates failed" in err
 
 
+def test_fit_verb_goes_through_the_experiment_fit_chain(tmp_path, capsys, monkeypatch):
+    def always_fails(observations, recipe, stream):
+        raise FitFailure([1e-4, 1e5])
+
+    monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", always_fails)
+    run_cli(capsys, "sample", "--grid", "5", "--out", str(tmp_path))
+    observations = str(tmp_path / "observations.csv")
+    code, _, err = run_cli(capsys, "fit", observations, "--centres", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "2 shape candidates failed" in err
+
+
 def test_report_verb(tmp_path, capsys):
     run_cli(capsys, "oracle", "--grid", "9", "--out", str(tmp_path))
     code, out, _ = run_cli(capsys, "report", str(tmp_path / "surface.csv"))
@@ -191,6 +203,15 @@ def test_run_verb_bad_config_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "104" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_verb_nonpositive_workers_exits_1(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--workers", workers, "--out", str(out))
+    assert code == 1
+    assert "workers" in err
+    assert not out.exists()
 
 
 def test_run_verb_missing_config_exits_1(tmp_path, capsys):

@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 import gradsurf.experiment
-from gradsurf.artifacts import read_json, read_observations_csv
+from gradsurf.artifacts import (
+    read_json,
+    read_observations_csv,
+    surrogate_json,
+    write_json,
+    write_surface_csv,
+)
 from gradsurf.config import ExperimentConfig
-from gradsurf.experiment import RunCell, enumerate_cells, run_experiment
+from gradsurf.experiment import RunCell, enumerate_cells, fit_cell, run_experiment
+from gradsurf.kernels import single_threaded_blas
 from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
 from gradsurf.rng import derive_key, derive_stream
-from gradsurf.surrogate import FitFailure, FitMode
+from gradsurf.surrogate import FitFailure, FitMode, FitRecipe
 
 
 def tiny_config(**overrides):
@@ -125,6 +132,27 @@ def test_observations_reproducible_from_derived_seed(tmp_path):
         assert a.value == b.value
         assert np.array_equal(a.gradient, b.gradient)
         assert a.batch_size == b.batch_size
+
+
+def test_fit_cell_reproduces_cell_artifacts(tmp_path):
+    """fit_cell on a cell's observations and centre stream gives its bytes."""
+    config = tiny_config(mode_list=(FitMode.F, FitMode.FG, FitMode.G))
+    out = tmp_path / "out"
+    run_experiment(config, out_dir=out)
+    entries = read_json(out / "index.json")["cells"]
+    assert [e["mode"] for e in entries] == ["f", "f", "fg", "fg", "g", "g"]
+    for entry in entries:
+        observations = read_observations_csv(out / entry["artifacts"]["observations"])
+        recipe = FitRecipe(mode=FitMode(entry["mode"]), n_centres=entry["n_centres"])
+        stream = derive_stream(entry["derived_seed"], "centres")
+        with single_threaded_blas():
+            surrogate, mse, surface = fit_cell(observations, recipe, stream, config.report_grid)
+        mine = tmp_path / entry["id"]
+        write_json(surrogate_json(surrogate, mse), mine / "model.json")
+        write_surface_csv(surface, mine / "surface_report.csv")
+        for name in ("model", "surface_report"):
+            rel = entry["artifacts"][name]
+            assert (mine / Path(rel).name).read_bytes() == (out / rel).read_bytes(), rel
 
 
 def test_rerun_is_byte_identical(tmp_path):
