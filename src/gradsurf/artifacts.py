@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SurfaceGrid
-from .problem import GridSpec, LossObservation
+from .problem import GridSpec, Observations
 
 SURFACE_HEADER = "w1,w2,value"
 OBSERVATIONS_HEADER = "w1,w2,b,loss,g1,g2"
@@ -28,12 +28,12 @@ def _open_out(path):
 
 def write_surface_csv(surface: SurfaceGrid, path) -> None:
     """One row per grid node in flat order: w1,w2,value."""
-    pts = surface.grid.points()
-    flat = surface.values.ravel()
+    pts = surface.grid.points().tolist()
+    flat = surface.values.ravel().tolist()
     with _open_out(path) as f:
         f.write(SURFACE_HEADER + "\n")
         for (w1, w2), v in zip(pts, flat):
-            f.write(f"{float(w1)!r},{float(w2)!r},{float(v)!r}\n")
+            f.write(f"{w1!r},{w2!r},{v!r}\n")
 
 
 def read_surface_csv(path) -> SurfaceGrid:
@@ -62,34 +62,39 @@ def read_surface_csv(path) -> SurfaceGrid:
     return SurfaceGrid(grid=grid, values=values)
 
 
-def write_observations_csv(observations: list[LossObservation], path) -> None:
+def write_observations_csv(observations: Observations, path) -> None:
     """One row per observation: w1,w2,b,loss,g1,g2."""
+    rows = zip(
+        observations.points.tolist(),
+        observations.batch_sizes.tolist(),
+        observations.values.tolist(),
+        observations.gradients.tolist(),
+    )
     with _open_out(path) as f:
         f.write(OBSERVATIONS_HEADER + "\n")
-        for o in observations:
-            f.write(
-                f"{float(o.w[0])!r},{float(o.w[1])!r},{o.batch_size},"
-                f"{float(o.value)!r},{float(o.gradient[0])!r},{float(o.gradient[1])!r}\n"
-            )
+        for (w1, w2), b, loss, (g1, g2) in rows:
+            f.write(f"{w1!r},{w2!r},{b},{loss!r},{g1!r},{g2!r}\n")
 
 
-def read_observations_csv(path) -> list[LossObservation]:
+def read_observations_csv(path) -> Observations:
+    """Parse an observations CSV; the record checks the values it gets."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != OBSERVATIONS_HEADER.split(","):
             raise ValueError(f"unexpected observations header {header}")
-        out = []
+        points, batch_sizes, values, gradients = [], [], [], []
         for w1, w2, b, loss, g1, g2 in reader:
-            out.append(
-                LossObservation(
-                    w=np.array([float(w1), float(w2)]),
-                    value=float(loss),
-                    gradient=np.array([float(g1), float(g2)]),
-                    batch_size=int(b),
-                )
-            )
-    return out
+            points.append((float(w1), float(w2)))
+            batch_sizes.append(int(b))
+            values.append(float(loss))
+            gradients.append((float(g1), float(g2)))
+    return Observations(
+        points=np.reshape(points, (-1, 2)),
+        values=values,
+        gradients=np.reshape(gradients, (-1, 2)),
+        batch_sizes=batch_sizes,
+    )
 
 
 def surrogate_json(surrogate, mse: float) -> dict:

@@ -90,7 +90,7 @@ def _cmd_sample(args) -> int:
     observations = sample_loss_surface(grid, data, MiniBatchPolicy(args.batch_max), stream)
     out = Path(args.out)
     write_observations_csv(observations, out / "observations.csv")
-    print(f"wrote {out / 'observations.csv'} ({len(observations)} observations)")
+    print(f"wrote {out / 'observations.csv'} ({observations.values.size} observations)")
     return 0
 
 
@@ -98,7 +98,7 @@ def _cmd_sample(args) -> int:
 def _cmd_fit(args) -> int:
     observations = read_observations_csv(args.observations)
     recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)
-    stream = derive_stream(args.seed, "fit/centres")
+    stream = derive_stream(args.seed, "centres")
     grid = ExperimentConfig().grid(args.report_grid)
     surrogate, mse, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)

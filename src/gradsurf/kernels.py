@@ -49,28 +49,6 @@ def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float) -> np.ndarray:
     return (-2.0 * eps**2 * diff * phi[:, None, :]).reshape(n * d, m)
 
 
-def kernel_value(r, params: KernelParams):
-    """phi(r) = exp(-(eps*r)**2) for scalar or array r >= 0."""
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    return value_block(r, params.shape)
-
-
-def kernel_gradient(x, centre, params: KernelParams) -> np.ndarray:
-    """Spatial gradient of phi(||x - centre||) with respect to x.
-
-    d/dx exp(-(eps*||x-c||)**2) = -2 eps^2 (x - c) phi(||x - c||).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    centre = np.asarray(centre, dtype=np.float64)
-    if x.shape != centre.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs centre {centre.shape}")
-    diff = x - centre
-    r = np.sqrt((diff**2).sum())
-    return -2.0 * params.shape**2 * diff * kernel_value(r, params)
-
-
 def pairwise(points, centres) -> tuple[np.ndarray, np.ndarray]:
     """The eps-independent geometry of points (N, d) against centres (M, d).
 

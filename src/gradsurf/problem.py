@@ -9,6 +9,7 @@ fitting; the closed-form full-batch loss serves as reference surface.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,41 @@ class MiniBatchPolicy:
 
 
 @dataclass(frozen=True)
-class LossObservation:
-    """Loss value and gradient observed at weight point w with batch size b."""
+class Observations:
+    """N loss observations, one row each: the weight point, the loss value,
+    its gradient and the batch size it was observed with.
 
-    w: np.ndarray
-    value: float
-    gradient: np.ndarray
-    batch_size: int
+    points and gradients are (N, d) float arrays, values is (N,) and
+    batch_sizes an (N,) integer array.  The record checks itself once, on
+    construction: N >= 1, matching shapes, finite floats, batch sizes >= 1.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+    gradients: np.ndarray
+    batch_sizes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("points", "values", "gradients"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "batch_sizes", np.asarray(self.batch_sizes))
+        if self.values.ndim != 1 or self.values.size == 0:
+            raise ValueError(f"need a nonempty (N,) array of values, got shape {self.values.shape}")
+        n = self.values.size
+        if not (
+            self.points.ndim == 2
+            and self.points.shape[0] == n
+            and self.gradients.shape == self.points.shape
+            and self.batch_sizes.shape == (n,)
+        ):
+            raise ValueError(
+                f"shape mismatch: points {self.points.shape}, values {self.values.shape}, "
+                f"gradients {self.gradients.shape}, batch_sizes {self.batch_sizes.shape}"
+            )
+        if not all(np.isfinite(a).all() for a in (self.points, self.values, self.gradients)):
+            raise ValueError("observations must be finite")
+        if self.batch_sizes.dtype.kind not in "iu" or self.batch_sizes.min() < 1:
+            raise ValueError("batch sizes must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +100,7 @@ class GridSpec:
     def points(self) -> np.ndarray:
         """All nodes as an (resolution**2, 2) array in flat-index order."""
         w1, w2 = np.meshgrid(self.axis(0), self.axis(1))
-        return np.column_stack([w1.ravel(), w2.ravel()])
+        return np.stack([w1.ravel(), w2.ravel()], axis=1)
 
 
 def generate_full_batch(
@@ -127,42 +156,38 @@ def sample_batch_indices(stream: Stream, policy: MiniBatchPolicy, n: int) -> lis
     return sorted(stream.choose(n, b))
 
 
+def _observe(points: np.ndarray, data: Dataset1D, batches) -> Observations:
+    """Loss and gradient at each point on its batch of dataset indices."""
+    values = np.empty(points.shape[0])
+    gradients = np.empty_like(points)
+    batch_sizes = np.empty(points.shape[0], dtype=np.intp)
+    for k, (w, indices) in enumerate(zip(points, batches)):
+        values[k] = batch_loss(w, data, indices)
+        gradients[k] = batch_gradient(w, data, indices)
+        batch_sizes[k] = len(indices)
+    return Observations(points, values, gradients, batch_sizes)
+
+
 def sample_loss_surface(
     grid: GridSpec, data: Dataset1D, policy: MiniBatchPolicy, stream: Stream
-) -> list[LossObservation]:
+) -> Observations:
     """One mini-batch loss/gradient observation per grid node, in node order.
 
     Each node k uses the child stream "node/{k}", so observations do not
     depend on evaluation order or batching of the surrounding code.
     """
-    observations = []
+    points = grid.points()
     n = data.xs.size
-    for k, w in enumerate(grid.points()):
-        node_stream = stream.derive(f"node/{k}")
-        indices = sample_batch_indices(node_stream, policy, n)
-        observations.append(
-            LossObservation(
-                w=w,
-                value=batch_loss(w, data, indices),
-                gradient=batch_gradient(w, data, indices),
-                batch_size=len(indices),
-            )
-        )
-    return observations
+    batches = (
+        sample_batch_indices(stream.derive(f"node/{k}"), policy, n)
+        for k in range(points.shape[0])
+    )
+    return _observe(points, data, batches)
 
 
-def full_batch_observations(grid: GridSpec, data: Dataset1D) -> list[LossObservation]:
+def full_batch_observations(grid: GridSpec, data: Dataset1D) -> Observations:
     """Noise-free observations: every node evaluated on the entire dataset."""
-    all_indices = np.arange(data.xs.size)
-    return [
-        LossObservation(
-            w=w,
-            value=batch_loss(w, data, all_indices),
-            gradient=batch_gradient(w, data, all_indices),
-            batch_size=data.xs.size,
-        )
-        for w in grid.points()
-    ]
+    return _observe(grid.points(), data, itertools.repeat(np.arange(data.xs.size)))
 
 
 def analytic_loss(w, data: Dataset1D):

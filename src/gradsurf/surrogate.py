@@ -32,7 +32,7 @@ from .kernels import (
     solve_least_squares,
     value_block,
 )
-from .problem import LossObservation
+from .problem import Observations
 
 
 class FitMode(str, Enum):
@@ -115,43 +115,28 @@ def shape_candidates(recipe: FitRecipe) -> np.ndarray:
     return c
 
 
-def sample_centres(stream, observations: list[LossObservation], recipe: FitRecipe) -> np.ndarray:
+def sample_centres(stream, observations: Observations, recipe: FitRecipe) -> np.ndarray:
     """Pick n_centres distinct observation locations, uniformly without replacement.
 
     Enforces the basis budget: n_centres * basis_ratio must not exceed the
     number of observations.
     """
     budget = recipe.n_centres * recipe.basis_ratio
-    if budget > len(observations):
+    n = observations.values.size
+    if budget > n:
         raise ValueError(
             f"{recipe.n_centres} centres require {budget} observations "
-            f"(ratio {recipe.basis_ratio}), but only {len(observations)} are available"
+            f"(ratio {recipe.basis_ratio}), but only {n} are available"
         )
-    idx = stream.choose(len(observations), recipe.n_centres)
-    return np.array([observations[i].w for i in idx], dtype=np.float64)
+    return observations.points[stream.choose(n, recipe.n_centres)]
 
 
-def _stack(observations: list[LossObservation]):
-    if not observations:
-        raise ValueError("need at least one observation")
-    points = np.array([o.w for o in observations], dtype=np.float64)
-    values = np.array([o.value for o in observations], dtype=np.float64)
-    gradients = np.array([o.gradient for o in observations], dtype=np.float64)
-    if not (
-        np.all(np.isfinite(points))
-        and np.all(np.isfinite(values))
-        and np.all(np.isfinite(gradients))
-    ):
-        raise ValueError("observations must be finite")
-    return points, values, gradients
-
-
-def _targets(values, gradients, mode):
+def _targets(observations: Observations, mode):
     if mode is FitMode.F:
-        return values
+        return observations.values
     if mode is FitMode.G:
-        return gradients.ravel()
-    return np.concatenate([values, gradients.ravel()])
+        return observations.gradients.ravel()
+    return np.concatenate([observations.values, observations.gradients.ravel()])
 
 
 def _system(geometry, eps: float, mode):
@@ -167,7 +152,7 @@ def _system(geometry, eps: float, mode):
 
 
 def build_system(
-    observations: list[LossObservation],
+    observations: Observations,
     centres: np.ndarray,
     params: KernelParams,
     mode: FitMode,
@@ -178,12 +163,11 @@ def build_system(
     over gradient components (rows point-major, coordinate-minor); mode fg
     stacks the f block on top of the g block.
     """
-    points, values, gradients = _stack(observations)
-    a = _system(pairwise(points, centres), params.shape, mode)
-    return a, _targets(values, gradients, mode)
+    a = _system(pairwise(observations.points, centres), params.shape, mode)
+    return a, _targets(observations, mode)
 
 
-def training_mse(surrogate: Surrogate, observations: list[LossObservation], mode: FitMode) -> float:
+def training_mse(surrogate: Surrogate, observations: Observations, mode: FitMode) -> float:
     """Mean squared residual of the surrogate over the mode's stacked system.
 
     The offset enters value residuals only; gradient rows are unaffected,
@@ -195,7 +179,7 @@ def training_mse(surrogate: Surrogate, observations: list[LossObservation], mode
         r = r + surrogate.offset
     elif mode is FitMode.FG:
         r = r.copy()
-        r[: len(observations)] += surrogate.offset
+        r[: observations.values.size] += surrogate.offset
     return float(np.mean(r * r))
 
 
@@ -212,7 +196,7 @@ def _solve_candidate(a, b):
     return (mse, coef) if np.isfinite(mse) else None
 
 
-def fit_surrogate(observations: list[LossObservation], recipe: FitRecipe, stream) -> Surrogate:
+def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surrogate:
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
     Centres are drawn once and shared by every candidate, so the
@@ -223,10 +207,9 @@ def fit_surrogate(observations: list[LossObservation], recipe: FitRecipe, stream
     underflow every off-centre entry is 0.0) has the same outcome and is
     not solved again.  Raises FitFailure if every candidate is skipped.
     """
-    points, values, gradients = _stack(observations)
     centres = sample_centres(stream, observations, recipe)
-    geometry = pairwise(points, centres)
-    b = _targets(values, gradients, recipe.mode)
+    geometry = pairwise(observations.points, centres)
+    b = _targets(observations, recipe.mode)
     best = None
     skipped: list[float] = []
     prev_a = outcome = None

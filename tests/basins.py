@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from gradsurf.analysis import SurfaceGrid
-from gradsurf.problem import Dataset1D, GridSpec, LossObservation, full_batch_observations
+from gradsurf.problem import Dataset1D, GridSpec, Observations, full_batch_observations
 
 
 def _neighbours(k: int, rows: int, cols: int):
@@ -96,9 +96,7 @@ def count_basins(surface: SurfaceGrid, resolution: float = 0.0) -> int:
     return sum(depth >= resolution for depth in basin_depths(surface))
 
 
-def gradient_resolution(
-    observations: list[LossObservation], data: Dataset1D, grid: GridSpec
-) -> float:
+def gradient_resolution(observations: Observations, data: Dataset1D, grid: GridSpec) -> float:
     """sigma_g * h: the smallest height difference the gradient data resolve.
 
     sigma_g is the RMS, over the observation nodes and both components, of
@@ -108,11 +106,8 @@ def gradient_resolution(
     neighbouring training nodes from noise.
     """
     exact = full_batch_observations(grid, data)
-    if len(observations) != len(exact) or not all(
-        np.array_equal(o.w, e.w) for o, e in zip(observations, exact)
-    ):
+    if not np.array_equal(observations.points, exact.points):
         raise ValueError("observations do not sit on the grid nodes in node order")
-    error = np.array([o.gradient - e.gradient for o, e in zip(observations, exact)])
-    sigma_g = float(np.sqrt(np.mean(error**2)))
+    sigma_g = float(np.sqrt(np.mean((observations.gradients - exact.gradients) ** 2)))
     h = (grid.upper[0] - grid.lower[0]) / (grid.resolution - 1)
     return sigma_g * h

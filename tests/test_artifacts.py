@@ -16,7 +16,7 @@ from gradsurf.artifacts import (
     write_surface_csv,
 )
 from gradsurf.kernels import KernelParams
-from gradsurf.problem import GridSpec, LossObservation
+from gradsurf.problem import GridSpec, Observations
 from gradsurf.surrogate import FitMode, Surrogate
 from gradsurf.svg import render_heatmap_svg
 
@@ -73,14 +73,12 @@ def test_surface_csv_rejects_tampered_nodes(tmp_path):
 
 
 def test_observations_csv_exact_line(tmp_path):
-    obs = [
-        LossObservation(
-            w=np.array([1.5, -2.5]),
-            value=0.25,
-            gradient=np.array([-1.25, 3.5]),
-            batch_size=7,
-        )
-    ]
+    obs = Observations(
+        points=np.array([[1.5, -2.5]]),
+        values=np.array([0.25]),
+        gradients=np.array([[-1.25, 3.5]]),
+        batch_sizes=np.array([7]),
+    )
     path = tmp_path / "o.csv"
     write_observations_csv(obs, path)
     raw = path.read_text(encoding="utf-8")
@@ -89,29 +87,41 @@ def test_observations_csv_exact_line(tmp_path):
 
 def test_observations_csv_roundtrip_bitexact(tmp_path):
     rng = np.random.default_rng(7)
-    obs = [
-        LossObservation(
-            w=rng.uniform(-2, 2, 2),
-            value=float(rng.normal()) * 10**-int(rng.integers(0, 12)),
-            gradient=rng.normal(size=2),
-            batch_size=int(rng.integers(1, 31)),
-        )
-        for _ in range(40)
-    ]
+    obs = Observations(
+        points=rng.uniform(-2, 2, (40, 2)),
+        values=rng.normal(size=40) * 10.0 ** -rng.integers(0, 12, 40),
+        gradients=rng.normal(size=(40, 2)),
+        batch_sizes=rng.integers(1, 31, 40),
+    )
     path = tmp_path / "o.csv"
     write_observations_csv(obs, path)
     back = read_observations_csv(path)
-    assert len(back) == 40
-    for a, b in zip(obs, back):
-        assert np.array_equal(a.w, b.w)
-        assert a.value == b.value
-        assert np.array_equal(a.gradient, b.gradient)
-        assert a.batch_size == b.batch_size
+    assert np.array_equal(back.points, obs.points)
+    assert np.array_equal(back.values, obs.values)
+    assert np.array_equal(back.gradients, obs.gradients)
+    assert np.array_equal(back.batch_sizes, obs.batch_sizes)
 
 
 def test_observations_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "o.csv"
     path.write_text("w1,w2,batch,loss,g1,g2\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_observations_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([], id="no-rows"),
+        pytest.param(["0.0,0.0,0,1.0,0.0,0.0"], id="batch-size-0"),
+        pytest.param(["0.0,0.0,1,nan,0.0,0.0"], id="nan-loss"),
+        pytest.param(["0.0,inf,1,1.0,0.0,0.0"], id="inf-point"),
+        pytest.param(["0.0,0.0,1,1.0,0.0"], id="short-row"),
+    ],
+)
+def test_observations_csv_rejects_bad_rows(tmp_path, rows):
+    path = tmp_path / "o.csv"
+    path.write_text("\n".join(["w1,w2,b,loss,g1,g2", *rows]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_observations_csv(path)
 

@@ -1,6 +1,7 @@
 """Basin counting by flooding and the gradient resolution of a sampled cell."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.problem import (
     GridSpec,
-    LossObservation,
     MiniBatchPolicy,
+    Observations,
     full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
@@ -105,12 +106,8 @@ def test_gradient_resolution_of_full_batch_data_is_zero():
 def test_gradient_resolution_is_rms_error_times_spacing():
     data = generate_full_batch()
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5)
-    shifted = [
-        LossObservation(
-            w=o.w, value=o.value, gradient=o.gradient + np.array([3.0, -4.0]), batch_size=1
-        )
-        for o in full_batch_observations(grid, data)
-    ]
+    exact = full_batch_observations(grid, data)
+    shifted = replace(exact, gradients=exact.gradients + np.array([3.0, -4.0]))
     want = math.sqrt((9.0 + 16.0) / 2) * 1.0
     assert gradient_resolution(shifted, data, grid) == pytest.approx(want, rel=1e-12)
 
@@ -119,10 +116,15 @@ def test_gradient_resolution_rejects_observations_off_the_grid():
     data = generate_full_batch()
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5)
     observations = full_batch_observations(grid, data)
-    with pytest.raises(ValueError):
-        gradient_resolution(observations[:-1], data, grid)
-    with pytest.raises(ValueError):
-        gradient_resolution(observations[::-1], data, grid)
+    for rows in (slice(None, -1), slice(None, None, -1)):
+        moved = Observations(
+            observations.points[rows],
+            observations.values[rows],
+            observations.gradients[rows],
+            observations.batch_sizes[rows],
+        )
+        with pytest.raises(ValueError):
+            gradient_resolution(moved, data, grid)
 
 
 def test_noisy_value_fit_has_basins_above_gradient_resolution():

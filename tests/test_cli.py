@@ -138,6 +138,40 @@ def test_fit_verb_goes_through_the_experiment_fit_chain(tmp_path, capsys, monkey
     assert "2 shape candidates failed" in err
 
 
+def test_fit_verb_reproduces_a_study_cell(tmp_path, capsys):
+    # a cell's observations, mode, centre count and derived seed are all
+    # the fit verb needs to give the cell's model and report surface
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"batch_max_list": [3], "centre_list": [2], "repeats": 1, "train_grid": 7}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))[0] == 0
+    cells = read_json(out / "index.json")["cells"]
+    assert [c["mode"] for c in cells] == ["f", "fg", "g"]
+    for cell in cells:
+        fit_dir = tmp_path / cell["id"]
+        code, _, _ = run_cli(
+            capsys,
+            "fit",
+            str(out / cell["artifacts"]["observations"]),
+            "--mode",
+            cell["mode"],
+            "--centres",
+            str(cell["n_centres"]),
+            "--seed",
+            str(cell["derived_seed"]),
+            "--out",
+            str(fit_dir),
+        )
+        assert code == 0
+        model = (out / cell["artifacts"]["model"]).read_bytes()
+        assert (fit_dir / "model.json").read_bytes() == model
+        surface = (out / cell["artifacts"]["surface_report"]).read_bytes()
+        assert (fit_dir / "surface.csv").read_bytes() == surface
+
+
 def test_report_verb(tmp_path, capsys):
     run_cli(capsys, "oracle", "--grid", "9", "--out", str(tmp_path))
     code, out, _ = run_cli(capsys, "report", str(tmp_path / "surface.csv"))
@@ -203,6 +237,16 @@ def test_run_verb_bad_config_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "104" in err
+
+
+def test_run_verb_nonfinite_config_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dataset_coefficients": [NaN, 0.1]}', encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "dataset_coefficients[0]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -73,6 +73,23 @@ def test_from_mapping_type_errors():
         from_mapping({"centre_list": [0]})
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["box", "dataset_interval", "dataset_coefficients"])
+def test_load_config_rejects_nonfinite_numbers(tmp_path, key, literal):
+    # Python's json reads these literals as floats; the config must not
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{key}": [0.5, {literal}]}}', encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert f"{key}[1]: expected a finite number" in str(err.value)
+
+
+def test_from_mapping_rejects_integers_beyond_float_range():
+    with pytest.raises(ConfigError) as err:
+        from_mapping(json.loads('{"box": [0, 1' + "0" * 400 + "]}"))
+    assert "box[1]: expected a finite number" in str(err.value)
+
+
 def test_from_mapping_bad_mode():
     with pytest.raises(ConfigError) as err:
         from_mapping({"mode_list": ["f", "q"]})

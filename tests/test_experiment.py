@@ -126,12 +126,10 @@ def test_observations_reproducible_from_derived_seed(tmp_path):
     regenerated = sample_loss_surface(
         config.train_grid, data, MiniBatchPolicy(entry["batch_max"]), stream
     )
-    assert len(stored) == len(regenerated)
-    for a, b in zip(stored, regenerated):
-        assert np.array_equal(a.w, b.w)
-        assert a.value == b.value
-        assert np.array_equal(a.gradient, b.gradient)
-        assert a.batch_size == b.batch_size
+    assert np.array_equal(stored.points, regenerated.points)
+    assert np.array_equal(stored.values, regenerated.values)
+    assert np.array_equal(stored.gradients, regenerated.gradients)
+    assert np.array_equal(stored.batch_sizes, regenerated.batch_sizes)
 
 
 def test_fit_cell_reproduces_cell_artifacts(tmp_path):

@@ -16,8 +16,6 @@ from gradsurf.kernels import (
     assemble_gradient_matrix,
     assemble_value_matrix,
     gradient_block,
-    kernel_gradient,
-    kernel_value,
     pairwise,
     solve_least_squares,
     value_block,
@@ -25,26 +23,33 @@ from gradsurf.kernels import (
 from gradsurf.rng import derive_stream
 
 
+def radii(rs):
+    """pairwise radii of points at distances rs along the first axis from the origin."""
+    points = np.column_stack([rs, np.zeros(len(rs))])
+    return pairwise(points, np.zeros((1, 2)))[1][:, 0]
+
+
+def kernel_gradient(x, centre, eps):
+    """Spatial gradient of phi(||x - centre||) in x, from pairwise and the blocks."""
+    diff, r = pairwise([x], [centre])
+    return gradient_block(diff, value_block(r, eps), eps)[:, 0]
+
+
 def test_kernel_value_scalar_examples():
-    assert kernel_value(0.0, KernelParams(3.7)) == 1.0
-    assert kernel_value(1.0, KernelParams(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert kernel_value(0.5, KernelParams(2.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert kernel_value(2.0, KernelParams(3.0)) == pytest.approx(math.exp(-36.0), rel=1e-15)
+    examples = [(0.0, 3.7), (1.0, 1.0), (0.5, 2.0), (2.0, 3.0)]
+    phi = [value_block(radii([r]), eps)[0] for r, eps in examples]
+    assert phi[0] == 1.0
+    assert phi[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert phi[2] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert phi[3] == pytest.approx(math.exp(-36.0), rel=1e-15)
 
 
 def test_kernel_value_strictly_decreasing_and_bounded():
-    params = KernelParams(1.3)
-    rs = np.linspace(0.0, 4.0, 200)
-    vals = kernel_value(rs, params)
+    vals = value_block(radii(np.linspace(0.0, 4.0, 200)), 1.3)
     assert np.all(np.diff(vals) < 0)
     assert np.all(vals > 0)
     assert np.all(vals <= 1.0)
     assert vals[0] == 1.0
-
-
-def test_kernel_value_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        kernel_value(-0.1, KernelParams(1.0))
 
 
 def test_kernel_params_validation():
@@ -55,12 +60,12 @@ def test_kernel_params_validation():
 
 def test_kernel_gradient_example():
     # -2 eps^2 (x - c) exp(-(eps r)^2) at x=(1,0), c=(0,0), eps=1
-    g = kernel_gradient([1.0, 0.0], [0.0, 0.0], KernelParams(1.0))
+    g = kernel_gradient([1.0, 0.0], [0.0, 0.0], 1.0)
     assert g == pytest.approx([-2.0 * math.exp(-1.0), 0.0], rel=1e-15)
 
 
 def test_kernel_gradient_zero_at_centre():
-    g = kernel_gradient([0.3, -1.2], [0.3, -1.2], KernelParams(2.5))
+    g = kernel_gradient([0.3, -1.2], [0.3, -1.2], 2.5)
     assert g[0] == 0.0 and g[1] == 0.0
 
 
@@ -68,13 +73,12 @@ def test_kernel_gradient_matches_finite_differences():
     stream = derive_stream(21, "kernel/fd")
     for _ in range(10):
         eps = 10 ** stream.uniform(-1, 1)
-        params = KernelParams(eps)
         c = np.array([stream.uniform(-2, 2), stream.uniform(-2, 2)])
         x = c + np.array([stream.uniform(-1, 1), stream.uniform(-1, 1)]) / eps
         h = 1e-6 / eps
 
         def phi(p):
-            return float(kernel_value(np.sqrt(((p - c) ** 2).sum()), params))
+            return math.exp(-((eps * math.hypot(*(p - c))) ** 2))
 
         fd = np.array(
             [
@@ -82,13 +86,8 @@ def test_kernel_gradient_matches_finite_differences():
                 (phi(x + [0, h]) - phi(x - [0, h])) / (2 * h),
             ]
         )
-        an = kernel_gradient(x, c, params)
+        an = kernel_gradient(x, c, eps)
         assert np.linalg.norm(fd - an) <= 1e-6 * max(np.linalg.norm(an), 1e-9)
-
-
-def test_kernel_gradient_shape_mismatch():
-    with pytest.raises(ValueError):
-        kernel_gradient([1.0, 2.0], [1.0, 2.0, 3.0], KernelParams(1.0))
 
 
 def test_value_matrix_entries_match_kernel_value():
@@ -99,8 +98,8 @@ def test_value_matrix_entries_match_kernel_value():
     assert a.shape == (3, 2)
     for i in range(3):
         for j in range(2):
-            r = float(np.sqrt(((points[i] - centres[j]) ** 2).sum()))
-            assert a[i, j] == pytest.approx(float(kernel_value(r, params)), rel=1e-14)
+            r = math.hypot(*(points[i] - centres[j]))
+            assert a[i, j] == pytest.approx(math.exp(-((0.8 * r) ** 2)), rel=1e-14)
 
 
 def test_value_matrix_unit_diagonal_when_points_are_centres():
@@ -117,7 +116,8 @@ def test_gradient_matrix_layout_point_major():
     assert g.shape == (6, 2)
     for i in range(3):
         for j in range(2):
-            want = kernel_gradient(points[i], centres[j], params)
+            diff = points[i] - centres[j]
+            want = -2.0 * 1.1**2 * diff * math.exp(-((1.1 * math.hypot(*diff)) ** 2))
             assert g[2 * i, j] == pytest.approx(want[0], rel=1e-13, abs=1e-15)
             assert g[2 * i + 1, j] == pytest.approx(want[1], rel=1e-13, abs=1e-15)
 

@@ -12,6 +12,7 @@ import pytest
 from gradsurf.problem import (
     GridSpec,
     MiniBatchPolicy,
+    Observations,
     analytic_loss,
     batch_gradient,
     batch_loss,
@@ -157,15 +158,15 @@ def test_sample_loss_surface_deterministic_and_ordered():
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5)
     obs_a = sample_loss_surface(grid, data, MiniBatchPolicy(3), derive_stream(6, "s"))
     obs_b = sample_loss_surface(grid, data, MiniBatchPolicy(3), derive_stream(6, "s"))
-    assert len(obs_a) == 25
-    for a, b, node in zip(obs_a, obs_b, grid.points()):
-        assert np.array_equal(a.w, node)
-        assert a.value == b.value
-        assert np.array_equal(a.gradient, b.gradient)
-        assert a.batch_size == b.batch_size
-        assert 1 <= a.batch_size <= 3
+    assert obs_a.values.shape == (25,)
+    assert np.array_equal(obs_a.points, grid.points())
+    assert np.array_equal(obs_b.points, grid.points())
+    assert np.array_equal(obs_a.values, obs_b.values)
+    assert np.array_equal(obs_a.gradients, obs_b.gradients)
+    assert np.array_equal(obs_a.batch_sizes, obs_b.batch_sizes)
+    assert obs_a.batch_sizes.min() >= 1 and obs_a.batch_sizes.max() <= 3
     obs_c = sample_loss_surface(grid, data, MiniBatchPolicy(3), derive_stream(7, "s"))
-    assert any(a.value != c.value for a, c in zip(obs_a, obs_c))
+    assert not np.array_equal(obs_a.values, obs_c.values)
 
 
 def test_sample_loss_surface_single_batches_match_a_data_point():
@@ -173,15 +174,15 @@ def test_sample_loss_surface_single_batches_match_a_data_point():
     data = generate_full_batch()
     grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=3)
     obs = sample_loss_surface(grid, data, MiniBatchPolicy(1), derive_stream(9, "s"))
-    for o in obs:
-        assert o.batch_size == 1
+    assert np.all(obs.batch_sizes == 1)
+    for w, value, gradient in zip(obs.points, obs.values, obs.gradients):
         matches = [
             k
             for k in range(121)
-            if abs(batch_loss(o.w, data, [k]) - o.value) <= 1e-12
-            and np.allclose(batch_gradient(o.w, data, [k]), o.gradient, atol=1e-12)
+            if abs(batch_loss(w, data, [k]) - value) <= 1e-12
+            and np.allclose(batch_gradient(w, data, [k]), gradient, atol=1e-12)
         ]
-        assert matches, f"no data point explains observation at {o.w}"
+        assert matches, f"no data point explains observation at {w}"
 
 
 def test_full_batch_observations_match_closed_form():
@@ -190,14 +191,63 @@ def test_full_batch_observations_match_closed_form():
     m2 = math.fsum(float(x) ** 2 for x in data.xs) / 121
     m3 = math.fsum(float(x) ** 3 for x in data.xs) / 121
     m4 = math.fsum(float(x) ** 4 for x in data.xs) / 121
-    for o in full_batch_observations(grid, data):
-        assert o.batch_size == 121
-        d1, d2 = o.w[0] - 0.1, o.w[1] - 0.1
-        want = m4 * d1**2 + 2 * m3 * d1 * d2 + m2 * d2**2
-        assert o.value == pytest.approx(want, rel=1e-10, abs=1e-12)
-        want_g = [2 * m4 * d1 + 2 * m3 * d2, 2 * m3 * d1 + 2 * m2 * d2]
-        assert o.gradient == pytest.approx(want_g, rel=1e-9, abs=1e-10)
-        assert o.value == pytest.approx(analytic_loss(o.w, data), rel=1e-10, abs=1e-12)
+    obs = full_batch_observations(grid, data)
+    assert np.array_equal(obs.points, grid.points())
+    assert np.all(obs.batch_sizes == 121)
+    d1, d2 = obs.points[:, 0] - 0.1, obs.points[:, 1] - 0.1
+    want = m4 * d1**2 + 2 * m3 * d1 * d2 + m2 * d2**2
+    assert obs.values == pytest.approx(want, rel=1e-10, abs=1e-12)
+    want_g = np.column_stack([2 * m4 * d1 + 2 * m3 * d2, 2 * m3 * d1 + 2 * m2 * d2])
+    assert obs.gradients == pytest.approx(want_g, rel=1e-9, abs=1e-10)
+    assert obs.values == pytest.approx(analytic_loss(obs.points, data), rel=1e-10, abs=1e-12)
+
+
+GOOD_OBSERVATIONS = {
+    "points": np.zeros((3, 2)),
+    "values": np.zeros(3),
+    "gradients": np.zeros((3, 2)),
+    "batch_sizes": np.ones(3, dtype=np.intp),
+}
+
+
+def test_observations_accept_and_coerce_good_input():
+    obs = Observations(
+        points=[[0, 1], [2, 3]], values=[0, 1], gradients=[[1, 2], [3, 4]], batch_sizes=[1, 5]
+    )
+    assert obs.points.dtype == obs.values.dtype == obs.gradients.dtype == np.float64
+    assert np.array_equal(obs.gradients, [[1.0, 2.0], [3.0, 4.0]])
+    assert Observations(**GOOD_OBSERVATIONS).values.size == 3
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(
+            {
+                "points": np.zeros((0, 2)),
+                "values": np.zeros(0),
+                "gradients": np.zeros((0, 2)),
+                "batch_sizes": np.ones(0, dtype=np.intp),
+            },
+            id="empty",
+        ),
+        pytest.param({"values": np.float64(0.0)}, id="scalar-values"),
+        pytest.param({"values": np.zeros((3, 1))}, id="2d-values"),
+        pytest.param({"points": np.zeros((2, 2))}, id="points-rows"),
+        pytest.param({"points": np.zeros(3)}, id="1d-points"),
+        pytest.param({"gradients": np.zeros((3, 3))}, id="gradient-columns"),
+        pytest.param({"batch_sizes": np.ones(4, dtype=np.intp)}, id="batch-rows"),
+        pytest.param({"points": [[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]}, id="inf-point"),
+        pytest.param({"values": [0.0, np.nan, 0.0]}, id="nan-value"),
+        pytest.param({"gradients": [[0.0, 0.0], [0.0, 0.0], [0.0, -np.inf]]}, id="inf-gradient"),
+        pytest.param({"batch_sizes": [1, 0, 1]}, id="batch-size-0"),
+        pytest.param({"batch_sizes": [1, -2, 1]}, id="negative-batch-size"),
+        pytest.param({"batch_sizes": [1.0, 1.0, 1.0]}, id="float-batch-sizes"),
+    ],
+)
+def test_observations_reject_bad_input(change):
+    with pytest.raises(ValueError):
+        Observations(**{**GOOD_OBSERVATIONS, **change})
 
 
 def test_analytic_loss_moments():

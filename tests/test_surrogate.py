@@ -15,8 +15,8 @@ from gradsurf.kernels import (
 )
 from gradsurf.problem import (
     GridSpec,
-    LossObservation,
     MiniBatchPolicy,
+    Observations,
     full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
@@ -107,7 +107,7 @@ def test_sample_centres_budget():
 def test_sample_centres_are_observation_locations():
     obs = small_observations(5)
     centres = sample_centres(derive_stream(1, "c"), obs, FitRecipe(mode=FitMode.F, n_centres=4))
-    locations = {tuple(o.w) for o in obs}
+    locations = {tuple(w) for w in obs.points}
     for c in centres:
         assert tuple(c) in locations
 
@@ -135,26 +135,23 @@ def test_build_system_shapes_and_stacking():
     assert np.array_equal(a_fg[9:], a_g)
     assert np.array_equal(b_fg, np.concatenate([b_f, b_g]))
     # targets come from the observations, gradients point-major
-    assert np.array_equal(b_f, [o.value for o in obs])
-    assert b_g[0] == obs[0].gradient[0]
-    assert b_g[1] == obs[0].gradient[1]
-    assert b_g[2] == obs[1].gradient[0]
+    assert np.array_equal(b_f, obs.values)
+    assert np.array_equal(b_g.reshape(9, 2), obs.gradients)
+    assert b_g[2] == obs.gradients[1, 0]
 
 
 def test_build_system_rejects_nonfinite_observations():
-    obs = [
-        LossObservation(
-            w=np.array([0.0, 0.0]), value=np.inf, gradient=np.zeros(2), batch_size=1
-        )
-    ]
+    # the record refuses the data, so no system is ever built from it
     with pytest.raises(ValueError):
+        obs = Observations(np.zeros((1, 2)), [np.inf], np.zeros((1, 2)), [1])
         build_system(obs, np.zeros((1, 2)), KernelParams(1.0), FitMode.F)
 
 
 def test_training_mse_exact_interpolation_is_tiny():
     # square well-conditioned system: N == M with points as centres
-    obs = small_observations(3)[:4]
-    centres = np.array([o.w for o in obs])
+    full = small_observations(3)
+    obs = Observations(full.points[:4], full.values[:4], full.gradients[:4], full.batch_sizes[:4])
+    centres = obs.points
     params = KernelParams(1.0)
     a, b = build_system(obs, centres, params, FitMode.F)
     coef = solve_least_squares(a, b)
@@ -226,10 +223,8 @@ def test_fit_surrogate_selects_lowest_training_mse():
 def test_fit_surrogate_tie_breaks_to_smallest_shape():
     # all-zero targets solve exactly (coef 0) for every candidate; the
     # tie must go to the smallest shape
-    obs = [
-        LossObservation(w=w, value=0.0, gradient=np.zeros(2), batch_size=1)
-        for w in GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=4).points()
-    ]
+    points = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=4).points()
+    obs = Observations(points, np.zeros(16), np.zeros((16, 2)), np.ones(16, dtype=np.intp))
     recipe = FitRecipe(
         mode=FitMode.F, n_centres=2, shape_lo=1e-2, shape_hi=1e2, shape_count=9
     )
@@ -250,17 +245,9 @@ def test_fit_surrogate_deterministic():
 def test_fit_surrogate_all_candidates_fail():
     # alternating near-max values make every candidate overflow either in
     # the solve or in the residual, so the whole sweep is skipped
-    xs = np.linspace(0.0, 2.0, 6)
-    big = 1.7e308
-    obs = [
-        LossObservation(
-            w=np.array([x, 0.0]),
-            value=big if i % 2 == 0 else -big,
-            gradient=np.zeros(2),
-            batch_size=1,
-        )
-        for i, x in enumerate(xs)
-    ]
+    points = np.column_stack([np.linspace(0.0, 2.0, 6), np.zeros(6)])
+    values = 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    obs = Observations(points, values, np.zeros((6, 2)), np.ones(6, dtype=np.intp))
     recipe = FitRecipe(mode=FitMode.F, n_centres=1, shape_count=21)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
