@@ -28,19 +28,21 @@ def _open_out(path):
 
 def write_surface_csv(surface: SurfaceGrid, path) -> None:
     """One row per grid node in flat order: w1,w2,value."""
-    pts = surface.grid.points().tolist()
-    flat = surface.values.ravel().tolist()
+    w1s = [repr(w) for w in surface.grid.axis(0).tolist()]
+    w2s = [repr(w) for w in surface.grid.axis(1).tolist()]
     with _open_out(path) as f:
         f.write(SURFACE_HEADER + "\n")
-        for (w1, w2), v in zip(pts, flat):
-            f.write(f"{w1!r},{w2!r},{v!r}\n")
+        # one write per grid row: w2 is fixed along it, w1 runs fastest
+        for w2, row in zip(w2s, surface.values.tolist()):
+            f.write("".join(f"{w1},{w2},{v!r}\n" for w1, v in zip(w1s, row)))
 
 
 def read_surface_csv(path) -> SurfaceGrid:
     """Parse a surface CSV back into a SurfaceGrid.
 
     The grid is reconstructed from the corner nodes and row count; the node
-    coordinates in the file must match that grid exactly.
+    coordinates in the file must match that grid exactly, and every value
+    must be finite.
     """
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -59,6 +61,8 @@ def read_surface_csv(path) -> SurfaceGrid:
     if not np.array_equal(coords, grid.points()):
         raise ValueError("node coordinates are not the expected grid")
     values = np.array([r[2] for r in rows]).reshape(res, res)
+    if not np.isfinite(values).all():
+        raise ValueError("surface values must be finite")
     return SurfaceGrid(grid=grid, values=values)
 
 

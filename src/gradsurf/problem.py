@@ -9,12 +9,11 @@ fitting; the closed-form full-batch loss serves as reference surface.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Lanes, Stream, derive_keys
 
 
 @dataclass(frozen=True)
@@ -127,45 +126,63 @@ def model_predict(w, xs) -> np.ndarray:
     return w[0] * xs**2 + w[1] * xs
 
 
-def _batch(data: Dataset1D, indices) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("batch indices must be nonempty")
-    return data.xs[idx], data.ys[idx]
+def _batch_losses(points: np.ndarray, data: Dataset1D, batches: np.ndarray):
+    """Loss and gradient at each point on its row of dataset indices.
+
+    points is (m, 2) and batches (m, b).  With e = f(x; w) - y over a row,
+    the loss is mean(e**2) and the gradient 2 * (mean(e * x**2), mean(e * x)).
+    """
+    xs, ys = data.xs[batches], data.ys[batches]
+    e = model_predict(points.T[:, :, None], xs) - ys
+    gradients = np.stack([np.mean(e * xs**2, axis=1), np.mean(e * xs, axis=1)], axis=1)
+    return np.mean(e**2, axis=1), 2.0 * gradients
 
 
-def batch_loss(w, data: Dataset1D, indices) -> float:
-    """Mean squared error of the model over the given batch, (1/b) * sum(e**2)."""
-    xs, ys = _batch(data, indices)
-    e = model_predict(w, xs) - ys
-    return float(np.mean(e**2))
+def _observe(points: np.ndarray, data: Dataset1D, sizes: np.ndarray, draws: np.ndarray):
+    """Observations with node k's batch the first sizes[k] indices of draws[k].
 
-
-def batch_gradient(w, data: Dataset1D, indices) -> np.ndarray:
-    """Gradient of batch_loss in w: (2/b) * sum(e_i * (x_i**2, x_i))."""
-    xs, ys = _batch(data, indices)
-    e = model_predict(w, xs) - ys
-    return np.array([2.0 * np.mean(e * xs**2), 2.0 * np.mean(e * xs)])
-
-
-def sample_batch_indices(stream: Stream, policy: MiniBatchPolicy, n: int) -> list[int]:
-    """Draw b ~ U{1..max_size}, then b distinct indices, sorted ascending."""
-    if policy.max_size > n:
-        raise ValueError(f"max_size {policy.max_size} exceeds dataset size {n}")
-    b = 1 + stream.below(policy.max_size)
-    return sorted(stream.choose(n, b))
-
-
-def _observe(points: np.ndarray, data: Dataset1D, batches) -> Observations:
-    """Loss and gradient at each point on its batch of dataset indices."""
+    Each batch is sorted ascending; nodes with one batch size are evaluated
+    as one group.
+    """
     values = np.empty(points.shape[0])
     gradients = np.empty_like(points)
-    batch_sizes = np.empty(points.shape[0], dtype=np.intp)
-    for k, (w, indices) in enumerate(zip(points, batches)):
-        values[k] = batch_loss(w, data, indices)
-        gradients[k] = batch_gradient(w, data, indices)
-        batch_sizes[k] = len(indices)
-    return Observations(points, values, gradients, batch_sizes)
+    # np.bincount, not np.unique, which imports numpy.ma (about 1 MiB)
+    for b in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == b)
+        batches = np.sort(draws[rows, :b], axis=1)
+        values[rows], gradients[rows] = _batch_losses(points[rows], data, batches)
+    return Observations(points, values, gradients, sizes)
+
+
+# index-pool entries per block of nodes in the sampler's Fisher-Yates
+_POOL_ENTRIES = 1 << 20
+
+
+def _draw_batches(keys: np.ndarray, max_size: int, n: int):
+    """Batch size and batch indices for the stream of each key.
+
+    Stream k draws b ~ U{1..max_size}, then b distinct indices of range(n)
+    by partial Fisher-Yates, as Stream.below and Stream.choose would.
+    Returns the sizes (L,) and the draws (L, max_size), row k valid up to
+    sizes[k].  Nodes go in blocks, so the index pools hold at most about
+    _POOL_ENTRIES entries at once.
+    """
+    sizes = np.empty(keys.size, dtype=np.intp)
+    draws = np.empty((keys.size, max_size), dtype=np.intp)
+    block = max(1, _POOL_ENTRIES // n)
+    for start in range(0, keys.size, block):
+        stop = min(start + block, keys.size)
+        lanes = Lanes(keys[start:stop])
+        everyone = np.arange(stop - start)
+        b = 1 + lanes.below(max_size, everyone).astype(np.intp)
+        pool = np.tile(np.arange(n), (everyone.size, 1))
+        for i in range(max_size):
+            rows = np.flatnonzero(b > i)
+            j = i + lanes.below(n - i, rows).astype(np.intp)
+            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+        sizes[start:stop] = b
+        draws[start:stop] = pool[:, :max_size]
+    return sizes, draws
 
 
 def sample_loss_surface(
@@ -174,20 +191,23 @@ def sample_loss_surface(
     """One mini-batch loss/gradient observation per grid node, in node order.
 
     Each node k uses the child stream "node/{k}", so observations do not
-    depend on evaluation order or batching of the surrounding code.
+    depend on evaluation order or batching of the surrounding code.  All
+    node streams run at once, as the lanes of one rng.Lanes.
     """
-    points = grid.points()
     n = data.xs.size
-    batches = (
-        sample_batch_indices(stream.derive(f"node/{k}"), policy, n)
-        for k in range(points.shape[0])
-    )
-    return _observe(points, data, batches)
+    if policy.max_size > n:
+        raise ValueError(f"max_size {policy.max_size} exceeds dataset size {n}")
+    points = grid.points()
+    keys = derive_keys(stream.key, "node/", points.shape[0])
+    return _observe(points, data, *_draw_batches(keys, policy.max_size, n))
 
 
 def full_batch_observations(grid: GridSpec, data: Dataset1D) -> Observations:
     """Noise-free observations: every node evaluated on the entire dataset."""
-    return _observe(grid.points(), data, itertools.repeat(np.arange(data.xs.size)))
+    points = grid.points()
+    n = data.xs.size
+    sizes = np.full(points.shape[0], n, dtype=np.intp)
+    return _observe(points, data, sizes, np.broadcast_to(np.arange(n), (points.shape[0], n)))
 
 
 def analytic_loss(w, data: Dataset1D):

@@ -16,17 +16,25 @@ Algorithm summary (all arithmetic mod 2**64):
   ``b`` of the label, ``k = mix64(k ^ b)``.
 * state expansion: ``s[i] = mix64(key + (i + 1) * GOLDEN)``.
 * output: standard xoshiro256**; uniform doubles take the top 53 bits.
+
+:class:`Lanes` runs many streams side by side on numpy ``uint64`` arrays,
+one stream per lane, through the same functions (numpy arrays wrap mod
+2**64 where Python ints are masked), so lane k draws bit for bit what
+``Stream(keys[k])`` draws.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """Finalizing 64-bit avalanche function (splitmix64)."""
-    z &= _MASK
+def mix64(z):
+    """Finalizing 64-bit avalanche function (splitmix64), on an int or a
+    uint64 array."""
+    z = z & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -42,8 +50,46 @@ def derive_key(seed: int, label: str) -> int:
     return k
 
 
-def _rotl(x: int, k: int) -> int:
+def derive_keys(seed: int, prefix: str, count: int) -> np.ndarray:
+    """derive_key(seed, f"{prefix}{k}") for every k in range(count), as uint64.
+
+    The prefix is absorbed once; then, for all labels of one length at a
+    time, their decimal digits are absorbed one position after another.
+    """
+    base = derive_key(seed, prefix)
+    keys = np.empty(count, dtype=np.uint64)
+    width, start = 1, 0
+    while start < count:
+        stop = min(count, 10**width)
+        labels = np.arange(start, stop, dtype=np.uint64)
+        k = np.full(stop - start, base, dtype=np.uint64)
+        for p in reversed(range(width)):
+            k = mix64(k ^ (labels // 10**p % 10 + ord("0")))
+        keys[start:stop] = k
+        width, start = width + 1, stop
+    return keys
+
+
+def _rotl(x, k: int):
     return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+def _expand(key) -> list:
+    """The four state words of the stream with this key (int or uint64 array)."""
+    return [mix64((key + (((i + 1) * _GOLDEN) & _MASK)) & _MASK) for i in range(4)]
+
+
+def _next(s0, s1, s2, s3):
+    """One xoshiro256** step: the output and the new state."""
+    result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
+    t = (s1 << 17) & _MASK
+    s2 = s2 ^ s0
+    s3 = s3 ^ s1
+    s1 = s1 ^ s2
+    s0 = s0 ^ s3
+    s2 = s2 ^ t
+    s3 = _rotl(s3, 45)
+    return result, [s0, s1, s2, s3]
 
 
 class Stream:
@@ -53,7 +99,7 @@ class Stream:
         if not 0 <= key <= _MASK:
             raise ValueError(f"key must be a 64-bit unsigned integer, got {key}")
         self.key = key
-        s = [mix64((key + (i + 1) * _GOLDEN) & _MASK) for i in range(4)]
+        s = _expand(key)
         if not any(s):
             # all-zero state is the one fixed point of xoshiro; unreachable
             # in practice but guarded anyway
@@ -61,16 +107,7 @@ class Stream:
         self._s = s
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        result, self._s = _next(*self._s)
         return result
 
     def random(self) -> float:
@@ -106,6 +143,44 @@ class Stream:
     def derive(self, label: str) -> "Stream":
         """Child stream addressed by this stream's key plus a label."""
         return Stream(derive_key(self.key, label))
+
+
+class Lanes:
+    """Independent streams, one per uint64 key, stepped together.
+
+    Each call names the lanes it draws for (an index array, no repeats) and
+    advances only those, so lane k sees the same sequence of calls a
+    ``Stream(keys[k])`` would and draws the same values.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        s = np.array(_expand(np.asarray(keys, dtype=np.uint64)))
+        # the all-zero guard of Stream, lane by lane
+        s[0, ~s.any(axis=0)] = _GOLDEN
+        self._s = s
+
+    def next_u64(self, rows: np.ndarray) -> np.ndarray:
+        result, state = _next(*self._s[:, rows])
+        self._s[:, rows] = state
+        return result
+
+    def below(self, n: int, rows: np.ndarray) -> np.ndarray:
+        """Uniform integers in [0, n), one per listed lane, as Stream.below.
+
+        A lane whose draw is rejected draws again; the others wait.
+        """
+        if not 0 < n <= _MASK:
+            raise ValueError(f"n must be in [1, 2**64), got {n}")
+        # Stream.below accepts u < 2**64 - 2**64 % n, i.e. u <= top
+        top = _MASK - (1 << 64) % n
+        out = np.empty(len(rows), dtype=np.uint64)
+        pending = np.arange(len(rows))
+        while pending.size:
+            u = self.next_u64(rows[pending])
+            ok = u <= top
+            out[pending[ok]] = u[ok] % n
+            pending = pending[~ok]
+        return out
 
 
 def derive_stream(seed: int, label: str) -> Stream:

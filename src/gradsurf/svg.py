@@ -9,16 +9,14 @@ red square on the given node, conventionally the lowest sampled value.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .analysis import SurfaceGrid
 from .artifacts import _open_out
 
-_LOW = (13, 8, 135)
-_HIGH = (240, 249, 33)
-
-
-def _colour(t: float) -> str:
-    rgb = (int(round(lo + t * (hi - lo))) for lo, hi in zip(_LOW, _HIGH))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+_LOW = np.array((13, 8, 135))
+_HIGH = np.array((240, 249, 33))
+_HEX = [f"{k:02x}" for k in range(256)]
 
 
 def _node_index(grid, point, axis: int) -> int:
@@ -33,28 +31,36 @@ def render_heatmap_svg(surface: SurfaceGrid, path, marker=None) -> None:
     res = grid.resolution
     px = max(2, 600 // res)
     size = px * res
-    flat = surface.values.ravel()
-    vmin = float(flat.min())
-    span = float(flat.max()) - vmin
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
-    ]
-    for k, v in enumerate(flat):
-        i = k % res
-        j = k // res
-        t = 0.0 if span == 0 else (float(v) - vmin) / span
-        x = i * px
-        y = (res - 1 - j) * px
-        lines.append(f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{_colour(t)}"/>')
-    if marker is not None:
-        i = _node_index(grid, marker, 0)
-        j = _node_index(grid, marker, 1)
-        inset = px // 6
-        side = px - 2 * inset
-        x = i * px + inset
-        y = (res - 1 - j) * px + inset
-        lines.append(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>')
-    lines.append("</svg>")
+    values = surface.values
+    if not np.isfinite(values).all():
+        raise ValueError("cannot colour a surface with non-finite values")
+    vmin = float(values.min())
+    span = float(values.max()) - vmin
+    t = np.zeros_like(values) if span == 0 else (values - vmin) / span
+    # np.rint rounds half to even, as Python's round does
+    rgb = np.rint(_LOW + t[..., None] * (_HIGH - _LOW)).astype(int).tolist()
+    heads = [f'<rect x="{i * px}" y="' for i in range(res)]
+    tail = f'" width="{px}" height="{px}" fill="#'
     with _open_out(path) as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+        )
+        # one write per grid row j, drawn at height (res - 1 - j) * px
+        for j, row in enumerate(rgb):
+            y = (res - 1 - j) * px
+            f.write(
+                "".join(
+                    f'{head}{y}{tail}{_HEX[r]}{_HEX[g]}{_HEX[b]}"/>\n'
+                    for head, (r, g, b) in zip(heads, row)
+                )
+            )
+        if marker is not None:
+            i = _node_index(grid, marker, 0)
+            j = _node_index(grid, marker, 1)
+            inset = px // 6
+            side = px - 2 * inset
+            x = i * px + inset
+            y = (res - 1 - j) * px + inset
+            f.write(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>\n')
+        f.write("</svg>\n")

@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import pytest
 from basins import count_basins, gradient_resolution
+from reference import batch_gradient, batch_loss
 
 from gradsurf.analysis import count_local_minima, evaluate_surface, negative_fraction
 from gradsurf.artifacts import read_json, read_observations_csv
@@ -23,8 +23,6 @@ from gradsurf.kernels import KernelParams, NumericalError, single_threaded_blas,
 from gradsurf.problem import (
     MiniBatchPolicy,
     analytic_loss,
-    batch_gradient,
-    batch_loss,
     full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
@@ -52,16 +50,6 @@ def announce(n, slug, ok, detail):
     print(f"\nCRITERION {n} ({slug}): {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-@pytest.fixture(scope="session")
-def default_run(tmp_path_factory):
-    """One serial run of the default study, shared by the matrix/determinism/
-    optimality criteria."""
-    root = tmp_path_factory.mktemp("acceptance")
-    out = root / "run_a"
-    run_experiment(DEFAULT, out_dir=out, workers=1)
-    return root, out
-
-
 def tree_files(root: Path):
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
@@ -69,12 +57,8 @@ def tree_files(root: Path):
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     data = generate_full_batch()
-    full = list(range(data.xs.size))
-    nodes = DEFAULT.train_grid.points()
-
-    worst_abs = 0.0
-    for w in nodes:
-        worst_abs = max(worst_abs, abs(batch_loss(w, data, full) - analytic_loss(w, data)))
+    full = full_batch_observations(DEFAULT.train_grid, data)
+    worst_abs = float(np.max(np.abs(full.values - analytic_loss(full.points, data))))
 
     stream = derive_stream(0, "acceptance/oracle")
     h = 1e-6

@@ -1,11 +1,17 @@
-"""CSV/JSON artifact round-trips and the SVG heatmap renderer."""
+"""CSV/JSON artifact round-trips and the SVG heatmap renderer.
+
+The surface CSV writer and the heatmap renderer are compared byte for byte
+with the one-node-at-a-time writers in `reference`, on every surface of
+the default study.
+"""
 
 import json
 
 import numpy as np
 import pytest
+import reference
 
-from gradsurf.analysis import SurfaceGrid
+from gradsurf.analysis import SurfaceGrid, locate_min
 from gradsurf.artifacts import (
     read_json,
     read_observations_csv,
@@ -69,6 +75,18 @@ def test_surface_csv_rejects_tampered_nodes(tmp_path):
     lines[2] = "0.25,0.0,0.0"  # node moved off-grid
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        read_surface_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_surface_csv_rejects_non_finite_values(tmp_path, bad):
+    surf = SurfaceGrid(grid=GRID2, values=np.zeros((2, 2)))
+    path = tmp_path / "s.csv"
+    write_surface_csv(surf, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = f"0.0,1.0,{bad}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="finite"):
         read_surface_csv(path)
 
 
@@ -227,3 +245,52 @@ def test_svg_small_grid_min_cell_size(tmp_path):
     render_heatmap_svg(SurfaceGrid(grid=grid, values=values), path)
     text = header_of(path)
     assert 'width="1000"' in text.splitlines()[0] + text.splitlines()[1]
+
+
+def test_svg_rejects_non_finite_values(tmp_path):
+    values = np.zeros((2, 2))
+    values[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        render_heatmap_svg(SurfaceGrid(grid=GRID2, values=values), tmp_path / "h.svg")
+
+
+def written(write, surface, path, **kwargs):
+    write(surface, path, **kwargs)
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(np.full((4, 4), 2.0), id="constant"),
+        pytest.param(np.linspace(-1.0, 1.0, 16).reshape(4, 4), id="ramp"),
+        # t = 0.5 puts red and green at 126.5 and 128.5: halves round to even
+        pytest.param(np.array([[0.0, 0.5], [1.0, 0.25]]), id="half-way"),
+    ],
+)
+@pytest.mark.parametrize("with_marker", [False, True], ids=["plain", "marker"])
+def test_writers_match_pointwise_reference_on_small_surfaces(tmp_path, values, with_marker):
+    res = values.shape[0]
+    surface = SurfaceGrid(GridSpec(lower=(-1.0, 0.0), upper=(1.0, 3.0), resolution=res), values)
+    marker = locate_min(surface)[0] if with_marker else None
+    svg = written(render_heatmap_svg, surface, tmp_path / "h.svg", marker=marker)
+    assert svg == reference.heatmap_svg_text(surface, marker)
+    assert written(write_surface_csv, surface, tmp_path / "s.csv") == reference.surface_csv_text(
+        surface
+    )
+
+
+def test_writers_match_pointwise_reference_on_every_study_surface(default_run, tmp_path):
+    _, out = default_run
+    paths = sorted(out.glob("cells/*/surface_*.csv")) + sorted(out.glob("reference/surface_*.csv"))
+    assert len(paths) == 2 * 24 + 2
+    for path in paths:
+        surface = read_surface_csv(path)
+        text = path.read_text(encoding="utf-8")
+        assert reference.surface_csv_text(surface) == text, path
+        assert written(write_surface_csv, surface, tmp_path / "s.csv") == text, path
+        marker = locate_min(surface)[0]
+        want = reference.heatmap_svg_text(surface, marker)
+        assert written(render_heatmap_svg, surface, tmp_path / "h.svg", marker=marker) == want
+        if path.name == "surface_report.csv":
+            assert (path.parent / "heatmap.svg").read_text(encoding="utf-8") == want, path

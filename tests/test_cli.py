@@ -181,6 +181,20 @@ def test_report_verb(tmp_path, capsys):
     assert payload["min_value"] > 0.0
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_report_verb_non_finite_surface_exits_1(tmp_path, capsys, bad):
+    run_cli(capsys, "oracle", "--grid", "9", "--out", str(tmp_path))
+    path = tmp_path / "surface.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    w1, w2, _ = lines[5].split(",")
+    lines[5] = f"{w1},{w2},{bad}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_run_verb_small_matrix(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

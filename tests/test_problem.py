@@ -2,27 +2,39 @@
 
 Moment-based expectations are recomputed here by direct summation
 (math.fsum over explicit powers), independently of the implementation.
+The single-batch loss and gradient are the pointwise definitions in
+`reference`; the sampler is checked bitwise against the pointwise sampler
+built on them.
 """
 
 import math
 
 import numpy as np
 import pytest
+import reference
+from reference import batch_gradient, batch_loss
 
+from gradsurf import problem
 from gradsurf.problem import (
     GridSpec,
     MiniBatchPolicy,
     Observations,
     analytic_loss,
-    batch_gradient,
-    batch_loss,
     full_batch_observations,
     generate_full_batch,
     model_predict,
-    sample_batch_indices,
     sample_loss_surface,
 )
 from gradsurf.rng import derive_stream
+
+FIELDS = ("points", "values", "gradients", "batch_sizes")
+
+
+def assert_bitwise_equal(a: Observations, b: Observations):
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
 
 # mean of xs**4 over the default dataset, by direct summation
 MEAN_X4 = 3.307254320987654
@@ -106,24 +118,19 @@ def test_mini_batch_policy_validation():
         MiniBatchPolicy(0)
 
 
-def test_sample_batch_indices_statistics():
-    stream = derive_stream(2, "batches")
-    policy = MiniBatchPolicy(3)
-    counts = {1: 0, 2: 0, 3: 0}
-    n = 2000
-    for _ in range(n):
-        idx = sample_batch_indices(stream, policy, 121)
-        assert idx == sorted(idx)
-        assert len(set(idx)) == len(idx)
-        assert all(0 <= k < 121 for k in idx)
-        counts[len(idx)] += 1
+def test_sample_loss_surface_batch_size_statistics():
+    grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=45)
+    obs = sample_loss_surface(grid, generate_full_batch(), MiniBatchPolicy(3), derive_stream(2, "b"))
+    n = obs.batch_sizes.size
+    assert n == 2025
     for size in (1, 2, 3):
-        assert abs(counts[size] / n - 1 / 3) < 0.03
+        assert abs(np.count_nonzero(obs.batch_sizes == size) / n - 1 / 3) < 0.03
 
 
-def test_sample_batch_indices_policy_too_large():
+def test_sample_loss_surface_policy_too_large():
+    grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=3)
     with pytest.raises(ValueError):
-        sample_batch_indices(derive_stream(0, "x"), MiniBatchPolicy(200), 121)
+        sample_loss_surface(grid, generate_full_batch(), MiniBatchPolicy(200), derive_stream(0, "x"))
 
 
 def test_grid_spec_nodes_match_formula():
@@ -183,6 +190,37 @@ def test_sample_loss_surface_single_batches_match_a_data_point():
             and np.allclose(batch_gradient(w, data, [k]), gradient, atol=1e-12)
         ]
         assert matches, f"no data point explains observation at {w}"
+
+
+@pytest.mark.parametrize("batch_max", [1, 3, 30, 121])
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_sample_loss_surface_matches_pointwise_reference(batch_max, seed):
+    data = generate_full_batch()
+    grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=25)
+    policy = MiniBatchPolicy(batch_max)
+    stream = derive_stream(seed, "sample")
+    assert_bitwise_equal(
+        sample_loss_surface(grid, data, policy, stream),
+        reference.sample_loss_surface(grid, data, policy, stream),
+    )
+
+
+def test_sample_loss_surface_node_blocks_do_not_change_draws(monkeypatch):
+    # a pool budget of 1000 entries puts 8 nodes of a 121-point dataset in a block
+    data = generate_full_batch()
+    grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=7)
+    policy, stream = MiniBatchPolicy(30), derive_stream(3, "sample")
+    whole = sample_loss_surface(grid, data, policy, stream)
+    monkeypatch.setattr(problem, "_POOL_ENTRIES", 1000)
+    assert_bitwise_equal(sample_loss_surface(grid, data, policy, stream), whole)
+
+
+def test_full_batch_observations_match_pointwise_reference():
+    data = generate_full_batch()
+    grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=25)
+    assert_bitwise_equal(
+        full_batch_observations(grid, data), reference.full_batch_observations(grid, data)
+    )
 
 
 def test_full_batch_observations_match_closed_form():

@@ -1,8 +1,13 @@
-"""Deterministic stream derivation and generator statistics."""
+"""Deterministic stream derivation and generator statistics.
 
+The lane-parallel generator is checked lane by lane against the scalar
+Stream, which stays the reference for every draw.
+"""
+
+import numpy as np
 import pytest
 
-from gradsurf.rng import Stream, derive_key, derive_stream
+from gradsurf.rng import Lanes, Stream, derive_key, derive_keys, derive_stream
 
 
 def test_same_key_gives_same_sequence():
@@ -94,3 +99,71 @@ def test_choose_invalid_sizes():
         s.choose(5, 6)
     with pytest.raises(ValueError):
         s.choose(5, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_derive_keys_match_derive_key_for_1_to_5_digit_labels(seed):
+    keys = derive_keys(seed, "node/", 10201)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [derive_key(seed, f"node/{k}") for k in range(10201)]
+
+
+def test_derive_keys_for_short_counts():
+    assert derive_keys(3, "x", 0).size == 0
+    assert derive_keys(3, "x", 1).tolist() == [derive_key(3, "x0")]
+    assert derive_keys(3, "x", 11).tolist() == [derive_key(3, f"x{k}") for k in range(11)]
+
+
+def lanes_and_streams(count, seed=7):
+    keys = derive_keys(seed, "lane/", count)
+    return Lanes(keys), [Stream(int(k)) for k in keys]
+
+
+def test_lanes_next_u64_match_streams_and_advance_only_named_lanes():
+    lanes, streams = lanes_and_streams(12)
+    for rows in ([0, 1, 2, 3], [5], list(range(12)), [11, 0, 7]):
+        got = lanes.next_u64(np.array(rows)).tolist()
+        assert got == [streams[k].next_u64() for k in rows]
+
+
+def test_lanes_below_with_about_half_the_draws_rejected():
+    # 2**64 % n = 2**63 - 1, so every draw from 2**63 + 1 on is rejected
+    n = 2**63 + 1
+    limit = (1 << 64) - (1 << 64) % n
+    lanes, streams = lanes_and_streams(64)
+    # shadows draw the same raw sequence, to count the rejections
+    _, shadows = lanes_and_streams(64)
+    rows = np.arange(64)
+    rejected = 0
+    for _ in range(4):
+        got = lanes.below(n, rows).tolist()
+        assert got == [s.below(n) for s in streams]
+        for shadow in shadows:
+            while shadow.next_u64() >= limit:
+                rejected += 1
+    assert rejected > 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**10, 2**63])
+def test_lanes_below_power_of_two_accepts_every_draw(n):
+    # the limit is 2**64 itself, which a uint64 cannot hold
+    lanes, streams = lanes_and_streams(16)
+    rows = np.arange(16)
+    for _ in range(3):
+        assert lanes.below(n, rows).tolist() == [s.below(n) for s in streams]
+    # exactly one draw per call: the lanes stay in step with the streams
+    assert lanes.next_u64(rows).tolist() == [s.next_u64() for s in streams]
+
+
+def test_lanes_below_small_n_on_a_subset():
+    lanes, streams = lanes_and_streams(10)
+    for n, rows in ((121, [0, 3, 9]), (7, list(range(10))), (2**64 - 1, [4])):
+        got = lanes.below(n, np.array(rows)).tolist()
+        assert got == [streams[k].below(n) for k in rows]
+
+
+def test_lanes_below_rejects_n_outside_uint64():
+    lanes, _ = lanes_and_streams(2)
+    for n in (0, -1, 2**64):
+        with pytest.raises(ValueError):
+            lanes.below(n, np.arange(2))
