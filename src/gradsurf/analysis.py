@@ -1,4 +1,7 @@
-"""Loss-surface evaluation on grids and surface diagnostics."""
+"""Loss-surface evaluation on grids and surface diagnostics.
+
+make_report gives the diagnostics of one surface as a JSON-ready dict.
+"""
 
 from __future__ import annotations
 
@@ -25,28 +28,6 @@ class SurfaceGrid:
         want = (self.grid.resolution, self.grid.resolution)
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape}, expected {want}")
-
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    """Diagnostics of one surface; rmse_vs_reference is None when unreferenced."""
-
-    argmin: tuple[float, float]
-    min_value: float
-    local_min_count: int
-    negative_fraction: float
-    rmse_vs_reference: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "argmin": [self.argmin[0], self.argmin[1]],
-            "min_value": self.min_value,
-            "local_min_count": self.local_min_count,
-            "negative_fraction": self.negative_fraction,
-        }
-        if self.rmse_vs_reference is not None:
-            out["rmse_vs_reference"] = self.rmse_vs_reference
-        return out
 
 
 def evaluate_surface(source, grid: GridSpec) -> SurfaceGrid:
@@ -104,13 +85,19 @@ def surface_rmse(a: SurfaceGrid, b: SurfaceGrid) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def make_report(surface: SurfaceGrid, reference: SurfaceGrid | None = None) -> SurfaceReport:
-    """Bundle the standard diagnostics of one surface."""
+def make_report(surface: SurfaceGrid, reference: SurfaceGrid | None = None) -> dict:
+    """The standard diagnostics of one surface, ready for JSON.
+
+    Keys in order: argmin, min_value, local_min_count, negative_fraction,
+    and rmse_vs_reference only when a reference is given.
+    """
     point, value = locate_min(surface)
-    return SurfaceReport(
-        argmin=(float(point[0]), float(point[1])),
-        min_value=value,
-        local_min_count=count_local_minima(surface),
-        negative_fraction=negative_fraction(surface),
-        rmse_vs_reference=None if reference is None else surface_rmse(surface, reference),
-    )
+    report = {
+        "argmin": [float(point[0]), float(point[1])],
+        "min_value": value,
+        "local_min_count": count_local_minima(surface),
+        "negative_fraction": negative_fraction(surface),
+    }
+    if reference is not None:
+        report["rmse_vs_reference"] = surface_rmse(surface, reference)
+    return report

@@ -2,13 +2,15 @@
 
 All text artifacts are UTF-8 with "\n" newlines.  Floats are written with
 repr, i.e. the shortest decimal that round-trips to the same double, so a
-read-back reproduces values bit-exactly.
+read-back reproduces values bit-exactly.  The CSV writers make one write
+per block of rows: a grid row, or up to _BLOCK_ROWS observations.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from .problem import GridSpec, Observations
 
 SURFACE_HEADER = "w1,w2,value"
 OBSERVATIONS_HEADER = "w1,w2,b,loss,g1,g2"
+# observation rows per write; a study cell has 625
+_BLOCK_ROWS = 1024
 
 
 def _open_out(path):
@@ -76,8 +80,12 @@ def write_observations_csv(observations: Observations, path) -> None:
     )
     with _open_out(path) as f:
         f.write(OBSERVATIONS_HEADER + "\n")
-        for (w1, w2), b, loss, (g1, g2) in rows:
-            f.write(f"{w1!r},{w2!r},{b},{loss!r},{g1!r},{g2!r}\n")
+        # one write per block of rows
+        while block := "".join(
+            f"{w1!r},{w2!r},{b},{loss!r},{g1!r},{g2!r}\n"
+            for (w1, w2), b, loss, (g1, g2) in islice(rows, _BLOCK_ROWS)
+        ):
+            f.write(block)
 
 
 def read_observations_csv(path) -> Observations:

@@ -77,7 +77,7 @@ def _cmd_oracle(args) -> int:
     surface = evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
     out = Path(args.out)
     write_surface_csv(surface, out / "surface.csv")
-    write_json({"surface": make_report(surface).as_dict()}, out / "report.json")
+    write_json({"surface": make_report(surface)}, out / "report.json")
     render_heatmap_svg(surface, out / "heatmap.svg", marker=locate_min(surface)[0])
     print(f"wrote {out / 'surface.csv'}")
     return 0
@@ -104,7 +104,7 @@ def _cmd_fit(args) -> int:
     out = Path(args.out)
     write_json(surrogate_json(surrogate, mse), out / "model.json")
     write_surface_csv(surface, out / "surface.csv")
-    write_json({"surface": make_report(surface).as_dict()}, out / "report.json")
+    write_json({"surface": make_report(surface)}, out / "report.json")
     render_heatmap_svg(surface, out / "heatmap.svg", marker=locate_min(surface)[0])
     print(f"wrote {out / 'model.json'} (shape {surrogate.params.shape:g}, training MSE {mse:g})")
     return 0
@@ -112,7 +112,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_report(args) -> int:
     surface = read_surface_csv(args.surface)
-    print(json.dumps(make_report(surface).as_dict(), indent=2))
+    print(json.dumps(make_report(surface), indent=2))
     return 0
 
 

@@ -4,8 +4,9 @@ An empty object (or no file at all) yields the full default study: seed 0,
 batch maxima {3, 30}, all three fit modes, centre counts {1, 100}, two
 repeats, a 25x25 training grid and a 101x101 reporting grid over the box
 [-2, 2]^2, and the 121-point dataset of 0.1*x**2 + 0.1*x on [-2, 2].
-Unknown keys and constraint violations are rejected with the offending
-field named.
+Unknown keys, repeated list values and constraint violations are rejected
+with the offending field named.  Files are read with load_mapping and
+validated with from_mapping.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .problem import GridSpec
 from .surrogate import FitMode, FitRecipe
 
 _SEED_MAX = (1 << 64) - 1
-
-DEFAULT_BASIS_RATIO = FitRecipe.__dataclass_fields__["basis_ratio"].default
 
 
 class ConfigError(ValueError):
@@ -94,10 +93,18 @@ def _want_number(key, value) -> float:
     return number
 
 
+def _want_distinct(key, values) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{key}: {v!r} is listed more than once")
+
+
 def _want_int_list(key, value, lo=1) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key}: expected a nonempty list of integers, got {value!r}")
-    return tuple(_want_int(f"{key}[{i}]", v, lo=lo) for i, v in enumerate(value))
+    ints = tuple(_want_int(f"{key}[{i}]", v, lo=lo) for i, v in enumerate(value))
+    _want_distinct(key, ints)
+    return ints
 
 
 def _want_pair(key, value) -> tuple[float, float]:
@@ -136,6 +143,7 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
                 except ValueError:
                     allowed = ", ".join(m.value for m in FitMode)
                     raise ConfigError(f"{key}: {v!r} is not one of {allowed}") from None
+            _want_distinct(key, raw)
             values["mode_list"] = tuple(modes)
         elif key == "repeats":
             values["repeats"] = _want_int(key, raw, lo=1)
@@ -164,12 +172,13 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
 
 def _check_consistency(config: ExperimentConfig) -> None:
     n_obs = config.train_resolution**2
-    limit = n_obs // DEFAULT_BASIS_RATIO
+    ratio = FitRecipe.basis_ratio
+    limit = n_obs // ratio
     for c in config.centre_list:
-        if c * DEFAULT_BASIS_RATIO > n_obs:
+        if c * ratio > n_obs:
             raise ConfigError(
-                f"centre_list: {c} centres need {c * DEFAULT_BASIS_RATIO} observations "
-                f"(ratio {DEFAULT_BASIS_RATIO}) but the {config.train_resolution}x"
+                f"centre_list: {c} centres need {c * ratio} observations "
+                f"(ratio {ratio}) but the {config.train_resolution}x"
                 f"{config.train_resolution} grid has {n_obs}; at most {limit} fit"
             )
     for b in config.batch_max_list:
@@ -189,10 +198,3 @@ def load_mapping(path) -> dict:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return mapping
-
-
-def load_config(path=None) -> ExperimentConfig:
-    """Load a config file; None or an empty object gives the full default study."""
-    if path is None:
-        return from_mapping({})
-    return from_mapping(load_mapping(path))

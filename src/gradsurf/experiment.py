@@ -148,8 +148,8 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
             },
             "derived_seed": cell_seed,
             "fit": {"shape": surrogate.params.shape, "training_mse": mse, "offset": surrogate.offset},
-            "report_surface": make_report(report_surface, ref_report).as_dict(),
-            "train_surface": make_report(train_surface, ref_train).as_dict(),
+            "report_surface": make_report(report_surface, ref_report),
+            "train_surface": make_report(train_surface, ref_train),
         },
         cell_dir / "report.json",
     )
@@ -188,8 +188,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     write_surface_csv(ref_report, ref_dir / "surface_report.csv")
     write_json(
         {
-            "report_surface": make_report(ref_report).as_dict(),
-            "train_surface": make_report(ref_train).as_dict(),
+            "report_surface": make_report(ref_report),
+            "train_surface": make_report(ref_train),
         },
         ref_dir / "report.json",
     )

@@ -90,10 +90,13 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
     return gradient_block(diff, value_block(r, params.shape), params.shape)
 
 
-def solve_least_squares(a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+REL_TOL = 1e-12
+
+
+def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of a @ x = b.
 
-    Rank-revealing SVD solve; singular values below rel_tol times the
+    Rank-revealing SVD solve; singular values below REL_TOL times the
     largest are treated as zero.  Non-finite inputs are rejected up front;
     a non-finite solution raises NumericalError so sweeps can skip the
     offending candidate.
@@ -106,7 +109,7 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-12) ->
         raise ValueError(f"rhs shape {b.shape} does not match matrix rows {a.shape[0]}")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise ValueError("matrix and rhs must be finite")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=rel_tol)
+    x, _, _, _ = np.linalg.lstsq(a, b, rcond=REL_TOL)
     if not np.all(np.isfinite(x)):
         raise NumericalError("least-squares solution is not finite")
     return x

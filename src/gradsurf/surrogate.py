@@ -9,9 +9,10 @@ which rows enter the system:
   to an additive constant, which is fixed after fitting by translating the
   lowest value on an evaluation grid to exactly zero.
 
-The shape parameter is selected by sweeping log-equispaced candidates and
-keeping the one with the lowest training mean squared error; candidates
-whose solve fails numerically are skipped.
+The shape parameter is selected by sweeping the fixed log-equispaced
+candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
+FitRecipe) and keeping the one with the lowest training mean squared error;
+candidates whose solve fails numerically are skipped.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,28 +57,33 @@ class FitFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FitRecipe:
-    """Everything that defines a fit apart from the data and the draw."""
+    """Everything that defines a fit apart from the data and the draw.
+
+    Only mode and n_centres are chosen per fit; the shape sweep and the
+    basis budget (observations per centre) are constants of the method.
+    """
 
     mode: FitMode
     n_centres: int
-    shape_lo: float = 1e-4
-    shape_hi: float = 1e5
-    shape_count: int = 121
-    basis_ratio: int = 6
+    shape_lo: ClassVar[float] = 1e-4
+    shape_hi: ClassVar[float] = 1e5
+    shape_count: ClassVar[int] = 121
+    basis_ratio: ClassVar[int] = 6
 
     def __post_init__(self):
         if not isinstance(self.mode, FitMode):
             raise ValueError(f"mode must be a FitMode, got {self.mode!r}")
         if self.n_centres < 1:
             raise ValueError(f"n_centres must be >= 1, got {self.n_centres}")
-        if not (0 < self.shape_lo < self.shape_hi < float("inf")):
-            raise ValueError(
-                f"need 0 < shape_lo < shape_hi, got {self.shape_lo}, {self.shape_hi}"
-            )
-        if self.shape_count < 2:
-            raise ValueError(f"shape_count must be >= 2, got {self.shape_count}")
-        if self.basis_ratio < 1:
-            raise ValueError(f"basis_ratio must be >= 1, got {self.basis_ratio}")
+
+
+# the sweep's candidates, log10-equispaced, with the endpoints pinned to
+# the exact bounds; computed once and read-only
+SHAPE_CANDIDATES = 10.0 ** np.linspace(
+    math.log10(FitRecipe.shape_lo), math.log10(FitRecipe.shape_hi), FitRecipe.shape_count
+)
+SHAPE_CANDIDATES[[0, -1]] = FitRecipe.shape_lo, FitRecipe.shape_hi
+SHAPE_CANDIDATES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -103,16 +110,6 @@ class Surrogate:
             )
         if not (np.all(np.isfinite(self.coefficients)) and np.isfinite(self.offset)):
             raise ValueError("coefficients and offset must be finite")
-
-
-def shape_candidates(recipe: FitRecipe) -> np.ndarray:
-    """shape_count values log10-equispaced from shape_lo to shape_hi inclusive."""
-    exps = np.linspace(math.log10(recipe.shape_lo), math.log10(recipe.shape_hi), recipe.shape_count)
-    c = 10.0**exps
-    # pin endpoints to the exact configured bounds
-    c[0] = recipe.shape_lo
-    c[-1] = recipe.shape_hi
-    return c
 
 
 def sample_centres(stream, observations: Observations, recipe: FitRecipe) -> np.ndarray:
@@ -213,8 +210,7 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     best = None
     skipped: list[float] = []
     prev_a = outcome = None
-    for eps in shape_candidates(recipe):
-        eps = float(eps)
+    for eps in SHAPE_CANDIDATES.tolist():
         a = _system(geometry, eps, recipe.mode)
         # a bitwise-repeated system keeps the previous outcome
         if prev_a is None or not np.array_equal(a, prev_a):

@@ -1,11 +1,11 @@
 """Pointwise references for the array code in gradsurf.
 
-The sampler, the surface CSV writer and the heatmap renderer work on whole
-arrays.  The functions here do the same one node at a time, in the most
-direct form: each node's batch from its own `Stream.derive`/`choose`, its
-loss and gradient from the definitions, one CSV line or SVG rectangle per
-node.  Tests assert that the shipped code gives bitwise the same
-observations and byte for byte the same files.
+The sampler, the CSV writers and the heatmap renderer work on whole arrays
+or blocks of rows.  The functions here do the same one node at a time, in
+the most direct form: each node's batch from its own `Stream.derive`/
+`choose`, its loss and gradient from the definitions, one CSV line or SVG
+rectangle per node or observation.  Tests assert that the shipped code
+gives bitwise the same observations and byte for byte the same files.
 """
 
 from __future__ import annotations
@@ -82,6 +82,20 @@ def surface_csv_text(surface) -> str:
     lines = ["w1,w2,value\n"]
     for (w1, w2), v in zip(surface.grid.points().tolist(), surface.values.ravel().tolist()):
         lines.append(f"{w1!r},{w2!r},{v!r}\n")
+    return "".join(lines)
+
+
+def observations_csv_text(observations: Observations) -> str:
+    """The observations CSV, one f-string line per observation."""
+    lines = ["w1,w2,b,loss,g1,g2\n"]
+    rows = zip(
+        observations.points.tolist(),
+        observations.batch_sizes.tolist(),
+        observations.values.tolist(),
+        observations.gradients.tolist(),
+    )
+    for (w1, w2), b, loss, (g1, g2) in rows:
+        lines.append(f"{w1!r},{w2!r},{b},{loss!r},{g1!r},{g2!r}\n")
     return "".join(lines)
 
 

@@ -29,6 +29,7 @@ from gradsurf.problem import (
 )
 from gradsurf.rng import Stream, derive_stream
 from gradsurf.surrogate import (
+    SHAPE_CANDIDATES,
     FitMode,
     FitRecipe,
     Surrogate,
@@ -38,7 +39,6 @@ from gradsurf.surrogate import (
     fit_surrogate,
     predict_values,
     sample_centres,
-    shape_candidates,
     training_mse,
     translate_to_zero,
 )
@@ -274,7 +274,7 @@ def test_criterion_6_study_matrix_shape(default_run):
     ids = {c["id"] for c in index["cells"]}
     reference_ok = all((out / rel).is_file() for rel in index["reference"].values())
 
-    candidates = shape_candidates(FitRecipe(mode=FitMode.G, n_centres=1))
+    candidates = SHAPE_CANDIDATES
     sweep_ok = (
         len(candidates) == 121 and candidates[0] == 1e-4 and candidates[-1] == 1e5
     )
@@ -348,7 +348,7 @@ def _check_cell_optimality(out, entry):
     losing = []
     non_skipped = 0
     winner_seen = False
-    for eps in shape_candidates(FitRecipe(mode=mode, n_centres=len(centres))):
+    for eps in SHAPE_CANDIDATES:
         params = KernelParams(float(eps))
         a, b = build_system(observations, centres, params, mode)
         try:

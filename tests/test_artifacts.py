@@ -1,8 +1,8 @@
 """CSV/JSON artifact round-trips and the SVG heatmap renderer.
 
-The surface CSV writer and the heatmap renderer are compared byte for byte
-with the one-node-at-a-time writers in `reference`, on every surface of
-the default study.
+The CSV writers and the heatmap renderer are compared byte for byte with
+the one-row-at-a-time writers in `reference`, on every surface and
+observation set of the default study.
 """
 
 import json
@@ -21,8 +21,16 @@ from gradsurf.artifacts import (
     write_observations_csv,
     write_surface_csv,
 )
+from gradsurf.config import ExperimentConfig
 from gradsurf.kernels import KernelParams
-from gradsurf.problem import GridSpec, Observations
+from gradsurf.problem import (
+    GridSpec,
+    MiniBatchPolicy,
+    Observations,
+    generate_full_batch,
+    sample_loss_surface,
+)
+from gradsurf.rng import derive_stream
 from gradsurf.surrogate import FitMode, Surrogate
 from gradsurf.svg import render_heatmap_svg
 
@@ -294,3 +302,30 @@ def test_writers_match_pointwise_reference_on_every_study_surface(default_run, t
         assert written(render_heatmap_svg, surface, tmp_path / "h.svg", marker=marker) == want
         if path.name == "surface_report.csv":
             assert (path.parent / "heatmap.svg").read_text(encoding="utf-8") == want, path
+
+
+def test_observations_writer_matches_reference_on_every_study_cell(default_run, tmp_path):
+    _, out = default_run
+    paths = sorted(out.glob("cells/*/observations.csv"))
+    assert len(paths) == 24
+    for path in paths:
+        observations = read_observations_csv(path)
+        text = path.read_text(encoding="utf-8")
+        assert reference.observations_csv_text(observations) == text, path
+        assert written(write_observations_csv, observations, tmp_path / "o.csv") == text, path
+
+
+@pytest.mark.parametrize(
+    "batch_max, resolution",
+    # 41x41 = 1681 rows spans more than one written block
+    [(1, 25), (121, 25), (3, 41)],
+)
+def test_observations_writer_matches_reference_on_samples(tmp_path, batch_max, resolution):
+    observations = sample_loss_surface(
+        ExperimentConfig().grid(resolution),
+        generate_full_batch(),
+        MiniBatchPolicy(batch_max),
+        derive_stream(3, "sample"),
+    )
+    text = written(write_observations_csv, observations, tmp_path / "o.csv")
+    assert text == reference.observations_csv_text(observations)

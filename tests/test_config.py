@@ -1,6 +1,8 @@
 """Experiment configuration: defaults, strict parsing, consistency rules."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,6 @@ from gradsurf.config import (
     ConfigError,
     ExperimentConfig,
     from_mapping,
-    load_config,
     load_mapping,
 )
 from gradsurf.surrogate import FitMode
@@ -80,7 +81,7 @@ def test_load_config_rejects_nonfinite_numbers(tmp_path, key, literal):
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"{key}": [0.5, {literal}]}}', encoding="utf-8")
     with pytest.raises(ConfigError) as err:
-        load_config(path)
+        from_mapping(load_mapping(path))
     assert f"{key}[1]: expected a finite number" in str(err.value)
 
 
@@ -97,6 +98,21 @@ def test_from_mapping_bad_mode():
     assert "q" in msg
     for allowed in ("f", "fg", "g"):
         assert allowed in msg
+
+
+@pytest.mark.parametrize(
+    "key, values, repeated",
+    [
+        ("batch_max_list", [3, 30, 3], "3"),
+        ("centre_list", [1, 100, 100], "100"),
+        ("mode_list", ["f", "g", "f"], "'f'"),
+    ],
+)
+def test_from_mapping_rejects_repeated_list_values(key, values, repeated):
+    # a repeated value would name the same cell twice in one index
+    with pytest.raises(ConfigError) as err:
+        from_mapping({key: values})
+    assert str(err.value) == f"{key}: {repeated} is listed more than once"
 
 
 def test_basis_budget_rule():
@@ -121,14 +137,15 @@ def test_batch_max_bounded_by_dataset():
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 9, "repeats": 1}), encoding="utf-8")
-    c = load_config(path)
+    c = from_mapping(load_mapping(path))
     assert c.seed == 9
     assert c.repeats == 1
     assert c.batch_max_list == (3, 30)  # defaults fill the rest
 
 
 def test_load_config_none_gives_defaults():
-    assert load_config(None) == ExperimentConfig()
+    # `gradsurf run` without --config validates an empty mapping
+    assert from_mapping({}) == ExperimentConfig()
 
 
 def test_load_mapping_reports_json_position(tmp_path):
@@ -148,4 +165,14 @@ def test_load_mapping_rejects_non_object(tmp_path):
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(OSError):
-        load_config(tmp_path / "nope.json")
+        load_mapping(tmp_path / "nope.json")
+
+
+def test_readme_configuration_block_is_the_default_config():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    documented = list(json.loads(block).items())
+    want = {**ExperimentConfig().to_mapping(), "output_dir": ExperimentConfig().output_dir}
+    assert documented == list(want.items())
+    assert from_mapping(dict(documented)) == ExperimentConfig()

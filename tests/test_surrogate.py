@@ -23,6 +23,7 @@ from gradsurf.problem import (
 )
 from gradsurf.rng import derive_stream
 from gradsurf.surrogate import (
+    SHAPE_CANDIDATES,
     FitFailure,
     FitMode,
     FitRecipe,
@@ -33,7 +34,6 @@ from gradsurf.surrogate import (
     fit_surrogate,
     predict_values,
     sample_centres,
-    shape_candidates,
     training_mse,
     translate_to_zero,
 )
@@ -62,23 +62,21 @@ def test_recipe_defaults():
     assert (r.shape_lo, r.shape_hi, r.shape_count, r.basis_ratio) == (1e-4, 1e5, 121, 6)
 
 
+@pytest.mark.parametrize("knob", ["shape_lo", "shape_hi", "shape_count", "basis_ratio"])
+def test_recipe_takes_only_mode_and_centres(knob):
+    with pytest.raises(TypeError):
+        FitRecipe(mode=FitMode.F, n_centres=1, **{knob: 1})
+
+
 def test_recipe_validation():
     with pytest.raises(ValueError):
         FitRecipe(mode="f", n_centres=1)  # bare string is not a FitMode
     with pytest.raises(ValueError):
         FitRecipe(mode=FitMode.F, n_centres=0)
-    with pytest.raises(ValueError):
-        FitRecipe(mode=FitMode.F, n_centres=1, shape_lo=2.0, shape_hi=1.0)
-    with pytest.raises(ValueError):
-        FitRecipe(mode=FitMode.F, n_centres=1, shape_lo=0.0)
-    with pytest.raises(ValueError):
-        FitRecipe(mode=FitMode.F, n_centres=1, shape_count=1)
-    with pytest.raises(ValueError):
-        FitRecipe(mode=FitMode.F, n_centres=1, basis_ratio=0)
 
 
 def test_shape_candidates_default_sweep():
-    c = shape_candidates(FitRecipe(mode=FitMode.G, n_centres=1))
+    c = SHAPE_CANDIDATES
     assert len(c) == 121
     assert c[0] == 1e-4
     assert c[-1] == 1e5
@@ -88,9 +86,9 @@ def test_shape_candidates_default_sweep():
     assert c[60] == pytest.approx(10**0.5, rel=1e-12)
 
 
-def test_shape_candidates_small_sweep():
-    r = FitRecipe(mode=FitMode.F, n_centres=1, shape_lo=1.0, shape_hi=100.0, shape_count=3)
-    assert shape_candidates(r) == pytest.approx([1.0, 10.0, 100.0], rel=1e-12)
+def test_shape_candidates_are_read_only():
+    with pytest.raises(ValueError):
+        SHAPE_CANDIDATES[0] = 1.0
 
 
 def test_sample_centres_budget():
@@ -202,15 +200,13 @@ def test_training_mse_offset_enters_value_residuals():
 
 def test_fit_surrogate_selects_lowest_training_mse():
     obs = small_observations(5)
-    recipe = FitRecipe(
-        mode=FitMode.F, n_centres=4, shape_lo=1e-2, shape_hi=1e2, shape_count=7
-    )
+    recipe = FitRecipe(mode=FitMode.F, n_centres=4)
     s = fit_surrogate(obs, recipe, derive_stream(5, "fit"))
     # independent re-sweep with the same centre draw
     centres = sample_centres(derive_stream(5, "fit"), obs, recipe)
     assert np.array_equal(centres, s.centres)
     best_eps, best_mse = None, None
-    for eps in shape_candidates(recipe):
+    for eps in SHAPE_CANDIDATES:
         a, b = build_system(obs, centres, KernelParams(float(eps)), FitMode.F)
         coef = solve_least_squares(a, b)
         mse = float(np.mean((a @ coef - b) ** 2))
@@ -225,17 +221,15 @@ def test_fit_surrogate_tie_breaks_to_smallest_shape():
     # tie must go to the smallest shape
     points = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=4).points()
     obs = Observations(points, np.zeros(16), np.zeros((16, 2)), np.ones(16, dtype=np.intp))
-    recipe = FitRecipe(
-        mode=FitMode.F, n_centres=2, shape_lo=1e-2, shape_hi=1e2, shape_count=9
-    )
+    recipe = FitRecipe(mode=FitMode.F, n_centres=2)
     s = fit_surrogate(obs, recipe, derive_stream(0, "tie"))
-    assert s.params.shape == recipe.shape_lo
+    assert s.params.shape == FitRecipe.shape_lo
     assert np.all(s.coefficients == 0.0)
 
 
 def test_fit_surrogate_deterministic():
     obs = small_observations(5)
-    recipe = FitRecipe(mode=FitMode.G, n_centres=3, shape_count=9)
+    recipe = FitRecipe(mode=FitMode.G, n_centres=3)
     a = fit_surrogate(obs, recipe, derive_stream(2, "fit"))
     b = fit_surrogate(obs, recipe, derive_stream(2, "fit"))
     assert np.array_equal(a.coefficients, b.coefficients)
@@ -248,12 +242,12 @@ def test_fit_surrogate_all_candidates_fail():
     points = np.column_stack([np.linspace(0.0, 2.0, 6), np.zeros(6)])
     values = 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     obs = Observations(points, values, np.zeros((6, 2)), np.ones(6, dtype=np.intp))
-    recipe = FitRecipe(mode=FitMode.F, n_centres=1, shape_count=21)
+    recipe = FitRecipe(mode=FitMode.F, n_centres=1)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
     # repeated systems past the exp underflow are skipped without a solve,
     # but still listed
-    assert err.value.skipped == list(shape_candidates(recipe))
+    assert err.value.skipped == SHAPE_CANDIDATES.tolist()
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -277,7 +271,7 @@ def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
     with single_threaded_blas():
         fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
         centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-        for eps in shape_candidates(recipe):
+        for eps in SHAPE_CANDIDATES:
             a, b = build_system(observations, centres, KernelParams(float(eps)), mode)
             try:
                 coef = solve_least_squares(a, b)
@@ -293,7 +287,7 @@ def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
 
 def test_fresh_fit_has_zero_offset():
     obs = small_observations(5)
-    s = fit_surrogate(obs, FitRecipe(mode=FitMode.G, n_centres=3, shape_count=5), derive_stream(1, "o"))
+    s = fit_surrogate(obs, FitRecipe(mode=FitMode.G, n_centres=3), derive_stream(1, "o"))
     assert s.offset == 0.0
 
 
@@ -395,9 +389,7 @@ def test_noise_free_fit_recovers_surface_at_small_scale():
     data = generate_full_batch()
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=9)
     obs = full_batch_observations(grid, data)
-    recipe = FitRecipe(
-        mode=FitMode.F, n_centres=13, shape_lo=1e-3, shape_hi=1e2, shape_count=26
-    )
+    recipe = FitRecipe(mode=FitMode.F, n_centres=13)
     s = fit_surrogate(obs, recipe, derive_stream(4, "rec"))
     pts = grid.points()
     from gradsurf.problem import analytic_loss

@@ -1,14 +1,27 @@
-"""The benchmark's trace list names functions that exist.
+"""The benchmark's trace list names functions that exist, and its per-call
+facts can be read.
 
 perfbench/tracing.py wraps each (module, attribute) of TRACED where the
 program looks it up.  A refactor that renames or drops one of those names
 would make a traced run fail, so the names are checked here without
-installing the tracer.
+installing the tracer.  Its `_extra` reads attributes of some calls'
+arguments and results (the recipe's sweep bounds and the winning shape,
+the solved matrix's shape, a written file's size); those reads run here on
+real calls, since traced runs are not part of the unit suite.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from gradsurf.analysis import SurfaceGrid
+from gradsurf.artifacts import write_surface_csv
+from gradsurf.kernels import solve_least_squares
+from gradsurf.problem import GridSpec, Observations
+from gradsurf.rng import derive_stream
+from gradsurf.surrogate import FitMode, FitRecipe, fit_surrogate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,3 +44,31 @@ def test_every_traced_name_resolves_to_a_callable():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def test_extra_reads_fit_surrogate_recipe_and_result():
+    tracing = load_tracing()
+    # all-zero targets tie on every candidate, so the winner is the lower bound
+    points = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=4).points()
+    obs = Observations(points, np.zeros(16), np.zeros((16, 2)), np.ones(16, dtype=np.intp))
+    args = (obs, FitRecipe(mode=FitMode.F, n_centres=2), derive_stream(0, "trace"))
+    result = fit_surrogate(*args)
+    assert tracing._extra("surrogate.fit_surrogate", args, result) == {"at_bound": 1}
+
+
+def test_extra_reads_solve_matrix_shape():
+    tracing = load_tracing()
+    args = (np.eye(3, 2), np.ones(3))
+    result = solve_least_squares(*args)
+    assert tracing._extra("kernels.solve", args, result) == {"elements": 6}
+
+
+def test_extra_reads_written_file_size(tmp_path):
+    tracing = load_tracing()
+    surface = SurfaceGrid(
+        GridSpec(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=2), np.zeros((2, 2))
+    )
+    args = (surface, tmp_path / "s.csv")
+    result = write_surface_csv(*args)
+    size = len("w1,w2,value\n0.0,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
+    assert tracing._extra("artifacts.write_surface_csv", args, result) == {"bytes": size}
