@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import evaluate_surface, locate_min, make_report
+from .analysis import SurfaceGrid, evaluate_surface, locate_min, make_report
 from .artifacts import (
     surrogate_json,
     write_json,
@@ -92,15 +92,20 @@ def enumerate_cells(config: ExperimentConfig) -> list[RunCell]:
 def fit_cell(observations, recipe: FitRecipe, stream, report_grid):
     """Fit one surrogate and evaluate it on the report grid.
 
-    The chain is fit, translate to zero on the report grid, training MSE,
-    evaluation; returns (surrogate, training MSE, report surface).  Both
+    The chain is fit, evaluation on the report grid, translation to zero
+    against those values, training MSE; returns (surrogate, training MSE,
+    report surface).  The report grid is evaluated once: a fresh fit has
+    offset 0, so its values are the kernel sums the translation needs, and
+    a mode-g report surface is those values plus the new offset.  Both
     run_cell and the fit verb go through it.  Raises FitFailure if every
     shape candidate fails.
     """
     surrogate = fit_surrogate(observations, recipe, stream)
-    surrogate = translate_to_zero(surrogate, report_grid.points())
-    mse = training_mse(surrogate, observations, recipe.mode)
-    return surrogate, mse, evaluate_surface(surrogate, report_grid)
+    surface = evaluate_surface(surrogate, report_grid)
+    surrogate = translate_to_zero(surrogate, surface.values)
+    if surrogate.mode is FitMode.G:
+        surface = SurfaceGrid(report_grid, surface.values + surrogate.offset)
+    return surrogate, training_mse(surrogate, observations, recipe.mode), surface
 
 
 def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir: Path) -> dict:

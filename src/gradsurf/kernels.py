@@ -35,27 +35,34 @@ class KernelParams:
             raise ValueError(f"shape must be positive and finite, got {self.shape}")
 
 
-def value_block(r: np.ndarray, eps: float) -> np.ndarray:
-    """phi = exp(-(eps*r)**2) elementwise over precomputed radii r >= 0."""
-    return np.exp(-((eps * r) ** 2))
+def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """phi = exp(-(eps*r)**2) elementwise over radii r >= 0, written into out.
 
-
-def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float) -> np.ndarray:
-    """(N*d) x M gradient rows from differences (N, d, M) and phi = value_block(r, eps).
-
-    Entry -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.
+    out has r's shape and may be r itself.  The four ufuncs run in place, so
+    a shape sweep rewrites one buffer per candidate instead of allocating.
     """
-    n, d, m = diff.shape
-    return (-2.0 * eps**2 * diff * phi[:, None, :]).reshape(n * d, m)
+    np.multiply(r, eps, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
-def pairwise(points, centres) -> tuple[np.ndarray, np.ndarray]:
-    """The eps-independent geometry of points (N, d) against centres (M, d).
+def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """(N*d) x M gradient rows from differences (N, d, M) and phi = value_block(r, eps, ...).
 
-    Returns the differences points[i] - centres[j] laid out (N, d, M), as
-    gradient_block wants them, and the radii (N, M).  A shape sweep computes
-    this once and evaluates only value_block/gradient_block per candidate.
+    Entry -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.  out
+    is a C-contiguous (N*d, M) buffer, and may be diff itself.
     """
+    if not out.flags.c_contiguous:
+        # reshape would copy, and the rows would be written to the copy
+        raise ValueError("out must be C-contiguous")
+    g = out.reshape(diff.shape)
+    np.multiply(diff, -2.0 * eps**2, out=g)
+    np.multiply(g, phi[:, None, :], out=g)
+    return out
+
+
+def _checked(points, centres) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=np.float64)
     centres = np.asarray(centres, dtype=np.float64)
     if points.ndim != 2 or centres.ndim != 2:
@@ -65,19 +72,47 @@ def pairwise(points, centres) -> tuple[np.ndarray, np.ndarray]:
             f"dimension mismatch: points are {points.shape[1]}-d, "
             f"centres are {centres.shape[1]}-d"
         )
-    diff = points[:, :, None] - centres.T[None, :, :]  # (N, d, M)
-    # accumulated in place, in the order sum() takes, so no (N, d, M)
-    # temporary of squares is held next to diff
-    r = diff[:, 0] ** 2
-    for k in range(1, diff.shape[1]):
-        r += diff[:, k] ** 2
-    return diff, np.sqrt(r, out=r)
+    return points, centres
+
+
+def _radii(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """N x M distances, with squared coordinate differences summed in coordinate order.
+
+    Each coordinate's differences come from np.subtract.outer into one
+    scratch buffer, so no (N, d, M) array is built.
+    """
+    r = np.subtract.outer(points[:, 0], centres[:, 0])
+    np.square(r, out=r)
+    t = None
+    for k in range(1, points.shape[1]):
+        t = np.subtract.outer(points[:, k], centres[:, k], out=t)
+        r += np.square(t, out=t)
+    return np.sqrt(r, out=r)
+
+
+def pairwise(points, centres) -> tuple[np.ndarray, np.ndarray]:
+    """The eps-independent geometry of points (N, d) against centres (M, d).
+
+    Returns the differences points[i] - centres[j] as a C-contiguous
+    (N, d, M) array, as gradient_block wants them, and the radii (N, M).  A
+    shape sweep computes this once and evaluates only value_block/
+    gradient_block per candidate.
+    """
+    points, centres = _checked(points, centres)
+    # without order="C" numpy lays the result out like its broadcast inputs
+    diff = np.subtract(points[:, :, None], centres.T[None, :, :], order="C")
+    return diff, _radii(points, centres)
 
 
 def assemble_value_matrix(points, centres, params: KernelParams) -> np.ndarray:
-    """N x M matrix with entry (i, j) = phi(||points[i] - centres[j]||)."""
-    r = pairwise(points, centres)[1]  # the differences are freed here
-    return value_block(r, params.shape)
+    """N x M matrix with entry (i, j) = phi(||points[i] - centres[j]||).
+
+    The radii are accumulated in the returned buffer and value_block runs
+    on it in place; besides the result, only one N x M scratch buffer of
+    coordinate differences is allocated (for d >= 2).
+    """
+    r = _radii(*_checked(points, centres))
+    return value_block(r, params.shape, r)
 
 
 def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarray:
@@ -87,7 +122,10 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
     gradient components of every kernel column at points[i].
     """
     diff, r = pairwise(points, centres)
-    return gradient_block(diff, value_block(r, params.shape), params.shape)
+    n, d, m = diff.shape
+    # both blocks run in place on the geometry, which is not needed after
+    phi = value_block(r, params.shape, r)
+    return gradient_block(diff, phi, params.shape, diff.reshape(n * d, m))
 
 
 REL_TOL = 1e-12

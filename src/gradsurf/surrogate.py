@@ -136,16 +136,25 @@ def _targets(observations: Observations, mode):
     return np.concatenate([observations.values, observations.gradients.ravel()])
 
 
-def _system(geometry, eps: float, mode):
-    """Design matrix of one candidate from the fit's eps-independent geometry."""
+def _system_buffers(geometry, mode):
+    """(a, phi): an uninitialised design matrix for the geometry, and the phi it is built from.
+
+    a has N, N*d or N+N*d rows for modes f, g and fg.  phi is a's value
+    block (a itself, or its first N rows) except in mode g, where it is an
+    N x M scratch of its own.
+    """
+    n, d, m = geometry[0].shape
+    a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[mode], m))
+    return a, (np.empty((n, m)) if mode is FitMode.G else a[:n])
+
+
+def _write_system(a, phi, geometry, eps: float, mode) -> None:
+    """Overwrite a (and phi) with candidate eps's design matrix."""
     diff, r = geometry
-    phi = value_block(r, eps)
-    if mode is FitMode.F:
-        return phi
-    g = gradient_block(diff, phi, eps)
-    if mode is FitMode.G:
-        return g
-    return np.vstack([phi, g])
+    value_block(r, eps, phi)
+    if mode is not FitMode.F:
+        # the gradient rows are a's last N*d rows
+        gradient_block(diff, phi, eps, a[-diff.shape[0] * diff.shape[1] :])
 
 
 def build_system(
@@ -160,7 +169,9 @@ def build_system(
     over gradient components (rows point-major, coordinate-minor); mode fg
     stacks the f block on top of the g block.
     """
-    a = _system(pairwise(observations.points, centres), params.shape, mode)
+    geometry = pairwise(observations.points, centres)
+    a, phi = _system_buffers(geometry, mode)
+    _write_system(a, phi, geometry, params.shape, mode)
     return a, _targets(observations, mode)
 
 
@@ -193,36 +204,57 @@ def _solve_candidate(a, b):
     return (mse, coef) if np.isfinite(mse) else None
 
 
+def _sweep(geometry, b, mode):
+    """((MSE, eps, coefficients) of the winner or None, skipped eps) of one sweep.
+
+    The fit's one design-matrix buffer is rewritten in place for each
+    candidate; it is local to the call, since cells fit on worker threads.
+    Once a candidate's phi is zero everywhere off the centres (exp has
+    underflowed for every nonzero radius), each larger eps gives the same
+    0/1 phi and the same signed-zero gradient rows, so the same system: the
+    sweep stops there.  Those candidates are listed as skipped if that
+    system failed, and otherwise cannot win, since an equal MSE never
+    displaces a smaller eps.  The tail is recognised from phi itself, not
+    predicted from exp's underflow threshold, which depends on numpy's
+    SIMD/libm path.
+    """
+    a, phi = _system_buffers(geometry, mode)
+    zero_radii = geometry[1].size - np.count_nonzero(geometry[1])
+    eps_list = SHAPE_CANDIDATES.tolist()
+    best = None
+    skipped: list[float] = []
+    for k, eps in enumerate(eps_list):
+        _write_system(a, phi, geometry, eps, mode)
+        outcome = _solve_candidate(a, b)
+        tail = np.count_nonzero(phi) == zero_radii
+        if outcome is None:
+            skipped.extend(eps_list[k:] if tail else [eps])
+        # strict < keeps the earliest, i.e. smallest, eps on ties
+        elif best is None or outcome[0] < best[0]:
+            best = (outcome[0], eps, outcome[1])
+        if tail:
+            break
+    return best, skipped
+
+
 def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surrogate:
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
     Centres are drawn once and shared by every candidate, so the
-    point-centre geometry is computed once per fit.  Candidates that fail
-    the solve or give a non-finite training MSE are skipped; among the rest
-    the lowest MSE wins, ties going to the smallest shape.  A candidate
-    whose matrix is bitwise equal to the previous one (past the exp
-    underflow every off-centre entry is 0.0) has the same outcome and is
-    not solved again.  Raises FitFailure if every candidate is skipped.
+    point-centre geometry is computed once per fit, and one system buffer
+    (plus an N x M phi scratch in mode g) serves every candidate.
+    Candidates that fail the solve or give a non-finite training MSE are
+    skipped; among the rest the lowest MSE wins, ties going to the smallest
+    shape.  The sweep stops at the first candidate whose phi has underflowed
+    to 0.0 off the centres, as every later one has the same system.  Raises
+    FitFailure, listing every skipped eps, if no candidate is left.
     """
     centres = sample_centres(stream, observations, recipe)
-    geometry = pairwise(observations.points, centres)
-    b = _targets(observations, recipe.mode)
-    best = None
-    skipped: list[float] = []
-    prev_a = outcome = None
-    for eps in SHAPE_CANDIDATES.tolist():
-        a = _system(geometry, eps, recipe.mode)
-        # a bitwise-repeated system keeps the previous outcome
-        if prev_a is None or not np.array_equal(a, prev_a):
-            outcome = _solve_candidate(a, b)
-        prev_a = a
-        if outcome is None:
-            skipped.append(eps)
-            continue
-        mse, coef = outcome
-        # strict < keeps the earliest, i.e. smallest, eps on ties
-        if best is None or mse < best[0]:
-            best = (mse, eps, coef)
+    best, skipped = _sweep(
+        pairwise(observations.points, centres),
+        _targets(observations, recipe.mode),
+        recipe.mode,
+    )
     if best is None:
         raise FitFailure(skipped)
     _, eps, coef = best
@@ -260,19 +292,19 @@ def evaluate_gradient(surrogate: Surrogate, w) -> np.ndarray:
     return predict_gradients(surrogate, w[None, :])[0]
 
 
-def translate_to_zero(surrogate: Surrogate, grid_points: np.ndarray) -> Surrogate:
-    """Fix the additive constant of a mode-g surrogate against a grid.
+def translate_to_zero(surrogate: Surrogate, values: np.ndarray) -> Surrogate:
+    """Fix the additive constant of a mode-g surrogate from its values on a grid.
 
-    The offset is recomputed from the kernel sum alone: with base values
-    v_i = sum_j coef_j * phi(...) the new offset is -min(v_i), so a later
-    evaluation at grid point i yields fl(v_i - min v) which is nonnegative
-    everywhere and exactly 0.0 at the grid minimum.  Idempotent; surrogates
-    of other modes are returned unchanged.
+    values are the kernel sums v_i = sum_j coef_j * phi(...) at the grid
+    nodes, without any offset: predict_values of a fresh fit, whose offset
+    is 0.  The new offset is -min(v_i), so an evaluation at grid node i
+    yields fl(v_i - min v), which is nonnegative everywhere and exactly 0.0
+    at the grid minimum.  Idempotent for the same values; surrogates of
+    other modes are returned unchanged.
     """
     if surrogate.mode is not FitMode.G:
         return surrogate
-    pts = np.asarray(grid_points, dtype=np.float64)
-    if pts.size == 0:
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
         raise ValueError("translation grid must be nonempty")
-    base = assemble_value_matrix(pts, surrogate.centres, surrogate.params) @ surrogate.coefficients
-    return replace(surrogate, offset=-float(base.min()))
+    return replace(surrogate, offset=-float(values.min()))

@@ -4,8 +4,10 @@ The sampler, the CSV writers and the heatmap renderer work on whole arrays
 or blocks of rows.  The functions here do the same one node at a time, in
 the most direct form: each node's batch from its own `Stream.derive`/
 `choose`, its loss and gradient from the definitions, one CSV line or SVG
-rectangle per node or observation.  Tests assert that the shipped code
-gives bitwise the same observations and byte for byte the same files.
+rectangle per node or observation.  The shape sweep here assembles every
+candidate's system afresh and compares it with the previous one.  Tests
+assert that the shipped code gives bitwise the same observations, fits
+and byte for byte the same files.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from gradsurf.problem import (
     Observations,
     model_predict,
 )
+from gradsurf.kernels import NumericalError, solve_least_squares
 from gradsurf.rng import Stream
+from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode
 
 
 def _batch(data: Dataset1D, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -144,3 +148,57 @@ def heatmap_svg_text(surface, marker=None) -> str:
         lines.append(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _system(points, centres, eps: float, mode: FitMode) -> np.ndarray:
+    """One candidate's design matrix from the defining expressions, every array fresh."""
+    diff = points[:, :, None] - centres.T[None, :, :]  # (N, d, M)
+    r = diff[:, 0] ** 2
+    for k in range(1, diff.shape[1]):
+        r = r + diff[:, k] ** 2
+    phi = np.exp(-((eps * np.sqrt(r)) ** 2))
+    if mode is FitMode.F:
+        return phi
+    n, d, m = diff.shape
+    g = (-2.0 * eps**2 * diff * phi[:, None, :]).reshape(n * d, m)
+    return g if mode is FitMode.G else np.vstack([phi, g])
+
+
+def _targets(observations: Observations, mode: FitMode) -> np.ndarray:
+    gradients = observations.gradients.ravel()
+    if mode is FitMode.F:
+        return observations.values
+    return gradients if mode is FitMode.G else np.concatenate([observations.values, gradients])
+
+
+def shape_sweep(observations: Observations, centres: np.ndarray, mode: FitMode):
+    """(best, skipped, solves) of a sweep over all 121 candidates.
+
+    best is (training MSE, eps, coefficients) of the lowest-MSE candidate,
+    the smallest eps on ties, or None; skipped lists the eps whose solve
+    failed or gave a non-finite MSE.  Each system is assembled in full; one
+    bitwise equal to the previous candidate's keeps its outcome unsolved,
+    and solves counts the solved, i.e. distinct, systems.
+    """
+    b = _targets(observations, mode)
+    best = prev = outcome = None
+    skipped: list[float] = []
+    solves = 0
+    for eps in SHAPE_CANDIDATES.tolist():
+        a = _system(observations.points, centres, eps, mode)
+        if prev is None or not np.array_equal(a, prev):
+            solves += 1
+            try:
+                coef = solve_least_squares(a, b)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r = a @ coef - b
+                    mse = float(np.mean(r * r))
+                outcome = (mse, coef) if np.isfinite(mse) else None
+            except NumericalError:
+                outcome = None
+        prev = a
+        if outcome is None:
+            skipped.append(eps)
+        elif best is None or outcome[0] < best[0]:
+            best = (outcome[0], eps, outcome[1])
+    return best, skipped, solves

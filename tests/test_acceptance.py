@@ -141,7 +141,7 @@ def test_criterion_3_noise_free_recovery():
     fit_g = fit_surrogate(
         observations, FitRecipe(mode=FitMode.G, n_centres=100), derive_stream(0, "fit/centres")
     )
-    fit_g = translate_to_zero(fit_g, pts)
+    fit_g = translate_to_zero(fit_g, predict_values(fit_g, pts))
     vals_g = predict_values(fit_g, pts)
     # constant-offset equivalence: compare both surfaces with minima removed
     shifted_model = vals_g - vals_g.min()
@@ -169,7 +169,9 @@ def _gradient_only_cell(seed, batch_max, n_centres, data):
         FitRecipe(mode=FitMode.G, n_centres=n_centres),
         derive_stream(cell_seed, "centres"),
     )
-    surrogate = translate_to_zero(surrogate, DEFAULT.report_grid.points())
+    surrogate = translate_to_zero(
+        surrogate, predict_values(surrogate, DEFAULT.report_grid.points())
+    )
     surface = evaluate_surface(surrogate, DEFAULT.report_grid)
     resolution = gradient_resolution(observations, data, DEFAULT.train_grid)
     return (

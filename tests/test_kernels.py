@@ -6,6 +6,7 @@ implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gradsurf.kernels import (
     solve_least_squares,
     value_block,
 )
+from gradsurf.config import ExperimentConfig
 from gradsurf.rng import derive_stream
 
 
@@ -32,12 +34,12 @@ def radii(rs):
 def kernel_gradient(x, centre, eps):
     """Spatial gradient of phi(||x - centre||) in x, from pairwise and the blocks."""
     diff, r = pairwise([x], [centre])
-    return gradient_block(diff, value_block(r, eps), eps)[:, 0]
+    return gradient_block(diff, value_block(r, eps, r), eps, np.empty((2, 1)))[:, 0]
 
 
 def test_kernel_value_scalar_examples():
     examples = [(0.0, 3.7), (1.0, 1.0), (0.5, 2.0), (2.0, 3.0)]
-    phi = [value_block(radii([r]), eps)[0] for r, eps in examples]
+    phi = [value_block(radii([r]), eps, np.empty(1))[0] for r, eps in examples]
     assert phi[0] == 1.0
     assert phi[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert phi[2] == pytest.approx(math.exp(-1.0), rel=1e-15)
@@ -45,7 +47,8 @@ def test_kernel_value_scalar_examples():
 
 
 def test_kernel_value_strictly_decreasing_and_bounded():
-    vals = value_block(radii(np.linspace(0.0, 4.0, 200)), 1.3)
+    r = radii(np.linspace(0.0, 4.0, 200))
+    vals = value_block(r, 1.3, np.empty_like(r))
     assert np.all(np.diff(vals) < 0)
     assert np.all(vals > 0)
     assert np.all(vals <= 1.0)
@@ -136,14 +139,63 @@ def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
     for eps in 10.0 ** np.linspace(-4.0, 5.0, 121):
         eps = float(eps)
         params = KernelParams(eps)
-        phi = value_block(r, eps)
-        g = gradient_block(diff, phi, eps)
+        phi = value_block(r, eps, np.empty_like(r))
+        g = gradient_block(diff, phi, eps, np.empty((60, 7)))
         ref_phi = np.exp(-((eps * ref_r) ** 2))
         ref_g = (-2.0 * eps**2 * ref_diff * ref_phi[:, :, None]).transpose(0, 2, 1).reshape(60, 7)
         assert np.array_equal(phi, ref_phi)
         assert np.array_equal(g, ref_g)
         assert np.array_equal(phi, assemble_value_matrix(points, centres, params))
         assert np.array_equal(g, assemble_gradient_matrix(points, centres, params))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_value_matrix_is_value_block_of_pairwise_radii(d):
+    # evaluation sums the squared coordinate differences without the
+    # (N, d, M) differences; the bytes must be those of the sweep's route
+    stream = derive_stream(12, f"kernel/eval/{d}")
+    points = np.array([[stream.uniform(-2, 2) for _ in range(d)] for _ in range(40)])
+    centres = points[::3]
+    for eps in (1e-4, 0.37, 2.9, 1e5):
+        r = pairwise(points, centres)[1]
+        want = value_block(r, eps, r)
+        assert np.array_equal(assemble_value_matrix(points, centres, KernelParams(eps)), want)
+
+
+def report_grid_and_centres():
+    """The 101x101 report grid and 100 centres drawn from the 25x25 training grid."""
+    config = ExperimentConfig()
+    train = config.train_grid.points()
+    return config.report_grid.points(), train[derive_stream(5, "kernel/c").choose(len(train), 100)]
+
+
+def test_value_matrix_is_value_block_of_pairwise_radii_on_report_grid():
+    points, centres = report_grid_and_centres()
+    r = pairwise(points, centres)[1]
+    want = value_block(r, 0.62, r)
+    assert np.array_equal(assemble_value_matrix(points, centres, KernelParams(0.62)), want)
+
+
+def test_value_matrix_peak_allocation_on_report_grid():
+    # the result plus one N x M scratch of coordinate differences; the
+    # (N, d, M) difference tensor alone would be 2 N M doubles
+    points, centres = report_grid_and_centres()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        a = assemble_value_matrix(points, centres, KernelParams(0.62))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (10201, 100)
+    assert peak <= 2.5 * a.nbytes
+
+
+def test_gradient_block_refuses_a_strided_buffer():
+    diff, r = pairwise(np.zeros((3, 2)), np.ones((4, 2)))
+    phi = value_block(r, 1.0, r)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gradient_block(diff, phi, 1.0, np.empty((4, 6)).T)
 
 
 def test_matrix_dimension_mismatch():

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
+import gradsurf.surrogate
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
     KernelParams,
     NumericalError,
+    pairwise,
     single_threaded_blas,
     solve_least_squares,
 )
@@ -28,6 +31,8 @@ from gradsurf.surrogate import (
     FitMode,
     FitRecipe,
     Surrogate,
+    _sweep,
+    _targets,
     build_system,
     evaluate,
     evaluate_gradient,
@@ -245,25 +250,28 @@ def test_fit_surrogate_all_candidates_fail():
     recipe = FitRecipe(mode=FitMode.F, n_centres=1)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
-    # repeated systems past the exp underflow are skipped without a solve,
-    # but still listed
+    # the candidates past the exp underflow are not solved, but still listed
     assert err.value.skipped == SHAPE_CANDIDATES.tolist()
+
+
+def study_cell_observations(mode, n_centres):
+    """The observations of the seed-0 default-study cell b3/<mode>/c<n_centres>/r0."""
+    cell = RunCell(batch_max=3, mode=mode, n_centres=n_centres, repeat=0)
+    return sample_loss_surface(
+        ExperimentConfig().train_grid,
+        generate_full_batch(),
+        MiniBatchPolicy(3),
+        derive_stream(cell.derived_seed(0), "sample"),
+    )
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
-    # the sweep hoists the geometry and skips bitwise-repeated systems; a
+    # the sweep hoists the geometry and stops at the exp-underflow tail; a
     # plain solve of every candidate must pick the same shape and the same
     # coefficient bytes
-    cell = RunCell(batch_max=3, mode=mode, n_centres=n_centres, repeat=0)
-    config = ExperimentConfig()
-    observations = sample_loss_surface(
-        config.train_grid,
-        generate_full_batch(),
-        MiniBatchPolicy(3),
-        derive_stream(cell.derived_seed(0), "sample"),
-    )
+    observations = study_cell_observations(mode, n_centres)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     best = None
     # both sides under the pin the study runs with; 121 solves on a
@@ -283,6 +291,91 @@ def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
                 best = (mse, float(eps), coef)
     assert fitted.params.shape == best[1]
     assert fitted.coefficients.tobytes() == best[2].tobytes()
+
+
+def sweep_against_reference(observations, mode, n_centres, monkeypatch):
+    """Run the shipped sweep and the reference sweep on one centre draw.
+
+    Asserts the same winner (eps, MSE, coefficient bytes) and the same
+    skipped list; returns (shipped solves, reference distinct systems).
+    """
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    solves = []
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve_least_squares(a, b)
+
+    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_solve)
+    with single_threaded_blas():
+        best, skipped = _sweep(
+            pairwise(observations.points, centres),
+            _targets(observations, mode),
+            mode,
+        )
+        want, want_skipped, distinct = reference.shape_sweep(observations, centres, mode)
+    assert skipped == want_skipped
+    assert (best is None) == (want is None)
+    if best is not None:
+        assert best[:2] == want[:2]
+        assert best[2].tobytes() == want[2].tobytes()
+    return len(solves), distinct
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
+    # 37 of the 121 candidates lie in the exp-underflow tail of these
+    # cells; the sweep solves each of the other 84 once and the first tail
+    # candidate once
+    observations = study_cell_observations(mode, n_centres)
+    solves, distinct = sweep_against_reference(observations, mode, n_centres, monkeypatch)
+    assert solves == distinct == 84
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_matches_reference_in_tiny_box(mode, monkeypatch):
+    # points packed in a 1e-4 box: even eps = 1e5 leaves every off-centre
+    # phi above 0, so the tail is never reached and every candidate is solved
+    grid = GridSpec(lower=(0.0, 0.0), upper=(1e-4, 1e-4), resolution=5)
+    base = small_observations(5)
+    obs = Observations(grid.points(), base.values, base.gradients, base.batch_sizes)
+    solves, _ = sweep_against_reference(obs, mode, 4, monkeypatch)
+    assert solves == SHAPE_CANDIDATES.size
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_matches_reference_on_coincident_points(mode, monkeypatch):
+    # every radius is 0, so phi is all 1.0 and the tail starts at the first
+    # candidate: one solve stands for the whole sweep
+    base = small_observations(4)
+    points = np.full_like(base.points, 0.25)
+    obs = Observations(points, base.values, base.gradients, base.batch_sizes)
+    assert sweep_against_reference(obs, mode, 2, monkeypatch) == (1, 1)
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_matches_reference_when_close_pairs_outlast_the_rest(mode, monkeypatch):
+    # 12 pairs of points 1e-3 apart, the pairs 1 apart: from eps ~ 30 on,
+    # only each centre's own entry and its partner's survive in phi, and the
+    # tail starts only when the partners underflow too, near eps = 3e4
+    base = small_observations(5)
+    sites = np.array([(i, j) for i in range(4) for j in range(3)], dtype=float)
+    points = np.repeat(sites, 2, axis=0)
+    points[1::2, 0] += 1e-3
+    obs = Observations(points, base.values[:24], base.gradients[:24], base.batch_sizes[:24])
+    solves, distinct = sweep_against_reference(obs, mode, 4, monkeypatch)
+    tail_start = int(np.searchsorted(SHAPE_CANDIDATES, 3e4))
+    assert tail_start - 3 <= solves == distinct < SHAPE_CANDIDATES.size
+
+
+def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
+    points = np.column_stack([np.linspace(0.0, 2.0, 6), np.zeros(6)])
+    values = 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    obs = Observations(points, values, np.zeros((6, 2)), np.ones(6, dtype=np.intp))
+    solves, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
+    assert solves == distinct < SHAPE_CANDIDATES.size
 
 
 def test_fresh_fit_has_zero_offset():
@@ -347,7 +440,7 @@ def test_translate_to_zero_exact_minimum():
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=21)
     for _ in range(5):
         s = random_surrogate(stream, mode=FitMode.G, eps=10 ** stream.uniform(-1, 0.5))
-        t = translate_to_zero(s, grid.points())
+        t = translate_to_zero(s, predict_values(s, grid.points()))
         vals = predict_values(t, grid.points())
         assert vals.min() == 0.0  # exactly
         assert np.all(vals >= 0.0)
@@ -357,8 +450,9 @@ def test_translate_to_zero_offset_shift_relation():
     stream = derive_stream(18, "trans")
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=11)
     s = random_surrogate(stream, mode=FitMode.G, eps=0.9)
-    grid_min = predict_values(s, grid.points()).min()
-    t = translate_to_zero(s, grid.points())
+    values = predict_values(s, grid.points())
+    t = translate_to_zero(s, values)
+    grid_min = values.min()
     assert t.offset == pytest.approx(s.offset - grid_min, rel=1e-9, abs=1e-12)
 
 
@@ -366,8 +460,9 @@ def test_translate_to_zero_idempotent():
     stream = derive_stream(19, "trans")
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=9)
     s = random_surrogate(stream, mode=FitMode.G, eps=1.2)
-    once = translate_to_zero(s, grid.points())
-    twice = translate_to_zero(once, grid.points())
+    values = predict_values(s, grid.points())
+    once = translate_to_zero(s, values)
+    twice = translate_to_zero(once, values)
     assert twice.offset == once.offset
 
 
@@ -375,14 +470,14 @@ def test_translate_to_zero_other_modes_unchanged():
     stream = derive_stream(20, "trans")
     grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=5)
     s = random_surrogate(stream, mode=FitMode.F, eps=1.0)
-    assert translate_to_zero(s, grid.points()) is s
+    assert translate_to_zero(s, predict_values(s, grid.points())) is s
 
 
 def test_translate_to_zero_empty_grid_error():
     stream = derive_stream(21, "trans")
     s = random_surrogate(stream, mode=FitMode.G, eps=1.0)
     with pytest.raises(ValueError):
-        translate_to_zero(s, np.empty((0, 2)))
+        translate_to_zero(s, np.empty(0))
 
 
 def test_noise_free_fit_recovers_surface_at_small_scale():
