@@ -41,6 +41,25 @@ def write_surface_csv(surface: SurfaceGrid, path) -> None:
             f.write("".join(f"{w1},{w2},{v!r}\n" for w1, v in zip(w1s, row)))
 
 
+def _read_rows(path, header: str, fields) -> list[tuple]:
+    """The rows under a CSV's header, each field parsed by its entry of
+    fields; a bad header, field count or field raises a ValueError that
+    starts with path:line:."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            if (got := next(reader, None)) != header.split(","):
+                raise ValueError(f"unexpected header {got}, expected {header}")
+            rows = []
+            for row in reader:
+                if len(row) != len(fields):
+                    raise ValueError(f"{len(row)} fields, expected {len(fields)}")
+                rows.append(tuple(parse(v) for parse, v in zip(fields, row)))
+        except (ValueError, csv.Error) as e:
+            raise ValueError(f"{path}:{max(reader.line_num, 1)}: {e}") from None
+    return rows
+
+
 def read_surface_csv(path) -> SurfaceGrid:
     """Parse a surface CSV back into a SurfaceGrid.
 
@@ -48,12 +67,7 @@ def read_surface_csv(path) -> SurfaceGrid:
     coordinates in the file must match that grid exactly, and every value
     must be finite.
     """
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != SURFACE_HEADER.split(","):
-            raise ValueError(f"unexpected surface header {header}")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
+    rows = _read_rows(path, SURFACE_HEADER, (float, float, float))
     n = len(rows)
     res = int(round(n**0.5))
     if res < 2 or res * res != n:
@@ -90,22 +104,12 @@ def write_observations_csv(observations: Observations, path) -> None:
 
 def read_observations_csv(path) -> Observations:
     """Parse an observations CSV; the record checks the values it gets."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != OBSERVATIONS_HEADER.split(","):
-            raise ValueError(f"unexpected observations header {header}")
-        points, batch_sizes, values, gradients = [], [], [], []
-        for w1, w2, b, loss, g1, g2 in reader:
-            points.append((float(w1), float(w2)))
-            batch_sizes.append(int(b))
-            values.append(float(loss))
-            gradients.append((float(g1), float(g2)))
+    rows = _read_rows(path, OBSERVATIONS_HEADER, (float, float, int, float, float, float))
     return Observations(
-        points=np.reshape(points, (-1, 2)),
-        values=values,
-        gradients=np.reshape(gradients, (-1, 2)),
-        batch_sizes=batch_sizes,
+        points=np.reshape([r[:2] for r in rows], (-1, 2)),
+        values=[r[3] for r in rows],
+        gradients=np.reshape([r[4:] for r in rows], (-1, 2)),
+        batch_sizes=[r[2] for r in rows],
     )
 
 

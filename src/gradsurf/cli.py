@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import evaluate_surface, locate_min, make_report
+from .analysis import evaluate_surface, make_report
 from .artifacts import (
     read_json,
     read_observations_csv,
@@ -22,10 +22,9 @@ from .artifacts import (
     surrogate_json,
     write_json,
     write_observations_csv,
-    write_surface_csv,
 )
 from .config import ConfigError, ExperimentConfig, from_mapping, load_mapping
-from .experiment import fit_cell, run_experiment
+from .experiment import fit_cell, run_experiment, write_surface
 from .kernels import single_threaded_blas
 from .problem import (
     MiniBatchPolicy,
@@ -35,7 +34,6 @@ from .problem import (
 )
 from .rng import derive_stream
 from .surrogate import FitFailure, FitMode, FitRecipe
-from .svg import render_heatmap_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +74,7 @@ def _cmd_oracle(args) -> int:
     grid = ExperimentConfig().grid(args.grid)
     surface = evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
     out = Path(args.out)
-    write_surface_csv(surface, out / "surface.csv")
-    write_json({"surface": make_report(surface)}, out / "report.json")
-    render_heatmap_svg(surface, out / "heatmap.svg", marker=locate_min(surface)[0])
+    write_surface(surface, out)
     print(f"wrote {out / 'surface.csv'}")
     return 0
 
@@ -103,9 +99,7 @@ def _cmd_fit(args) -> int:
     surrogate, mse, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)
     write_json(surrogate_json(surrogate, mse), out / "model.json")
-    write_surface_csv(surface, out / "surface.csv")
-    write_json({"surface": make_report(surface)}, out / "report.json")
-    render_heatmap_svg(surface, out / "heatmap.svg", marker=locate_min(surface)[0])
+    write_surface(surface, out)
     print(f"wrote {out / 'model.json'} (shape {surrogate.params.shape:g}, training MSE {mse:g})")
     return 0
 

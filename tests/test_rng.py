@@ -7,7 +7,15 @@ Stream, which stays the reference for every draw.
 import numpy as np
 import pytest
 
-from gradsurf.rng import Lanes, Stream, derive_key, derive_keys, derive_stream
+from gradsurf.rng import (
+    _GOLDEN,
+    Lanes,
+    Stream,
+    _expand,
+    derive_key,
+    derive_keys,
+    derive_stream,
+)
 
 
 def test_same_key_gives_same_sequence():
@@ -167,3 +175,20 @@ def test_lanes_below_rejects_n_outside_uint64():
     for n in (0, -1, 2**64):
         with pytest.raises(ValueError):
             lanes.below(n, np.arange(2))
+
+
+def test_keys_that_zero_a_state_word_zero_only_that_word():
+    # mix64(0) == 0, so key -(i+1)*GOLDEN zeroes word i; no key zeroes two
+    # words (that needs k*GOLDEN == 0 mod 2**64 for 0 < k < 4), so the
+    # state is never all zero and needs no guard
+    keys = [(-(i + 1) * _GOLDEN) % 2**64 for i in range(4)]
+    for i, key in enumerate(keys):
+        words = _expand(key)
+        lane_words = [int(w[0]) for w in _expand(np.array([key], dtype=np.uint64))]
+        assert lane_words == words
+        assert [k for k, w in enumerate(words) if w == 0] == [i]
+    lanes = Lanes(np.array(keys, dtype=np.uint64))
+    streams = [Stream(key) for key in keys]
+    rows = np.arange(4)
+    for _ in range(8):
+        assert lanes.next_u64(rows).tolist() == [s.next_u64() for s in streams]
