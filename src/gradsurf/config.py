@@ -2,21 +2,21 @@
 
 An empty object (or no file at all) yields the full default study: seed 0,
 batch maxima {3, 30}, all three fit modes, centre counts {1, 100}, two
-repeats, a 25x25 training grid and a 101x101 reporting grid over the box
-[-2, 2]^2, and the 121-point dataset of 0.1*x**2 + 0.1*x on [-2, 2].
-Unknown or repeated keys, repeated list values and constraint violations
-are rejected with the offending field named.  Files are read with
-load_mapping and validated with from_mapping.
+repeats, and a 25x25 training grid and a 101x101 reporting grid.  The
+problem itself (the dataset and the weight box the grids span) is fixed in
+gradsurf.problem and has no key.  Every value is an integer, a list or a
+string; unknown or repeated keys, repeated list values and constraint
+violations are rejected with the offending field named.  Files are read
+with load_mapping and validated with from_mapping.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .problem import GridSpec
+from .problem import BOX, DATASET_SIZE, GridSpec
 from .surrogate import FitMode, FitRecipe
 
 _SEED_MAX = (1 << 64) - 1
@@ -33,17 +33,13 @@ class ExperimentConfig:
     centre_list: tuple[int, ...] = (1, 100)
     mode_list: tuple[FitMode, ...] = (FitMode.F, FitMode.FG, FitMode.G)
     repeats: int = 2
-    box: tuple[float, float] = (-2.0, 2.0)
     train_resolution: int = 25
     report_resolution: int = 101
-    dataset_n: int = 121
-    dataset_interval: tuple[float, float] = (-2.0, 2.0)
-    dataset_coefficients: tuple[float, float] = (0.1, 0.1)
     output_dir: str = "out"
 
     def grid(self, resolution: int) -> GridSpec:
         """The square grid of the given resolution over the study box."""
-        lo, hi = self.box
+        lo, hi = BOX
         return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=resolution)
 
     @property
@@ -62,12 +58,8 @@ class ExperimentConfig:
             "centre_list": list(self.centre_list),
             "mode_list": [m.value for m in self.mode_list],
             "repeats": self.repeats,
-            "box": list(self.box),
             "train_grid": self.train_resolution,
             "report_grid": self.report_resolution,
-            "dataset_n": self.dataset_n,
-            "dataset_interval": list(self.dataset_interval),
-            "dataset_coefficients": list(self.dataset_coefficients),
         }
 
 
@@ -79,18 +71,6 @@ def _want_int(key, value, lo=None, hi=None) -> int:
     if hi is not None and value > hi:
         raise ConfigError(f"{key}: must be <= {hi}, got {value}")
     return value
-
-
-def _want_number(key, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    return number
 
 
 def _want_distinct(key, values) -> None:
@@ -105,20 +85,6 @@ def _want_int_list(key, value, lo=1) -> tuple[int, ...]:
     ints = tuple(_want_int(f"{key}[{i}]", v, lo=lo) for i, v in enumerate(value))
     _want_distinct(key, ints)
     return ints
-
-
-def _want_pair(key, value) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{key}: expected a two-element list, got {value!r}")
-    lo, hi = (_want_number(f"{key}[{i}]", v) for i, v in enumerate(value))
-    return lo, hi
-
-
-def _want_interval(key, value) -> tuple[float, float]:
-    lo, hi = _want_pair(key, value)
-    if not lo < hi:
-        raise ConfigError(f"{key}: need lower < upper, got {value!r}")
-    return lo, hi
 
 
 def from_mapping(mapping: dict) -> ExperimentConfig:
@@ -147,18 +113,10 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
             values["mode_list"] = tuple(modes)
         elif key == "repeats":
             values["repeats"] = _want_int(key, raw, lo=1)
-        elif key == "box":
-            values["box"] = _want_interval(key, raw)
         elif key == "train_grid":
             values["train_resolution"] = _want_int(key, raw, lo=2)
         elif key == "report_grid":
             values["report_resolution"] = _want_int(key, raw, lo=2)
-        elif key == "dataset_n":
-            values["dataset_n"] = _want_int(key, raw, lo=2)
-        elif key == "dataset_interval":
-            values["dataset_interval"] = _want_interval(key, raw)
-        elif key == "dataset_coefficients":
-            values["dataset_coefficients"] = _want_pair(key, raw)
         elif key == "output_dir":
             if not isinstance(raw, str) or not raw:
                 raise ConfigError(f"{key}: expected a nonempty string, got {raw!r}")
@@ -182,9 +140,9 @@ def _check_consistency(config: ExperimentConfig) -> None:
                 f"{config.train_resolution} grid has {n_obs}; at most {limit} fit"
             )
     for b in config.batch_max_list:
-        if b > config.dataset_n:
+        if b > DATASET_SIZE:
             raise ConfigError(
-                f"batch_max_list: {b} exceeds the dataset size {config.dataset_n}"
+                f"batch_max_list: {b} exceeds the dataset size {DATASET_SIZE}"
             )
 
 

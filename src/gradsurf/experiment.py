@@ -188,9 +188,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    data = generate_full_batch(
-        config.dataset_n, config.dataset_interval, config.dataset_coefficients
-    )
+    data = generate_full_batch()
 
     references = tuple(
         evaluate_surface(lambda pts: analytic_loss(pts, data), grid)

@@ -1,6 +1,8 @@
 """Quadratic curve-fitting problem whose loss surface gets surveyed.
 
-Data are n points of y = a2*x**2 + a1*x on an interval; the model is
+The problem is fixed: the data are the DATASET_SIZE equispaced points of
+y = a2*x**2 + a1*x on DATASET_INTERVAL, with (a2, a1) = COEFFICIENTS, and
+the weights are surveyed over the box BOX x BOX.  The model is
 f(x; w) = w1*x**2 + w2*x, so the full-batch MSE loss is an exact convex
 quadratic in w with its minimum at (a2, a1).  Mini-batch losses and
 gradients evaluated on a weight grid are the raw material for surrogate
@@ -14,6 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Lanes, Stream, derive_keys
+
+DATASET_SIZE = 121
+DATASET_INTERVAL = (-2.0, 2.0)
+COEFFICIENTS = (0.1, 0.1)
+# both weights range over this interval
+BOX = (-2.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -102,21 +110,12 @@ class GridSpec:
         return np.stack([w1.ravel(), w2.ravel()], axis=1)
 
 
-def generate_full_batch(
-    n: int = 121,
-    interval: tuple[float, float] = (-2.0, 2.0),
-    coefficients: tuple[float, float] = (0.1, 0.1),
-) -> Dataset1D:
-    """Equispaced dataset of y = a2*x**2 + a1*x; defaults give the study data."""
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {interval}")
-    a2, a1 = coefficients
-    xs = np.linspace(lo, hi, n)
-    ys = a2 * xs**2 + a1 * xs
-    return Dataset1D(xs=xs, ys=ys, coefficients=(float(a2), float(a1)))
+def generate_full_batch() -> Dataset1D:
+    """The study's dataset: DATASET_SIZE equispaced xs on DATASET_INTERVAL and
+    ys = a2*xs**2 + a1*xs, with (a2, a1) = COEFFICIENTS."""
+    a2, a1 = COEFFICIENTS
+    xs = np.linspace(*DATASET_INTERVAL, DATASET_SIZE)
+    return Dataset1D(xs=xs, ys=a2 * xs**2 + a1 * xs, coefficients=COEFFICIENTS)
 
 
 def model_predict(w, xs) -> np.ndarray:
@@ -200,14 +199,6 @@ def sample_loss_surface(
     points = grid.points()
     keys = derive_keys(stream.key, "node/", points.shape[0])
     return _observe(points, data, *_draw_batches(keys, policy.max_size, n))
-
-
-def full_batch_observations(grid: GridSpec, data: Dataset1D) -> Observations:
-    """Noise-free observations: every node evaluated on the entire dataset."""
-    points = grid.points()
-    n = data.xs.size
-    sizes = np.full(points.shape[0], n, dtype=np.intp)
-    return _observe(points, data, sizes, np.broadcast_to(np.arange(n), (points.shape[0], n)))
 
 
 def analytic_loss(w, data: Dataset1D):

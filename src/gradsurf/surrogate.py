@@ -274,22 +274,10 @@ def predict_values(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
 
 
 def predict_gradients(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
-    """Surrogate gradients at an (n, d) array of points, shape (n, d)."""
+    """Surrogate gradients at an (n, d) array of points, shape (n, d); the offset does not enter."""
     points = np.asarray(points, dtype=np.float64)
     g = assemble_gradient_matrix(points, surrogate.centres, surrogate.params)
     return (g @ surrogate.coefficients).reshape(points.shape)
-
-
-def evaluate(surrogate: Surrogate, w) -> float:
-    """Surrogate value at a single point."""
-    w = np.asarray(w, dtype=np.float64)
-    return float(predict_values(surrogate, w[None, :])[0])
-
-
-def evaluate_gradient(surrogate: Surrogate, w) -> np.ndarray:
-    """Surrogate gradient at a single point; independent of the offset."""
-    w = np.asarray(w, dtype=np.float64)
-    return predict_gradients(surrogate, w[None, :])[0]
 
 
 def translate_to_zero(surrogate: Surrogate, values: np.ndarray) -> Surrogate:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from reference import full_batch_observations
 
 from gradsurf.analysis import SurfaceGrid
-from gradsurf.problem import Dataset1D, GridSpec, Observations, full_batch_observations
+from gradsurf.problem import Dataset1D, GridSpec, Observations
 
 
 def _neighbours(k: int, rows: int, cols: int):

@@ -12,8 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import reference
 from basins import count_basins, gradient_resolution
-from reference import batch_gradient, batch_loss
+from reference import batch_gradient, batch_loss, full_batch_observations
 
 from gradsurf.analysis import count_local_minima, evaluate_surface, negative_fraction
 from gradsurf.artifacts import read_json, read_observations_csv
@@ -23,7 +24,6 @@ from gradsurf.kernels import KernelParams, NumericalError, single_threaded_blas,
 from gradsurf.problem import (
     MiniBatchPolicy,
     analytic_loss,
-    full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
 )
@@ -33,13 +33,10 @@ from gradsurf.surrogate import (
     FitMode,
     FitRecipe,
     Surrogate,
-    build_system,
-    evaluate,
-    evaluate_gradient,
     fit_surrogate,
+    predict_gradients,
     predict_values,
     sample_centres,
-    training_mse,
     translate_to_zero,
 )
 
@@ -103,13 +100,9 @@ def test_criterion_2_surrogate_gradient_consistency():
             theta = stream.uniform(0.0, 2 * math.pi)
             radius = stream.uniform(0.2, 1.2) / eps
             w = c + radius * np.array([math.cos(theta), math.sin(theta)])
-            fd = np.array(
-                [
-                    (evaluate(s, w + [h, 0]) - evaluate(s, w - [h, 0])) / (2 * h),
-                    (evaluate(s, w + [0, h]) - evaluate(s, w - [0, h])) / (2 * h),
-                ]
-            )
-            an = evaluate_gradient(s, w)
+            v = predict_values(s, w + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
+            fd = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * h)
+            an = predict_gradients(s, w[None, :])[0]
             worst = max(worst, float(np.linalg.norm(fd - an) / max(np.linalg.norm(an), 1e-12)))
     elapsed = time.perf_counter() - start
 
@@ -341,32 +334,33 @@ def test_criterion_7_determinism(default_run):
 
 
 def _check_cell_optimality(out, entry):
+    """Re-solve every candidate of a cell from the kernel formula, not the sweep's code."""
     observations = read_observations_csv(out / entry["artifacts"]["observations"])
     model = read_json(out / entry["artifacts"]["model"])
     mode = FitMode(model["mode"])
     centres = np.array(model["centres"])
     recorded = model["training_mse"]
+    b = reference._targets(observations, mode)
 
     losing = []
     non_skipped = 0
     winner_seen = False
-    for eps in SHAPE_CANDIDATES:
-        params = KernelParams(float(eps))
-        a, b = build_system(observations, centres, params, mode)
+    for eps in SHAPE_CANDIDATES.tolist():
+        a = reference._system(observations.points, centres, eps, mode)
         try:
             coef = solve_least_squares(a, b)
         except NumericalError:
             continue
-        candidate = Surrogate(centres=centres, coefficients=coef, params=params, mode=mode)
         with np.errstate(over="ignore", invalid="ignore"):
-            mse = training_mse(candidate, observations, mode)
+            r = a @ coef - b
+            mse = float(np.mean(r * r))
         if not np.isfinite(mse):
             continue
         non_skipped += 1
-        if float(eps) == model["shape"]:
+        if eps == model["shape"]:
             winner_seen = True
         if recorded > mse:
-            losing.append((float(eps), mse))
+            losing.append((eps, mse))
     return non_skipped, winner_seen, losing
 
 

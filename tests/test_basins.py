@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from basins import basin_depths, count_basins, gradient_resolution
+from reference import full_batch_observations
 
 from gradsurf.analysis import SurfaceGrid, count_local_minima, evaluate_surface
 from gradsurf.config import ExperimentConfig
@@ -14,7 +15,6 @@ from gradsurf.problem import (
     GridSpec,
     MiniBatchPolicy,
     Observations,
-    full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
 )

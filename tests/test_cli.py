@@ -300,11 +300,22 @@ def test_run_verb_bad_config_exits_1(tmp_path, capsys):
 
 def test_run_verb_nonfinite_config_exits_1_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"dataset_coefficients": [NaN, 0.1]}', encoding="utf-8")
+    cfg.write_text('{"batch_max_list": [3, NaN]}', encoding="utf-8")
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))
     assert code == 1
-    assert "dataset_coefficients[0]" in err
+    assert "batch_max_list[1]: expected an integer" in err
+    assert not out.exists()
+
+
+def test_run_verb_problem_config_key_exits_1_and_writes_nothing(tmp_path, capsys):
+    # the dataset and the box are fixed; a config that sets them is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "dataset_n": 61}', encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "unknown config key 'dataset_n'" in err
     assert not out.exists()
 
 

@@ -22,12 +22,8 @@ def test_defaults():
     assert c.centre_list == (1, 100)
     assert c.mode_list == (FitMode.F, FitMode.FG, FitMode.G)
     assert c.repeats == 2
-    assert c.box == (-2.0, 2.0)
     assert c.train_resolution == 25
     assert c.report_resolution == 101
-    assert c.dataset_n == 121
-    assert c.dataset_interval == (-2.0, 2.0)
-    assert c.dataset_coefficients == (0.1, 0.1)
     assert c.output_dir == "out"
 
 
@@ -67,28 +63,38 @@ def test_from_mapping_type_errors():
     with pytest.raises(ConfigError):
         from_mapping({"train_grid": 1})
     with pytest.raises(ConfigError):
-        from_mapping({"box": [2.0, -2.0]})
-    with pytest.raises(ConfigError):
         from_mapping({"batch_max_list": []})
     with pytest.raises(ConfigError):
         from_mapping({"centre_list": [0]})
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("key", ["box", "dataset_interval", "dataset_coefficients"])
+@pytest.mark.parametrize("key", ["batch_max_list", "centre_list", "repeats"])
 def test_load_config_rejects_nonfinite_numbers(tmp_path, key, literal):
-    # Python's json reads these literals as floats; the config must not
+    # Python's json reads these literals as floats; every key wants integers
+    value, field = (literal, key) if key == "repeats" else (f"[1, {literal}]", f"{key}[1]")
     path = tmp_path / "cfg.json"
-    path.write_text(f'{{"{key}": [0.5, {literal}]}}', encoding="utf-8")
+    path.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         from_mapping(load_mapping(path))
-    assert f"{key}[1]: expected a finite number" in str(err.value)
+    assert f"{field}: expected an integer, got " in str(err.value)
 
 
-def test_from_mapping_rejects_integers_beyond_float_range():
+# keys of the problem, now constants of gradsurf.problem, with their old defaults
+PROBLEM_KEYS = {
+    "box": [-2.0, 2.0],
+    "dataset_n": 121,
+    "dataset_interval": [-2.0, 2.0],
+    "dataset_coefficients": [0.1, 0.1],
+}
+
+
+@pytest.mark.parametrize("key", PROBLEM_KEYS)
+def test_problem_keys_are_unknown(key):
+    # a config that still sets one must fail loudly, not be half-applied
     with pytest.raises(ConfigError) as err:
-        from_mapping(json.loads('{"box": [0, 1' + "0" * 400 + "]}"))
-    assert "box[1]: expected a finite number" in str(err.value)
+        from_mapping({key: PROBLEM_KEYS[key]})
+    assert str(err.value) == f"unknown config key {key!r}"
 
 
 def test_from_mapping_bad_mode():

@@ -119,9 +119,7 @@ def test_observations_reproducible_from_derived_seed(tmp_path):
     stored = read_observations_csv(
         tmp_path / "out" / entry["artifacts"]["observations"]
     )
-    data = generate_full_batch(
-        config.dataset_n, config.dataset_interval, config.dataset_coefficients
-    )
+    data = generate_full_batch()
     stream = derive_stream(entry["derived_seed"], "sample")
     regenerated = sample_loss_surface(
         config.train_grid, data, MiniBatchPolicy(entry["batch_max"]), stream

@@ -1,7 +1,9 @@
 """Deterministic stream derivation and generator statistics.
 
 The lane-parallel generator is checked lane by lane against the scalar
-Stream, which stays the reference for every draw.
+Stream, which stays the reference for every draw.  The byte streams
+themselves are pinned to committed integers: keys, Stream draws and Lanes
+draws, which any change to mix64, GOLDEN or the xoshiro step alters.
 """
 
 import numpy as np
@@ -52,6 +54,52 @@ def test_nearby_labels_give_distant_keys():
     a = derive_key(0, "node/1")
     b = derive_key(0, "node/2")
     assert bin(a ^ b).count("1") > 10
+
+
+@pytest.mark.parametrize(
+    "seed, label, key",
+    [
+        (0, "", 0xE220A8397B1DCDAF),
+        (0, "sample", 0xCB018DD0A5A7F3B5),
+        (7, "experiment/a", 0x477EC11DB528F4EC),
+        (2**64 - 1, "node/123", 0xF87B7ADEBB1E5F2C),
+    ],
+    ids=["empty-label", "sample", "experiment-a", "max-seed"],
+)
+def test_derive_key_is_pinned(seed, label, key):
+    assert derive_key(seed, label) == key
+
+
+@pytest.mark.parametrize(
+    "key, draws",
+    [
+        (0, [0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0, 0x6AA594F1262D2D2C]),
+        (
+            0xCB018DD0A5A7F3B5,
+            [0xA2F9A02A7E4846D0, 0x3F5AF5AA2E852FCE, 0x3C69C35739B5C0B3, 0xDBAC73C77CD6FDEA],
+        ),
+    ],
+    ids=["key-0", "key-0-sample"],
+)
+def test_stream_draws_are_pinned(key, draws):
+    s = Stream(key)
+    assert [s.next_u64() for _ in range(4)] == draws
+
+
+def test_lanes_draws_are_pinned():
+    lanes = Lanes(np.array([0, 1, 2**64 - 1], dtype=np.uint64))
+    rows = np.arange(3)
+    assert lanes.next_u64(rows).tolist() == [
+        0x99EC5F36CB75F2B4,
+        0xB3F2AF6D0FC710C5,
+        0x8F5520D52A7EAD08,
+    ]
+    assert lanes.next_u64(rows).tolist() == [
+        0xBF6E1F784956452A,
+        0x853B559647364CEA,
+        0xC476A018CAA1802D,
+    ]
+    assert lanes.below(121, rows).tolist() == [113, 41, 97]
 
 
 def test_random_in_unit_interval_and_roughly_uniform():

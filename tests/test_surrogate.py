@@ -20,7 +20,6 @@ from gradsurf.problem import (
     GridSpec,
     MiniBatchPolicy,
     Observations,
-    full_batch_observations,
     generate_full_batch,
     sample_loss_surface,
 )
@@ -34,9 +33,8 @@ from gradsurf.surrogate import (
     _sweep,
     _targets,
     build_system,
-    evaluate,
-    evaluate_gradient,
     fit_surrogate,
+    predict_gradients,
     predict_values,
     sample_centres,
     training_mse,
@@ -47,7 +45,7 @@ from gradsurf.surrogate import (
 def small_observations(resolution=5):
     data = generate_full_batch()
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=resolution)
-    return full_batch_observations(grid, data)
+    return reference.full_batch_observations(grid, data)
 
 
 def random_surrogate(stream, mode=FitMode.F, eps=1.0, m=4):
@@ -148,6 +146,21 @@ def test_build_system_rejects_nonfinite_observations():
     with pytest.raises(ValueError):
         obs = Observations(np.zeros((1, 2)), [np.inf], np.zeros((1, 2)), [1])
         build_system(obs, np.zeros((1, 2)), KernelParams(1.0), FitMode.F)
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_build_system_matches_kernel_formula_bitwise(mode):
+    # the sweep's in-place blocks against the formula, for every candidate of
+    # a study cell: criterion 8 re-solves the sweep from the formula
+    observations = study_cell_observations(mode, 100)
+    recipe = FitRecipe(mode=mode, n_centres=100)
+    centres = sample_centres(derive_stream(5, "centres"), observations, recipe)
+    want_b = reference._targets(observations, mode)
+    for eps in SHAPE_CANDIDATES.tolist():
+        a, b = build_system(observations, centres, KernelParams(eps), mode)
+        want = reference._system(observations.points, centres, eps, mode)
+        assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
+        assert b.tobytes() == want_b.tobytes()
 
 
 def test_training_mse_exact_interpolation_is_tiny():
@@ -392,7 +405,7 @@ def test_evaluate_matches_manual_kernel_sum():
         float(c) * math.exp(-((1.4 * math.dist(w, centre)) ** 2))
         for c, centre in zip(s.coefficients, s.centres)
     )
-    assert evaluate(s, w) == pytest.approx(want, rel=1e-12)
+    assert predict_values(s, w[None, :])[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_evaluate_gradient_matches_finite_differences():
@@ -401,13 +414,9 @@ def test_evaluate_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(5):
         w = np.array([stream.uniform(-1.5, 1.5), stream.uniform(-1.5, 1.5)])
-        fd = np.array(
-            [
-                (evaluate(s, w + [h, 0]) - evaluate(s, w - [h, 0])) / (2 * h),
-                (evaluate(s, w + [0, h]) - evaluate(s, w - [0, h])) / (2 * h),
-            ]
-        )
-        an = evaluate_gradient(s, w)
+        v = predict_values(s, w + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
+        fd = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * h)
+        an = predict_gradients(s, w[None, :])[0]
         assert np.linalg.norm(fd - an) <= 1e-6 * max(np.linalg.norm(an), 1e-6)
 
 
@@ -416,7 +425,7 @@ def test_predict_values_matches_pointwise_evaluate():
     s = random_surrogate(stream, eps=0.8, m=6)
     pts = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5).points()
     batch = predict_values(s, pts)
-    single = np.array([evaluate(s, p) for p in pts])
+    single = np.array([predict_values(s, p[None, :])[0] for p in pts])
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
@@ -430,9 +439,9 @@ def test_evaluate_gradient_ignores_offset():
         mode=s.mode,
         offset=-3.25,
     )
-    w = [0.4, 0.1]
-    assert np.array_equal(evaluate_gradient(s, w), evaluate_gradient(shifted, w))
-    assert evaluate(shifted, w) == pytest.approx(evaluate(s, w) - 3.25, rel=1e-12)
+    w = np.array([[0.4, 0.1]])
+    assert np.array_equal(predict_gradients(s, w), predict_gradients(shifted, w))
+    assert predict_values(shifted, w)[0] == pytest.approx(predict_values(s, w)[0] - 3.25, rel=1e-12)
 
 
 def test_translate_to_zero_exact_minimum():
@@ -483,7 +492,7 @@ def test_translate_to_zero_empty_grid_error():
 def test_noise_free_fit_recovers_surface_at_small_scale():
     data = generate_full_batch()
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=9)
-    obs = full_batch_observations(grid, data)
+    obs = reference.full_batch_observations(grid, data)
     recipe = FitRecipe(mode=FitMode.F, n_centres=13)
     s = fit_surrogate(obs, recipe, derive_stream(4, "rec"))
     pts = grid.points()
