@@ -65,10 +65,9 @@ def count_local_minima(surface: SurfaceGrid) -> int:
     neighbour_min = np.full_like(v, np.inf)
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
-            if dj == 0 and di == 0:
-                continue
-            shifted = padded[1 + dj : 1 + dj + res, 1 + di : 1 + di + res]
-            neighbour_min = np.minimum(neighbour_min, shifted)
+            if dj or di:
+                shifted = padded[1 + dj : 1 + dj + res, 1 + di : 1 + di + res]
+                neighbour_min = np.minimum(neighbour_min, shifted)
     return int(np.sum(v < neighbour_min))
 
 

@@ -72,10 +72,8 @@ def read_surface_csv(path) -> SurfaceGrid:
     res = int(round(n**0.5))
     if res < 2 or res * res != n:
         raise ValueError(f"{n} rows do not form a square grid")
-    lower = (rows[0][0], rows[0][1])
-    upper = (rows[-1][0], rows[-1][1])
-    grid = GridSpec(lower=lower, upper=upper, resolution=res)
-    coords = np.array([(r[0], r[1]) for r in rows])
+    grid = GridSpec(lower=rows[0][:2], upper=rows[-1][:2], resolution=res)
+    coords = np.array([r[:2] for r in rows])
     if not np.array_equal(coords, grid.points()):
         raise ValueError("node coordinates are not the expected grid")
     values = np.array([r[2] for r in rows]).reshape(res, res)

@@ -45,18 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_run(args) -> int:
     mapping = load_mapping(args.config) if args.config is not None else {}
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    if args.batch_max is not None:
-        mapping["batch_max_list"] = [args.batch_max]
-    if args.centres is not None:
-        mapping["centre_list"] = [args.centres]
-    if args.mode is not None:
-        mapping["mode_list"] = [args.mode]
-    if args.grid is not None:
-        mapping["train_grid"] = args.grid
-    if args.report_grid is not None:
-        mapping["report_grid"] = args.report_grid
+    # each given flag overrides one key; the list keys get a one-item list
+    scalars = {"seed": args.seed, "train_grid": args.grid, "report_grid": args.report_grid}
+    lists = {"batch_max_list": args.batch_max, "centre_list": args.centres, "mode_list": args.mode}
+    mapping.update({k: v for k, v in scalars.items() if v is not None})
+    mapping.update({k: [v] for k, v in lists.items() if v is not None})
     config = from_mapping(mapping)
     index_path = run_experiment(config, out_dir=args.out, workers=args.workers)
     index = read_json(index_path)

@@ -200,9 +200,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     # serial without a pool: a one-thread pool measured no faster, ~1 MiB more RSS
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(
-                pool.map(lambda c: run_cell(c, config, data, references, out), cells)
-            )
+            entries = list(pool.map(lambda c: run_cell(c, config, data, references, out), cells))
     else:
         entries = [run_cell(c, config, data, references, out) for c in cells]
 

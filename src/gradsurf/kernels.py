@@ -21,7 +21,7 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """A solve produced non-finite output; the caller may skip and move on."""
+    """A solve overflowed or failed numerically; the caller may skip and move on."""
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,19 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
     return gradient_block(diff, phi, params.shape, diff.reshape(n * d, m))
 
 
-REL_TOL = 1e-12
+REL_TOL = 1e-12  # on eigenvalues of a^T a; sqrt(REL_TOL) = 1e-6 on singular values of a
 
 
 def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x = b.
+    """Truncated-SVD least-squares solution of a @ x = b, via the normal matrix.
 
-    Rank-revealing SVD solve; singular values below REL_TOL times the
-    largest are treated as zero.  Non-finite inputs are rejected up front;
-    a non-finite solution raises NumericalError so sweeps can skip the
-    offending candidate.
+    The eigenpairs (lam, V) of G = a^T a are a's squared singular values and
+    right singular vectors.  x = V_k diag(1/lam_k) V_k^T a^T b over the k
+    with lam > REL_TOL * lam_max (sigma > 1e-6 * sigma_max), a cutoff above
+    G's rounding of about N * u * lam_max (under 2e-13 * lam_max for N <=
+    1875 rows).  Non-finite input raises ValueError; overflow, a failed
+    eigensolve or a non-finite x raise NumericalError, so sweeps can skip
+    the candidate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -145,10 +148,20 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be 2-d")
     if b.ndim != 1 or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix rows {a.shape[0]}")
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise ValueError("matrix and rhs must be finite")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=REL_TOL)
-    if not np.all(np.isfinite(x)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, atb = a.T @ a, a.T @ b
+        # non-finite a_ij makes G_jj non-finite, and non-finite b_i every (a^T b)_j
+        if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(atb).all()):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError("matrix and rhs must be finite")
+            raise NumericalError("normal matrix overflowed")
+        try:
+            lam, v = np.linalg.eigh(g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolve failed: {exc}") from exc
+        keep = lam > REL_TOL * lam.max(initial=0.0)
+        x = v[:, keep] @ ((v[:, keep].T @ atb) / lam[keep])
+    if not np.isfinite(x).all():
         raise NumericalError("least-squares solution is not finite")
     return x
 

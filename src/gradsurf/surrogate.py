@@ -183,10 +183,8 @@ def training_mse(surrogate: Surrogate, observations: Observations, mode: FitMode
     """
     a, b = build_system(observations, surrogate.centres, surrogate.params, mode)
     r = a @ surrogate.coefficients - b
-    if mode is FitMode.F:
-        r = r + surrogate.offset
-    elif mode is FitMode.FG:
-        r = r.copy()
+    if mode is not FitMode.G:
+        # the value rows come first (all of r in mode f); r is a fresh array
         r[: observations.values.size] += surrogate.offset
     return float(np.mean(r * r))
 

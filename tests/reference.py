@@ -5,7 +5,9 @@ or blocks of rows.  The functions here do the same one node at a time, in
 the most direct form: each node's batch from its own `Stream.derive`/
 `choose`, its loss and gradient from the definitions, one CSV line or SVG
 rectangle per node or observation.  The shape sweep here assembles every
-candidate's system afresh and compares it with the previous one.  Tests
+candidate's system afresh and compares it with the previous one, and
+truncated_svd_solve is the solve the shipped normal-matrix solver stands in
+for, computed from an SVD of the system itself.  Tests
 assert that the shipped code gives bitwise the same observations, fits
 and byte for byte the same files.
 """
@@ -171,14 +173,28 @@ def _targets(observations: Observations, mode: FitMode) -> np.ndarray:
     return gradients if mode is FitMode.G else np.concatenate([observations.values, gradients])
 
 
-def shape_sweep(observations: Observations, centres: np.ndarray, mode: FitMode):
+def truncated_svd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least squares by LAPACK gelsd, singular values up to 1e-6 * sigma_max dropped.
+
+    The cutoff kernels.solve_least_squares applies to the eigenvalues of
+    a^T a, taken on the singular values of a directly.
+    """
+    x = np.linalg.lstsq(a, b, rcond=1e-6)[0]
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("least-squares solution is not finite")
+    return x
+
+
+def shape_sweep(
+    observations: Observations, centres: np.ndarray, mode: FitMode, solve=solve_least_squares
+):
     """(best, skipped, solves) of a sweep over all 121 candidates.
 
     best is (training MSE, eps, coefficients) of the lowest-MSE candidate,
     the smallest eps on ties, or None; skipped lists the eps whose solve
-    failed or gave a non-finite MSE.  Each system is assembled in full; one
-    bitwise equal to the previous candidate's keeps its outcome unsolved,
-    and solves counts the solved, i.e. distinct, systems.
+    failed or gave a non-finite MSE.  Each system is assembled in full and
+    solved by solve; one bitwise equal to the previous candidate's keeps its
+    outcome unsolved, and solves counts the solved, i.e. distinct, systems.
     """
     b = _targets(observations, mode)
     best = prev = outcome = None
@@ -189,7 +205,7 @@ def shape_sweep(observations: Observations, centres: np.ndarray, mode: FitMode):
         if prev is None or not np.array_equal(a, prev):
             solves += 1
             try:
-                coef = solve_least_squares(a, b)
+                coef = solve(a, b)
                 with np.errstate(over="ignore", invalid="ignore"):
                     r = a @ coef - b
                     mse = float(np.mean(r * r))

@@ -231,7 +231,43 @@ def test_solve_rank_cutoff_drops_tiny_singular_values():
     a = np.diag([1.0, 1e-13])
     x = solve_least_squares(a, np.array([1.0, 1.0]))
     assert x[0] == pytest.approx(1.0, rel=1e-12)
-    assert x[1] == 0.0  # below the 1e-12 relative cutoff
+    assert x[1] == 0.0  # sigma 1e-13: far below the 1e-6 relative cutoff
+
+
+def test_solve_cutoff_is_1e_6_relative_in_singular_values():
+    # REL_TOL = 1e-12 applies to the eigenvalues sigma**2 of a^T a
+    x = solve_least_squares(np.diag([1.0, 1e-7]), np.array([1.0, 1.0]))
+    assert x[0] == pytest.approx(1.0, rel=1e-12)
+    assert x[1] == 0.0  # sigma 1e-7, lambda 1e-14: dropped
+    x = solve_least_squares(np.diag([1.0, 1e-5]), np.array([1.0, 1.0]))
+    assert x[1] == pytest.approx(1e5, rel=1e-9)  # sigma 1e-5, lambda 1e-10: kept
+
+
+def test_solve_all_zero_matrix_gives_exact_zeros():
+    # the g-mode system in the exp-underflow tail: every entry a signed zero
+    a = np.zeros((8, 3))
+    a[::2] = -0.0
+    x = solve_least_squares(a, np.linspace(-1.0, 1.0, 8))
+    assert x.tobytes() == np.zeros(3).tobytes()
+
+
+def test_solve_overflow_raises_numerical_error():
+    # finite input whose normal matrix overflows is a skipped candidate, not bad input
+    a = np.full((4, 2), 1e200)
+    with pytest.raises(NumericalError):
+        solve_least_squares(a, np.ones(4))
+    # and so is a solution that overflows: x = 1e145 / 1e-310
+    with pytest.raises(NumericalError):
+        solve_least_squares(np.array([[1e-155]]), np.array([1e300]))
+
+
+def test_solve_maps_a_failed_eigensolve_to_numerical_error(monkeypatch):
+    def fail(g):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_least_squares(np.eye(2), np.ones(2))
 
 
 def test_solve_recovers_exact_solution():

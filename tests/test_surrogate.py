@@ -7,6 +7,7 @@ import pytest
 import reference
 
 import gradsurf.surrogate
+from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
@@ -356,6 +357,39 @@ def test_sweep_matches_reference_in_tiny_box(mode, monkeypatch):
     obs = Observations(grid.points(), base.values, base.gradients, base.batch_sizes)
     solves, _ = sweep_against_reference(obs, mode, 4, monkeypatch)
     assert solves == SHAPE_CANDIDATES.size
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("batch_max", [3, 30])
+def test_normal_matrix_solve_picks_the_truncated_svd_winner(default_run, batch_max, mode):
+    # the shipped solve gets V and sigma**2 from the eigenpairs of a^T a; an
+    # SVD of a itself, at the same 1e-6 cutoff on sigma, must select the same
+    # shape with the same training MSE on the seed-0 c100 study cells
+    _, out = default_run
+    cell = out / "cells" / f"b{batch_max}_{mode.value}_c100_r0"
+    observations = read_observations_csv(cell / "observations.csv")
+    centres = np.array(read_json(cell / "model.json")["centres"])
+    with single_threaded_blas():
+        shipped, _, _ = reference.shape_sweep(observations, centres, mode)
+        exact, _, _ = reference.shape_sweep(
+            observations, centres, mode, reference.truncated_svd_solve
+        )
+    assert shipped[1] == exact[1]
+    assert shipped[0] == pytest.approx(exact[0], rel=1e-6)
+
+
+def test_study_c100_coefficients_stay_below_1e7(default_run):
+    # the 1e-6 cutoff on sigma keeps the c100 winners' coefficients near
+    # 1e5.  c1 cells are left out: a c1 g cell's lone flat Gaussian at the
+    # lower shape bound needs a coefficient of about 1e8 under any cutoff
+    _, out = default_run
+    cells = [c for c in read_json(out / "index.json")["cells"] if c["n_centres"] == 100]
+    sizes = {
+        c["id"]: float(np.abs(read_json(out / c["artifacts"]["model"])["coefficients"]).max())
+        for c in cells
+    }
+    assert len(sizes) == 12
+    assert max(sizes.values()) <= 1e7, sizes
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
