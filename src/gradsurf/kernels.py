@@ -6,6 +6,14 @@ eps a narrow spike.  (Beware that some libraries use the inverse convention
 ``exp(-(r / eps)**2)``; shape-parameter sweeps are meaningless if the two
 are mixed.)  Matrices are plain row-major ``numpy.ndarray``; no sparse or
 structured storage.
+
+phi is floored: where ``(eps * r)**2`` exceeds FLOOR_ARG it is exactly
+``+0.0``, so every nonzero kernel value is a normal double of at least about
+``2**-511``, and so is the product of any two (the entries of ``a^T a``).
+Without the floor the narrow shapes of a sweep fill the matrices with
+subnormal numbers, which x86 CPUs handle on a slow path.  Every route (the
+sweep, system assembly, evaluation) goes through value_block, so the floor
+gives the same matrix bits everywhere.
 """
 
 from __future__ import annotations
@@ -35,14 +43,22 @@ class KernelParams:
             raise ValueError(f"shape must be positive and finite, got {self.shape}")
 
 
+# exp(-354) ~ 2**-510.7, so the product of two nonzero kernel values is at
+# least 2**-1021.4, above the smallest normal double 2**-1022
+FLOOR_ARG = 354.0
+
+
 def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     """phi = exp(-(eps*r)**2) elementwise over radii r >= 0, written into out.
 
-    out has r's shape and may be r itself.  The four ufuncs run in place, so
-    a shape sweep rewrites one buffer per candidate instead of allocating.
+    phi is +0.0 wherever (eps*r)**2 > FLOOR_ARG: the argument is masked to
+    inf before exp, so exp never produces a subnormal.  out has r's shape
+    and may be r itself.  The ufuncs run in place, so a shape sweep
+    rewrites one buffer per candidate instead of allocating.
     """
     np.multiply(r, eps, out=out)
     np.square(out, out=out)
+    np.copyto(out, np.inf, where=out > FLOOR_ARG)
     np.negative(out, out=out)
     return np.exp(out, out=out)
 
@@ -160,7 +176,8 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolve failed: {exc}") from exc
         keep = lam > REL_TOL * lam.max(initial=0.0)
-        x = v[:, keep] @ ((v[:, keep].T @ atb) / lam[keep])
+        v = v[:, keep]
+        x = v @ ((v.T @ atb) / lam[keep])
     if not np.isfinite(x).all():
         raise NumericalError("least-squares solution is not finite")
     return x

@@ -207,14 +207,13 @@ def _sweep(geometry, b, mode):
 
     The fit's one design-matrix buffer is rewritten in place for each
     candidate; it is local to the call, since cells fit on worker threads.
-    Once a candidate's phi is zero everywhere off the centres (exp has
-    underflowed for every nonzero radius), each larger eps gives the same
-    0/1 phi and the same signed-zero gradient rows, so the same system: the
-    sweep stops there.  Those candidates are listed as skipped if that
-    system failed, and otherwise cannot win, since an equal MSE never
-    displaces a smaller eps.  The tail is recognised from phi itself, not
-    predicted from exp's underflow threshold, which depends on numpy's
-    SIMD/libm path.
+    Once a candidate's phi is zero everywhere off the centres (every
+    nonzero radius is past the kernel floor, kernels.FLOOR_ARG), each
+    larger eps gives the same 0/1 phi and the same signed-zero gradient
+    rows, so the same system: the sweep stops there.  Those candidates are
+    listed as skipped if that system failed, and otherwise cannot win,
+    since an equal MSE never displaces a smaller eps.  The tail is
+    recognised from phi itself.
     """
     a, phi = _system_buffers(geometry, mode)
     zero_radii = geometry[1].size - np.count_nonzero(geometry[1])
@@ -243,8 +242,8 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     (plus an N x M phi scratch in mode g) serves every candidate.
     Candidates that fail the solve or give a non-finite training MSE are
     skipped; among the rest the lowest MSE wins, ties going to the smallest
-    shape.  The sweep stops at the first candidate whose phi has underflowed
-    to 0.0 off the centres, as every later one has the same system.  Raises
+    shape.  The sweep stops at the first candidate whose phi is 0.0 off the
+    centres, as every later one has the same system.  Raises
     FitFailure, listing every skipped eps, if no candidate is left.
     """
     centres = sample_centres(stream, observations, recipe)

@@ -23,7 +23,7 @@ from gradsurf.problem import (
     Observations,
     model_predict,
 )
-from gradsurf.kernels import NumericalError, solve_least_squares
+from gradsurf.kernels import FLOOR_ARG, NumericalError, solve_least_squares
 from gradsurf.rng import Stream
 from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode
 
@@ -158,7 +158,8 @@ def _system(points, centres, eps: float, mode: FitMode) -> np.ndarray:
     r = diff[:, 0] ** 2
     for k in range(1, diff.shape[1]):
         r = r + diff[:, k] ** 2
-    phi = np.exp(-((eps * np.sqrt(r)) ** 2))
+    arg = (eps * np.sqrt(r)) ** 2
+    phi = np.where(arg > FLOOR_ARG, 0.0, np.exp(-arg))
     if mode is FitMode.F:
         return phi
     n, d, m = diff.shape

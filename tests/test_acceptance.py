@@ -20,7 +20,13 @@ from gradsurf.analysis import count_local_minima, evaluate_surface, negative_fra
 from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ConfigError, ExperimentConfig, from_mapping
 from gradsurf.experiment import RunCell, run_experiment
-from gradsurf.kernels import KernelParams, NumericalError, single_threaded_blas, solve_least_squares
+from gradsurf.kernels import (
+    FLOOR_ARG,
+    KernelParams,
+    NumericalError,
+    single_threaded_blas,
+    solve_least_squares,
+)
 from gradsurf.problem import (
     MiniBatchPolicy,
     analytic_loss,
@@ -361,7 +367,11 @@ def _check_cell_optimality(out, entry):
             winner_seen = True
         if recorded > mse:
             losing.append((eps, mse))
-    return non_skipped, winner_seen, losing
+    # (shape * r)**2 of the winner at its farthest train or report node: below
+    # FLOOR_ARG, the floor zeroes no entry of the winner's matrices
+    nodes = np.vstack([DEFAULT.train_grid.points(), DEFAULT.report_grid.points()])
+    r_max = max(float(np.sqrt(((nodes - c) ** 2).sum(axis=1)).max()) for c in centres)
+    return non_skipped, winner_seen, losing, (model["shape"] * r_max) ** 2
 
 
 def test_criterion_8_selection_optimality(default_run):
@@ -376,16 +386,20 @@ def test_criterion_8_selection_optimality(default_run):
 
     bad = [
         (entry["id"], losing)
-        for entry, (_, winner_seen, losing) in zip(fitted, results)
+        for entry, (_, winner_seen, losing, _) in zip(fitted, results)
         if losing or not winner_seen
     ]
-    total_candidates = sum(n for n, _, _ in results)
+    floored = [(e["id"], arg) for e, (*_, arg) in zip(fitted, results) if not arg < FLOOR_ARG]
+    total_candidates = sum(n for n, _, _, _ in results)
 
-    ok = not bad
+    ok = not bad and not floored
     detail = (
         f"recorded winner MSE <= every non-skipped candidate in {len(fitted) - len(bad)}"
-        f"/{len(fitted)} fitted cells ({total_candidates} candidates re-solved)"
+        f"/{len(fitted)} fitted cells ({total_candidates} candidates re-solved); "
+        f"winner (shape * r_max)**2 at most {max(r[3] for r in results):.3g}, "
+        f"floor {FLOOR_ARG:g}"
         + (f"; violations: {bad}" if bad else "")
+        + (f"; winners past the floor: {floored}" if floored else "")
     )
     announce(8, "selection-optimality", ok, detail)
     assert ok, detail

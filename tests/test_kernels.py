@@ -6,12 +6,14 @@ implementation.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradsurf.kernels import (
+    FLOOR_ARG,
     KernelParams,
     NumericalError,
     assemble_gradient_matrix,
@@ -22,7 +24,10 @@ from gradsurf.kernels import (
     value_block,
 )
 from gradsurf.config import ExperimentConfig
+from gradsurf.experiment import RunCell
+from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
 from gradsurf.rng import derive_stream
+from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode, FitRecipe, build_system, sample_centres
 
 
 def radii(rs):
@@ -53,6 +58,47 @@ def test_kernel_value_strictly_decreasing_and_bounded():
     assert np.all(vals > 0)
     assert np.all(vals <= 1.0)
     assert vals[0] == 1.0
+
+
+def test_floor_keeps_products_of_kernel_values_normal():
+    # every nonzero phi is at least exp(-FLOOR_ARG) ~ 2**-510.7, so the
+    # product of two, an entry of a^T a, is at least 2**-1021.4
+    assert math.exp(-FLOOR_ARG) > 2.0**-511
+    assert math.exp(-FLOOR_ARG) ** 2 >= sys.float_info.min
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.5, 1.0, 3.0, 1e5])
+def test_value_block_is_exp_up_to_the_floor_and_zero_past_it(eps):
+    # radii putting (eps*r)**2 a few ulps either side of FLOOR_ARG
+    r = radii(math.sqrt(FLOOR_ARG) / eps * (1.0 + np.arange(-6, 7) * 2.0**-52))
+    arg = (eps * r) ** 2
+    phi = value_block(r, eps, np.empty_like(r))
+    below = arg <= FLOOR_ARG
+    assert below.any() and not below.all()
+    assert np.array_equal(phi[below], np.exp(-arg[below]))
+    # exactly +0.0 past the floor, not a subnormal and not -0.0
+    assert phi[~below].tobytes() == np.zeros(np.count_nonzero(~below)).tobytes()
+
+
+def test_study_systems_hold_no_subnormal_entry():
+    # seed-0 cell b3/fg/c100/r0, value and gradient rows: without the floor
+    # candidates 63-73 (eps 5-30) put subnormals in the matrix
+    config = ExperimentConfig()
+    seed = RunCell(batch_max=3, mode=FitMode.FG, n_centres=100, repeat=0).derived_seed(0)
+    observations = sample_loss_surface(
+        config.train_grid,
+        generate_full_batch(),
+        MiniBatchPolicy(3),
+        derive_stream(seed, "sample"),
+    )
+    recipe = FitRecipe(mode=FitMode.FG, n_centres=100)
+    centres = sample_centres(derive_stream(seed, "centres"), observations, recipe)
+    subnormal = []
+    for eps in SHAPE_CANDIDATES.tolist():
+        a = np.abs(build_system(observations, centres, KernelParams(eps), FitMode.FG)[0])
+        if np.any((a > 0) & (a < sys.float_info.min)):
+            subnormal.append(eps)
+    assert subnormal == []
 
 
 def test_kernel_params_validation():
@@ -141,7 +187,8 @@ def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
         params = KernelParams(eps)
         phi = value_block(r, eps, np.empty_like(r))
         g = gradient_block(diff, phi, eps, np.empty((60, 7)))
-        ref_phi = np.exp(-((eps * ref_r) ** 2))
+        arg = (eps * ref_r) ** 2
+        ref_phi = np.where(arg > FLOOR_ARG, 0.0, np.exp(-arg))
         ref_g = (-2.0 * eps**2 * ref_diff * ref_phi[:, :, None]).transpose(0, 2, 1).reshape(60, 7)
         assert np.array_equal(phi, ref_phi)
         assert np.array_equal(g, ref_g)
@@ -244,7 +291,7 @@ def test_solve_cutoff_is_1e_6_relative_in_singular_values():
 
 
 def test_solve_all_zero_matrix_gives_exact_zeros():
-    # the g-mode system in the exp-underflow tail: every entry a signed zero
+    # the g-mode system in the kernel-floor tail: every entry a signed zero
     a = np.zeros((8, 3))
     a[::2] = -0.0
     x = solve_least_squares(a, np.linspace(-1.0, 1.0, 8))

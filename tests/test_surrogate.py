@@ -11,6 +11,7 @@ from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
+    FLOOR_ARG,
     KernelParams,
     NumericalError,
     pairwise,
@@ -264,7 +265,7 @@ def test_fit_surrogate_all_candidates_fail():
     recipe = FitRecipe(mode=FitMode.F, n_centres=1)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
-    # the candidates past the exp underflow are not solved, but still listed
+    # the candidates past the kernel floor are not solved, but still listed
     assert err.value.skipped == SHAPE_CANDIDATES.tolist()
 
 
@@ -282,7 +283,7 @@ def study_cell_observations(mode, n_centres):
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
-    # the sweep hoists the geometry and stops at the exp-underflow tail; a
+    # the sweep hoists the geometry and stops at the kernel-floor tail; a
     # plain solve of every candidate must pick the same shape and the same
     # coefficient bytes
     observations = study_cell_observations(mode, n_centres)
@@ -340,12 +341,12 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch):
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
-    # 37 of the 121 candidates lie in the exp-underflow tail of these
-    # cells; the sweep solves each of the other 84 once and the first tail
-    # candidate once
+    # the kernel floor zeroes every off-centre phi from eps ~ 113 on; the
+    # sweep solves the 81 candidates below that and the first tail candidate
+    # (eps ~ 119) once each, and leaves the other 39 of the 121 unsolved
     observations = study_cell_observations(mode, n_centres)
     solves, distinct = sweep_against_reference(observations, mode, n_centres, monkeypatch)
-    assert solves == distinct == 84
+    assert solves == distinct == 82
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -404,17 +405,18 @@ def test_sweep_matches_reference_on_coincident_points(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_sweep_matches_reference_when_close_pairs_outlast_the_rest(mode, monkeypatch):
-    # 12 pairs of points 1e-3 apart, the pairs 1 apart: from eps ~ 30 on,
+    # 12 pairs of points 1e-3 apart, the pairs 1 apart: from eps ~ 19 on,
     # only each centre's own entry and its partner's survive in phi, and the
-    # tail starts only when the partners underflow too, near eps = 3e4
+    # tail starts only when the partners pass the floor too, at eps =
+    # sqrt(FLOOR_ARG) / 1e-3 ~ 1.9e4, between two candidates
     base = small_observations(5)
     sites = np.array([(i, j) for i in range(4) for j in range(3)], dtype=float)
     points = np.repeat(sites, 2, axis=0)
     points[1::2, 0] += 1e-3
     obs = Observations(points, base.values[:24], base.gradients[:24], base.batch_sizes[:24])
     solves, distinct = sweep_against_reference(obs, mode, 4, monkeypatch)
-    tail_start = int(np.searchsorted(SHAPE_CANDIDATES, 3e4))
-    assert tail_start - 3 <= solves == distinct < SHAPE_CANDIDATES.size
+    tail_start = int(np.searchsorted(SHAPE_CANDIDATES, math.sqrt(FLOOR_ARG) / 1e-3))
+    assert solves == distinct == tail_start + 1 < SHAPE_CANDIDATES.size
 
 
 def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
