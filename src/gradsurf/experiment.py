@@ -102,7 +102,7 @@ def fit_cell(observations, recipe: FitRecipe, stream, report_grid):
     surrogate = translate_to_zero(surrogate, surface.values)
     if surrogate.mode is FitMode.G:
         surface = SurfaceGrid(report_grid, surface.values + surrogate.offset)
-    return surrogate, training_mse(surrogate, observations, recipe.mode), surface
+    return surrogate, training_mse(surrogate, observations), surface
 
 
 def write_surface(surface: SurfaceGrid, out_dir: Path) -> None:

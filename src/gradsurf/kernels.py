@@ -12,7 +12,7 @@ phi is floored: where ``(eps * r)**2`` exceeds FLOOR_ARG it is exactly
 ``2**-511``, and so is the product of any two (the entries of ``a^T a``).
 Without the floor the narrow shapes of a sweep fill the matrices with
 subnormal numbers, which x86 CPUs handle on a slow path.  Every route (the
-sweep, system assembly, evaluation) goes through value_block, so the floor
+sweep, the training MSE, evaluation) goes through value_block, so the floor
 gives the same matrix bits everywhere.
 """
 

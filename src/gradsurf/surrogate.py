@@ -139,9 +139,10 @@ def _targets(observations: Observations, mode):
 def _system_buffers(geometry, mode):
     """(a, phi): an uninitialised design matrix for the geometry, and the phi it is built from.
 
-    a has N, N*d or N+N*d rows for modes f, g and fg.  phi is a's value
-    block (a itself, or its first N rows) except in mode g, where it is an
-    N x M scratch of its own.
+    a has N, N*d or N+N*d rows for modes f, g and fg: the values, the
+    gradient components (point-major, coordinate-minor), or the value rows
+    stacked on the gradient rows.  phi is a's value block (a itself, or its
+    first N rows) except in mode g, where it is an N x M scratch of its own.
     """
     n, d, m = geometry[0].shape
     a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[mode], m))
@@ -157,32 +158,19 @@ def _write_system(a, phi, geometry, eps: float, mode) -> None:
         gradient_block(diff, phi, eps, a[-diff.shape[0] * diff.shape[1] :])
 
 
-def build_system(
-    observations: Observations,
-    centres: np.ndarray,
-    params: KernelParams,
-    mode: FitMode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix and target vector for one candidate fit.
+def training_mse(surrogate: Surrogate, observations: Observations) -> float:
+    """Mean squared residual of the surrogate over its mode's stacked system.
 
-    Mode f gives an N x M system over values; mode g an (N*d) x M system
-    over gradient components (rows point-major, coordinate-minor); mode fg
-    stacks the f block on top of the g block.
+    The system is built as the sweep builds it, so a fresh fit's MSE is
+    the one its candidate had in the sweep.  The offset enters value
+    residuals only; gradient rows are unaffected, so a zero-translated
+    mode-g surrogate keeps its training MSE.
     """
-    geometry = pairwise(observations.points, centres)
+    mode = surrogate.mode
+    geometry = pairwise(observations.points, surrogate.centres)
     a, phi = _system_buffers(geometry, mode)
-    _write_system(a, phi, geometry, params.shape, mode)
-    return a, _targets(observations, mode)
-
-
-def training_mse(surrogate: Surrogate, observations: Observations, mode: FitMode) -> float:
-    """Mean squared residual of the surrogate over the mode's stacked system.
-
-    The offset enters value residuals only; gradient rows are unaffected,
-    so a zero-translated mode-g surrogate keeps its training MSE.
-    """
-    a, b = build_system(observations, surrogate.centres, surrogate.params, mode)
-    r = a @ surrogate.coefficients - b
+    _write_system(a, phi, geometry, surrogate.params.shape, mode)
+    r = a @ surrogate.coefficients - _targets(observations, mode)
     if mode is not FitMode.G:
         # the value rows come first (all of r in mode f); r is a fresh array
         r[: observations.values.size] += surrogate.offset

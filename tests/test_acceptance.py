@@ -13,20 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import reference
-from basins import count_basins, gradient_resolution
+from basins import basin_depths, gradient_resolution
 from reference import batch_gradient, batch_loss, full_batch_observations
 
-from gradsurf.analysis import count_local_minima, evaluate_surface, negative_fraction
+from gradsurf.analysis import count_local_minima, negative_fraction
 from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ConfigError, ExperimentConfig, from_mapping
-from gradsurf.experiment import RunCell, run_experiment
-from gradsurf.kernels import (
-    FLOOR_ARG,
-    KernelParams,
-    NumericalError,
-    single_threaded_blas,
-    solve_least_squares,
-)
+from gradsurf.experiment import RunCell, fit_cell, run_experiment
+from gradsurf.kernels import FLOOR_ARG, KernelParams, single_threaded_blas
 from gradsurf.problem import (
     MiniBatchPolicy,
     analytic_loss,
@@ -39,11 +33,9 @@ from gradsurf.surrogate import (
     FitMode,
     FitRecipe,
     Surrogate,
-    fit_surrogate,
     predict_gradients,
     predict_values,
     sample_centres,
-    translate_to_zero,
 )
 
 DEFAULT = ExperimentConfig()
@@ -126,22 +118,19 @@ def test_criterion_3_noise_free_recovery():
     data = generate_full_batch()
     observations = full_batch_observations(DEFAULT.train_grid, data)
     grid = DEFAULT.report_grid
-    pts = grid.points()
-    oracle = analytic_loss(pts, data)
+    oracle = analytic_loss(grid.points(), data)
     scale = float(oracle.max())
 
-    # the centre draw of the shipped single-fit path at its default seed;
-    # `gradsurf fit --centres 100` reproduces these exact fits
-    fit_f = fit_surrogate(
-        observations, FitRecipe(mode=FitMode.F, n_centres=100), derive_stream(0, "fit/centres")
-    )
-    rmse_f = float(np.sqrt(np.mean((predict_values(fit_f, pts) - oracle) ** 2)))
+    def fit(mode):
+        # the shipped fit chain with the centre draw of `gradsurf fit` at its
+        # default seed; `gradsurf fit --centres 100` reproduces these exact fits
+        stream = derive_stream(0, "fit/centres")
+        _, _, surface = fit_cell(observations, FitRecipe(mode=mode, n_centres=100), stream, grid)
+        return surface.values.ravel()
 
-    fit_g = fit_surrogate(
-        observations, FitRecipe(mode=FitMode.G, n_centres=100), derive_stream(0, "fit/centres")
-    )
-    fit_g = translate_to_zero(fit_g, predict_values(fit_g, pts))
-    vals_g = predict_values(fit_g, pts)
+    rmse_f = float(np.sqrt(np.mean((fit(FitMode.F) - oracle) ** 2)))
+
+    vals_g = fit(FitMode.G)
     # constant-offset equivalence: compare both surfaces with minima removed
     shifted_model = vals_g - vals_g.min()
     shifted_oracle = oracle - oracle.min()
@@ -163,21 +152,21 @@ def _gradient_only_cell(seed, batch_max, n_centres, data):
     observations = sample_loss_surface(
         DEFAULT.train_grid, data, MiniBatchPolicy(batch_max), derive_stream(cell_seed, "sample")
     )
-    surrogate = fit_surrogate(
+    _, _, surface = fit_cell(
         observations,
         FitRecipe(mode=FitMode.G, n_centres=n_centres),
         derive_stream(cell_seed, "centres"),
+        DEFAULT.report_grid,
     )
-    surrogate = translate_to_zero(
-        surrogate, predict_values(surrogate, DEFAULT.report_grid.points())
-    )
-    surface = evaluate_surface(surrogate, DEFAULT.report_grid)
     resolution = gradient_resolution(observations, data, DEFAULT.train_grid)
+    # one flood gives both counts: every basin at resolution 0, and those
+    # whose depth reaches the resolution
+    depths = basin_depths(surface)
     return (
         negative_fraction(surface),
         count_local_minima(surface),
-        count_basins(surface),
-        count_basins(surface, resolution),
+        len(depths),
+        sum(depth >= resolution for depth in depths),
     )
 
 
@@ -239,12 +228,12 @@ def test_criterion_5_noisy_value_fit_pathology():
                     MiniBatchPolicy(3),
                     derive_stream(cell_seed, "sample"),
                 )
-                surrogate = fit_surrogate(
+                _, _, surface = fit_cell(
                     observations,
                     FitRecipe(mode=mode, n_centres=n_centres),
                     derive_stream(cell_seed, "centres"),
+                    DEFAULT.report_grid,
                 )
-                surface = evaluate_surface(surrogate, DEFAULT.report_grid)
                 nf = negative_fraction(surface)
                 lm = count_local_minima(surface)
                 if nf > 0.0 or lm > 1:
@@ -340,38 +329,28 @@ def test_criterion_7_determinism(default_run):
 
 
 def _check_cell_optimality(out, entry):
-    """Re-solve every candidate of a cell from the kernel formula, not the sweep's code."""
+    """Re-run a cell's sweep from the kernel formula, not the sweep's code.
+
+    Returns the distinct systems the reference solved, the recorded model
+    fields (shape, training MSE, coefficient bytes) that differ from the
+    reference winner's, and the winner's (shape * r_max)**2.
+    """
     observations = read_observations_csv(out / entry["artifacts"]["observations"])
     model = read_json(out / entry["artifacts"]["model"])
-    mode = FitMode(model["mode"])
     centres = np.array(model["centres"])
-    recorded = model["training_mse"]
-    b = reference._targets(observations, mode)
-
-    losing = []
-    non_skipped = 0
-    winner_seen = False
-    for eps in SHAPE_CANDIDATES.tolist():
-        a = reference._system(observations.points, centres, eps, mode)
-        try:
-            coef = solve_least_squares(a, b)
-        except NumericalError:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = a @ coef - b
-            mse = float(np.mean(r * r))
-        if not np.isfinite(mse):
-            continue
-        non_skipped += 1
-        if eps == model["shape"]:
-            winner_seen = True
-        if recorded > mse:
-            losing.append((eps, mse))
+    best, _, solves = reference.shape_sweep(observations, centres, FitMode(model["mode"]))
+    recorded = (model["training_mse"], model["shape"], np.array(model["coefficients"]).tobytes())
+    want = (best[0], best[1], best[2].tobytes()) if best is not None else (None,) * 3
+    differ = [
+        name
+        for name, got, ref in zip(("training_mse", "shape", "coefficients"), recorded, want)
+        if got != ref
+    ]
     # (shape * r)**2 of the winner at its farthest train or report node: below
     # FLOOR_ARG, the floor zeroes no entry of the winner's matrices
     nodes = np.vstack([DEFAULT.train_grid.points(), DEFAULT.report_grid.points()])
     r_max = max(float(np.sqrt(((nodes - c) ** 2).sum(axis=1)).max()) for c in centres)
-    return non_skipped, winner_seen, losing, (model["shape"] * r_max) ** 2
+    return solves, differ, (model["shape"] * r_max) ** 2
 
 
 def test_criterion_8_selection_optimality(default_run):
@@ -384,19 +363,16 @@ def test_criterion_8_selection_optimality(default_run):
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda e: _check_cell_optimality(out, e), fitted))
 
-    bad = [
-        (entry["id"], losing)
-        for entry, (_, winner_seen, losing, _) in zip(fitted, results)
-        if losing or not winner_seen
-    ]
+    bad = [(entry["id"], differ) for entry, (_, differ, _) in zip(fitted, results) if differ]
     floored = [(e["id"], arg) for e, (*_, arg) in zip(fitted, results) if not arg < FLOOR_ARG]
-    total_candidates = sum(n for n, _, _, _ in results)
+    total_solves = sum(n for n, _, _ in results)
 
     ok = not bad and not floored
     detail = (
-        f"recorded winner MSE <= every non-skipped candidate in {len(fitted) - len(bad)}"
-        f"/{len(fitted)} fitted cells ({total_candidates} candidates re-solved); "
-        f"winner (shape * r_max)**2 at most {max(r[3] for r in results):.3g}, "
+        f"recorded shape, training MSE and coefficients bitwise the reference sweep's "
+        f"winner in {len(fitted) - len(bad)}/{len(fitted)} fitted cells ({total_solves} "
+        f"distinct systems solved); "
+        f"winner (shape * r_max)**2 at most {max(r[2] for r in results):.3g}, "
         f"floor {FLOOR_ARG:g}"
         + (f"; violations: {bad}" if bad else "")
         + (f"; winners past the floor: {floored}" if floored else "")

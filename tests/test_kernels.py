@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import _system
 
 from gradsurf.kernels import (
     FLOOR_ARG,
@@ -27,7 +28,7 @@ from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
 from gradsurf.rng import derive_stream
-from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode, FitRecipe, build_system, sample_centres
+from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode, FitRecipe, sample_centres
 
 
 def radii(rs):
@@ -81,8 +82,9 @@ def test_value_block_is_exp_up_to_the_floor_and_zero_past_it(eps):
 
 
 def test_study_systems_hold_no_subnormal_entry():
-    # seed-0 cell b3/fg/c100/r0, value and gradient rows: without the floor
-    # candidates 63-73 (eps 5-30) put subnormals in the matrix
+    # seed-0 cell b3/fg/c100/r0, value and gradient rows, from the reference
+    # formula the sweep's blocks equal bitwise: without the floor candidates
+    # 63-73 (eps 5-30) put subnormals in the matrix
     config = ExperimentConfig()
     seed = RunCell(batch_max=3, mode=FitMode.FG, n_centres=100, repeat=0).derived_seed(0)
     observations = sample_loss_surface(
@@ -95,7 +97,7 @@ def test_study_systems_hold_no_subnormal_entry():
     centres = sample_centres(derive_stream(seed, "centres"), observations, recipe)
     subnormal = []
     for eps in SHAPE_CANDIDATES.tolist():
-        a = np.abs(build_system(observations, centres, KernelParams(eps), FitMode.FG)[0])
+        a = np.abs(_system(observations.points, centres, eps, FitMode.FG))
         if np.any((a > 0) & (a < sys.float_info.min)):
             subnormal.append(eps)
     assert subnormal == []

@@ -280,6 +280,7 @@ def test_observations_accept_and_coerce_good_input():
         pytest.param({"batch_sizes": np.ones(4, dtype=np.intp)}, id="batch-rows"),
         pytest.param({"points": [[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]}, id="inf-point"),
         pytest.param({"values": [0.0, np.nan, 0.0]}, id="nan-value"),
+        pytest.param({"values": [0.0, np.inf, 0.0]}, id="inf-value"),
         pytest.param({"gradients": [[0.0, 0.0], [0.0, 0.0], [0.0, -np.inf]]}, id="inf-gradient"),
         pytest.param({"batch_sizes": [1, 0, 1]}, id="batch-size-0"),
         pytest.param({"batch_sizes": [1, -2, 1]}, id="negative-batch-size"),

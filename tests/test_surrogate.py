@@ -13,7 +13,6 @@ from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
     FLOOR_ARG,
     KernelParams,
-    NumericalError,
     pairwise,
     single_threaded_blas,
     solve_least_squares,
@@ -33,8 +32,9 @@ from gradsurf.surrogate import (
     FitRecipe,
     Surrogate,
     _sweep,
+    _system_buffers,
     _targets,
-    build_system,
+    _write_system,
     fit_surrogate,
     predict_gradients,
     predict_values,
@@ -125,11 +125,13 @@ def test_sample_centres_deterministic():
 
 def test_build_system_shapes_and_stacking():
     obs = small_observations(3)  # 9 observations
-    centres = np.array([[0.0, 0.0], [1.0, -1.0]])
-    params = KernelParams(0.9)
-    a_f, b_f = build_system(obs, centres, params, FitMode.F)
-    a_g, b_g = build_system(obs, centres, params, FitMode.G)
-    a_fg, b_fg = build_system(obs, centres, params, FitMode.FG)
+    geometry = pairwise(obs.points, np.array([[0.0, 0.0], [1.0, -1.0]]))
+    systems = []
+    for mode in (FitMode.F, FitMode.G, FitMode.FG):
+        a, phi = _system_buffers(geometry, mode)
+        _write_system(a, phi, geometry, 0.9, mode)
+        systems += [a, _targets(obs, mode)]
+    a_f, b_f, a_g, b_g, a_fg, b_fg = systems
     assert a_f.shape == (9, 2) and b_f.shape == (9,)
     assert a_g.shape == (18, 2) and b_g.shape == (18,)
     assert a_fg.shape == (27, 2) and b_fg.shape == (27,)
@@ -143,26 +145,22 @@ def test_build_system_shapes_and_stacking():
     assert b_g[2] == obs.gradients[1, 0]
 
 
-def test_build_system_rejects_nonfinite_observations():
-    # the record refuses the data, so no system is ever built from it
-    with pytest.raises(ValueError):
-        obs = Observations(np.zeros((1, 2)), [np.inf], np.zeros((1, 2)), [1])
-        build_system(obs, np.zeros((1, 2)), KernelParams(1.0), FitMode.F)
-
-
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_build_system_matches_kernel_formula_bitwise(mode):
     # the sweep's in-place blocks against the formula, for every candidate of
-    # a study cell: criterion 8 re-solves the sweep from the formula
+    # a study cell, rewriting one buffer as the sweep does: criterion 8
+    # re-runs the sweep from the formula
     observations = study_cell_observations(mode, 100)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(5, "centres"), observations, recipe)
-    want_b = reference._targets(observations, mode)
+    b = _targets(observations, mode)
+    assert b.tobytes() == reference._targets(observations, mode).tobytes()
+    geometry = pairwise(observations.points, centres)
+    a, phi = _system_buffers(geometry, mode)
     for eps in SHAPE_CANDIDATES.tolist():
-        a, b = build_system(observations, centres, KernelParams(eps), mode)
+        _write_system(a, phi, geometry, eps, mode)
         want = reference._system(observations.points, centres, eps, mode)
         assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
-        assert b.tobytes() == want_b.tobytes()
 
 
 def test_training_mse_exact_interpolation_is_tiny():
@@ -170,21 +168,20 @@ def test_training_mse_exact_interpolation_is_tiny():
     full = small_observations(3)
     obs = Observations(full.points[:4], full.values[:4], full.gradients[:4], full.batch_sizes[:4])
     centres = obs.points
-    params = KernelParams(1.0)
-    a, b = build_system(obs, centres, params, FitMode.F)
-    coef = solve_least_squares(a, b)
-    s = Surrogate(centres=centres, coefficients=coef, params=params, mode=FitMode.F)
-    assert training_mse(s, obs, FitMode.F) <= 1e-16
+    coef = solve_least_squares(reference._system(obs.points, centres, 1.0, FitMode.F), obs.values)
+    s = Surrogate(centres=centres, coefficients=coef, params=KernelParams(1.0), mode=FitMode.F)
+    assert training_mse(s, obs) <= 1e-16
 
 
 def test_training_mse_matches_brute_force():
     obs = small_observations(4)
     stream = derive_stream(8, "mse")
-    s = random_surrogate(stream, eps=0.7, m=3)
-    a, b = build_system(obs, s.centres, s.params, FitMode.FG)
+    s = random_surrogate(stream, mode=FitMode.FG, eps=0.7, m=3)
+    a = reference._system(obs.points, s.centres, 0.7, FitMode.FG)
+    b = reference._targets(obs, FitMode.FG)
     residuals = [float(a[i] @ s.coefficients - b[i]) for i in range(a.shape[0])]
     want = math.fsum(r * r for r in residuals) / len(residuals)
-    assert training_mse(s, obs, FitMode.FG) == pytest.approx(want, rel=1e-12)
+    assert training_mse(s, obs) == pytest.approx(want, rel=1e-12)
 
 
 def test_training_mse_offset_excluded_for_gradients_only():
@@ -198,7 +195,7 @@ def test_training_mse_offset_excluded_for_gradients_only():
         mode=s.mode,
         offset=5.0,
     )
-    assert training_mse(shifted, obs, FitMode.G) == training_mse(s, obs, FitMode.G)
+    assert training_mse(shifted, obs) == training_mse(s, obs)
 
 
 def test_training_mse_offset_enters_value_residuals():
@@ -212,10 +209,10 @@ def test_training_mse_offset_enters_value_residuals():
         mode=s.mode,
         offset=2.0,
     )
-    a, b = build_system(obs, s.centres, s.params, FitMode.F)
-    residuals = a @ s.coefficients - b + 2.0
+    a = reference._system(obs.points, s.centres, 0.9, FitMode.F)
+    residuals = a @ s.coefficients - obs.values + 2.0
     want = float(np.mean(residuals**2))
-    assert training_mse(shifted, obs, FitMode.F) == pytest.approx(want, rel=1e-12)
+    assert training_mse(shifted, obs) == pytest.approx(want, rel=1e-12)
 
 
 def test_fit_surrogate_selects_lowest_training_mse():
@@ -225,15 +222,9 @@ def test_fit_surrogate_selects_lowest_training_mse():
     # independent re-sweep with the same centre draw
     centres = sample_centres(derive_stream(5, "fit"), obs, recipe)
     assert np.array_equal(centres, s.centres)
-    best_eps, best_mse = None, None
-    for eps in SHAPE_CANDIDATES:
-        a, b = build_system(obs, centres, KernelParams(float(eps)), FitMode.F)
-        coef = solve_least_squares(a, b)
-        mse = float(np.mean((a @ coef - b) ** 2))
-        if best_mse is None or mse < best_mse:
-            best_eps, best_mse = float(eps), mse
+    best_mse, best_eps, _ = reference.shape_sweep(obs, centres, FitMode.F)[0]
     assert s.params.shape == best_eps
-    assert training_mse(s, obs, FitMode.F) == pytest.approx(best_mse, rel=1e-12)
+    assert training_mse(s, obs) == pytest.approx(best_mse, rel=1e-12)
 
 
 def test_fit_surrogate_tie_breaks_to_smallest_shape():
@@ -283,27 +274,17 @@ def study_cell_observations(mode, n_centres):
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
-    # the sweep hoists the geometry and stops at the kernel-floor tail; a
-    # plain solve of every candidate must pick the same shape and the same
-    # coefficient bytes
+    # the sweep hoists the geometry and stops at the kernel-floor tail; the
+    # reference sweep, which assembles every candidate afresh, must pick the
+    # same shape and the same coefficient bytes
     observations = study_cell_observations(mode, n_centres)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
-    best = None
-    # both sides under the pin the study runs with; 121 solves on a
-    # threaded BLAS are several times slower on small machines
+    # both sides under the pin the study runs with; the reference's solves
+    # on a threaded BLAS are several times slower on small machines
     with single_threaded_blas():
         fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
         centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-        for eps in SHAPE_CANDIDATES:
-            a, b = build_system(observations, centres, KernelParams(float(eps)), mode)
-            try:
-                coef = solve_least_squares(a, b)
-            except NumericalError:
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                mse = float(np.mean((a @ coef - b) ** 2))
-            if np.isfinite(mse) and (best is None or mse < best[0]):
-                best = (mse, float(eps), coef)
+        best = reference.shape_sweep(observations, centres, mode)[0]
     assert fitted.params.shape == best[1]
     assert fitted.coefficients.tobytes() == best[2].tobytes()
 
@@ -365,18 +346,18 @@ def test_sweep_matches_reference_in_tiny_box(mode, monkeypatch):
 def test_normal_matrix_solve_picks_the_truncated_svd_winner(default_run, batch_max, mode):
     # the shipped solve gets V and sigma**2 from the eigenpairs of a^T a; an
     # SVD of a itself, at the same 1e-6 cutoff on sigma, must select the same
-    # shape with the same training MSE on the seed-0 c100 study cells
+    # shape with the same training MSE on the seed-0 c100 study cells.  The
+    # recorded winner is the shipped sweep's (criterion 8 pins it bitwise)
     _, out = default_run
     cell = out / "cells" / f"b{batch_max}_{mode.value}_c100_r0"
     observations = read_observations_csv(cell / "observations.csv")
-    centres = np.array(read_json(cell / "model.json")["centres"])
+    model = read_json(cell / "model.json")
     with single_threaded_blas():
-        shipped, _, _ = reference.shape_sweep(observations, centres, mode)
         exact, _, _ = reference.shape_sweep(
-            observations, centres, mode, reference.truncated_svd_solve
+            observations, np.array(model["centres"]), mode, reference.truncated_svd_solve
         )
-    assert shipped[1] == exact[1]
-    assert shipped[0] == pytest.approx(exact[0], rel=1e-6)
+    assert model["shape"] == exact[1]
+    assert model["training_mse"] == pytest.approx(exact[0], rel=1e-6)
 
 
 def test_study_c100_coefficients_stay_below_1e7(default_run):
