@@ -11,9 +11,14 @@ phi is floored: where ``(eps * r)**2`` exceeds FLOOR_ARG it is exactly
 ``+0.0``, so every nonzero kernel value is a normal double of at least about
 ``2**-511``, and so is the product of any two (the entries of ``a^T a``).
 Without the floor the narrow shapes of a sweep fill the matrices with
-subnormal numbers, which x86 CPUs handle on a slow path.  Every route (the
-sweep, the training MSE, evaluation) goes through value_block, so the floor
-gives the same matrix bits everywhere.
+subnormal numbers, which x86 CPUs handle on a slow path.  The floor has no
+slow path of its own: when no argument passes FLOOR_ARG (all but the
+narrowest shapes) value_block is the plain ``exp(-arg)``, and otherwise it
+clamps the argument at FLOOR_ARG, takes exp and multiplies by the 0/1 mask,
+with no masked write and no ``exp(-inf)``, which numpy's SIMD exp takes on
+a special-value path.  Every route (the sweep, the training MSE,
+evaluation) goes through value_block, so the floor gives the same matrix
+bits everywhere.
 """
 
 from __future__ import annotations
@@ -51,16 +56,23 @@ FLOOR_ARG = 354.0
 def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     """phi = exp(-(eps*r)**2) elementwise over radii r >= 0, written into out.
 
-    phi is +0.0 wherever (eps*r)**2 > FLOOR_ARG: the argument is masked to
-    inf before exp, so exp never produces a subnormal.  out has r's shape
-    and may be r itself.  The ufuncs run in place, so a shape sweep
-    rewrites one buffer per candidate instead of allocating.
+    phi is +0.0 wherever (eps*r)**2 > FLOOR_ARG, so exp never produces a
+    subnormal.  out has r's shape and may be r itself.  The ufuncs run in
+    place, so a shape sweep rewrites one buffer per candidate instead of
+    allocating.
     """
     np.multiply(r, eps, out=out)
     np.square(out, out=out)
-    np.copyto(out, np.inf, where=out > FLOOR_ARG)
+    if out.max(initial=0.0) <= FLOOR_ARG:
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+    # entries past the floor become exp(-FLOOR_ARG) * 0.0 = +0.0 and the
+    # others x * 1.0 = x: the bits of a masked exp, without its slow paths
+    keep = out <= FLOOR_ARG
     np.negative(out, out=out)
-    return np.exp(out, out=out)
+    np.maximum(out, -FLOOR_ARG, out=out)
+    np.exp(out, out=out)
+    return np.multiply(out, keep, out=out)
 
 
 def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernels import (
+    FLOOR_ARG,
     KernelParams,
     NumericalError,
     assemble_gradient_matrix,
@@ -201,17 +202,20 @@ def _sweep(geometry, b, mode):
     rows, so the same system: the sweep stops there.  Those candidates are
     listed as skipped if that system failed, and otherwise cannot win,
     since an equal MSE never displaces a smaller eps.  The tail is
-    recognised from phi itself.
+    recognised from the geometry: fl(fl(eps*r)**2) is monotone in r, so
+    every nonzero radius is past the floor exactly when the smallest one
+    is (t * t rounds as value_block's np.square does).
     """
     a, phi = _system_buffers(geometry, mode)
-    zero_radii = geometry[1].size - np.count_nonzero(geometry[1])
+    r_min = np.min(geometry[1], where=geometry[1] > 0, initial=np.inf)
     eps_list = SHAPE_CANDIDATES.tolist()
     best = None
     skipped: list[float] = []
     for k, eps in enumerate(eps_list):
         _write_system(a, phi, geometry, eps, mode)
         outcome = _solve_candidate(a, b)
-        tail = np.count_nonzero(phi) == zero_radii
+        t = eps * r_min
+        tail = t * t > FLOOR_ARG
         if outcome is None:
             skipped.extend(eps_list[k:] if tail else [eps])
         # strict < keeps the earliest, i.e. smallest, eps on ties
@@ -252,10 +256,33 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     )
 
 
+# rows of points per kernel matrix in predict_values: a 1024 x 100 block is
+# 0.8 MB, where the 10201-node report grid in one piece is 8.2 MB
+_EVAL_ROWS = 1024
+
+
 def predict_values(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
-    """Surrogate values at an (n, d) array of points, offset included."""
-    a = assemble_value_matrix(points, surrogate.centres, surrogate.params)
-    return a @ surrogate.coefficients + surrogate.offset
+    """Surrogate values at an (n, d) array of points, offset included.
+
+    The points go through in blocks of at most _EVAL_ROWS rows, so no
+    N x M kernel matrix is built whole, and the values are bitwise those of
+    one product over all points.  Single-threaded OpenBLAS dgemv (its
+    x86-64 kernel) takes the rows in groups of 4 and the last n % 4 on
+    their own, so blocks starting at multiples of 16 group every row as one
+    product does.  A one-row block would go to numpy's dot product instead,
+    so when one row is left over the last two blocks are _EVAL_ROWS - 16
+    and 17 rows.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    out = np.empty(n)
+    bounds = [*range(0, n, _EVAL_ROWS), n]
+    if n > 1 and n - bounds[-2] == 1:
+        bounds[-2] -= 16
+    for start, stop in zip(bounds, bounds[1:]):
+        a = assemble_value_matrix(points[start:stop], surrogate.centres, surrogate.params)
+        np.add(a @ surrogate.coefficients, surrogate.offset, out=out[start:stop])
+    return out
 
 
 def predict_gradients(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ red square on the given node, conventionally the lowest sampled value.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from .analysis import SurfaceGrid
@@ -16,7 +18,6 @@ from .artifacts import _open_out
 
 _LOW = np.array((13, 8, 135))
 _HIGH = np.array((240, 249, 33))
-_HEX = [f"{k:02x}" for k in range(256)]
 
 
 def _node_index(grid, point, axis: int) -> int:
@@ -37,24 +38,22 @@ def render_heatmap_svg(surface: SurfaceGrid, path, marker=None) -> None:
     vmin = float(values.min())
     span = float(values.max()) - vmin
     t = np.zeros_like(values) if span == 0 else (values - vmin) / span
-    # np.rint rounds half to even, as Python's round does
-    rgb = np.rint(_LOW + t[..., None] * (_HIGH - _LOW)).astype(int).tolist()
+    # np.rint rounds half to even, as Python's round does; the three bytes
+    # of a node in hex are its colour, six characters per node
+    rgb = np.rint(_LOW + t[..., None] * (_HIGH - _LOW)).astype(np.uint8)
+    colours = np.array([rgb.tobytes().hex()]).view("U6").reshape(res, res).tolist()
     heads = [f'<rect x="{i * px}" y="' for i in range(res)]
     tail = f'" width="{px}" height="{px}" fill="#'
+    end = repeat('"/>\n')
     with _open_out(path) as f:
         f.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">\n'
         )
         # one write per grid row j, drawn at height (res - 1 - j) * px
-        for j, row in enumerate(rgb):
-            y = (res - 1 - j) * px
-            f.write(
-                "".join(
-                    f'{head}{y}{tail}{_HEX[r]}{_HEX[g]}{_HEX[b]}"/>\n'
-                    for head, (r, g, b) in zip(heads, row)
-                )
-            )
+        for j, row in enumerate(colours):
+            mid = repeat(f"{(res - 1 - j) * px}{tail}")
+            f.write("".join(chain.from_iterable(zip(heads, mid, row, end))))
         if marker is not None:
             i = _node_index(grid, marker, 0)
             j = _node_index(grid, marker, 1)

@@ -7,7 +7,8 @@ the most direct form: each node's batch from its own `Stream.derive`/
 rectangle per node or observation.  The shape sweep here assembles every
 candidate's system afresh and compares it with the previous one, and
 truncated_svd_solve is the solve the shipped normal-matrix solver stands in
-for, computed from an SVD of the system itself.  Tests
+for, computed from an SVD of the system itself.  predict_values_one_shot
+evaluates a surrogate from one kernel matrix over all points.  Tests
 assert that the shipped code gives bitwise the same observations, fits
 and byte for byte the same files.
 """
@@ -23,7 +24,12 @@ from gradsurf.problem import (
     Observations,
     model_predict,
 )
-from gradsurf.kernels import FLOOR_ARG, NumericalError, solve_least_squares
+from gradsurf.kernels import (
+    FLOOR_ARG,
+    NumericalError,
+    assemble_value_matrix,
+    solve_least_squares,
+)
 from gradsurf.rng import Stream
 from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode
 
@@ -219,3 +225,9 @@ def shape_sweep(
         elif best is None or outcome[0] < best[0]:
             best = (outcome[0], eps, outcome[1])
     return best, skipped, solves
+
+
+def predict_values_one_shot(surrogate, points) -> np.ndarray:
+    """Surrogate values from one N x M kernel matrix over all points, offset included."""
+    a = assemble_value_matrix(points, surrogate.centres, surrogate.params)
+    return a @ surrogate.coefficients + surrogate.offset

@@ -7,12 +7,14 @@ import pytest
 import reference
 
 import gradsurf.surrogate
+from gradsurf.analysis import evaluate_surface
 from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
     FLOOR_ARG,
     KernelParams,
+    assemble_value_matrix,
     pairwise,
     single_threaded_blas,
     solve_least_squares,
@@ -271,29 +273,15 @@ def study_cell_observations(mode, n_centres):
     )
 
 
-@pytest.mark.parametrize("mode", list(FitMode))
-@pytest.mark.parametrize("n_centres", [1, 100])
-def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
-    # the sweep hoists the geometry and stops at the kernel-floor tail; the
-    # reference sweep, which assembles every candidate afresh, must pick the
-    # same shape and the same coefficient bytes
-    observations = study_cell_observations(mode, n_centres)
-    recipe = FitRecipe(mode=mode, n_centres=n_centres)
-    # both sides under the pin the study runs with; the reference's solves
-    # on a threaded BLAS are several times slower on small machines
-    with single_threaded_blas():
-        fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
-        centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-        best = reference.shape_sweep(observations, centres, mode)[0]
-    assert fitted.params.shape == best[1]
-    assert fitted.coefficients.tobytes() == best[2].tobytes()
-
-
 def sweep_against_reference(observations, mode, n_centres, monkeypatch):
-    """Run the shipped sweep and the reference sweep on one centre draw.
+    """Run the shipped sweep, fit_surrogate and the reference sweep on one centre draw.
 
-    Asserts the same winner (eps, MSE, coefficient bytes) and the same
-    skipped list; returns (shipped solves, reference distinct systems).
+    The reference assembles every candidate afresh, where the shipped sweep
+    hoists the geometry and stops at the kernel-floor tail.  Asserts the
+    same winner (eps, MSE, coefficient bytes) and the same skipped list
+    from _sweep, and the same shape and coefficient bytes from
+    fit_surrogate (or a FitFailure listing the same skipped eps); returns
+    (shipped solves, reference distinct systems) of the _sweep call.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
@@ -303,14 +291,25 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch):
         solves.append(a.shape)
         return solve_least_squares(a, b)
 
-    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_solve)
+    # all under the pin the study runs with; the reference's solves on a
+    # threaded BLAS are several times slower on small machines
     with single_threaded_blas():
+        want, want_skipped, distinct = reference.shape_sweep(observations, centres, mode)
+        # fit_surrogate draws the same centres from the same stream
+        if want is None:
+            with pytest.raises(FitFailure) as err:
+                fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
+            assert err.value.skipped == want_skipped
+        else:
+            fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
+            assert fitted.params.shape == want[1]
+            assert fitted.coefficients.tobytes() == want[2].tobytes()
+        monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_solve)
         best, skipped = _sweep(
             pairwise(observations.points, centres),
             _targets(observations, mode),
             mode,
         )
-        want, want_skipped, distinct = reference.shape_sweep(observations, centres, mode)
     assert skipped == want_skipped
     assert (best is None) == (want is None)
     if best is not None:
@@ -444,6 +443,52 @@ def test_predict_values_matches_pointwise_evaluate():
     batch = predict_values(s, pts)
     single = np.array([predict_values(s, p[None, :])[0] for p in pts])
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+
+def study_surrogate(out, mode):
+    """The recorded surrogate of the seed-0 default-study cell b3/<mode>/c100/r0."""
+    model = read_json(out / "cells" / f"b3_{mode.value}_c100_r0" / "model.json")
+    return Surrogate(
+        centres=np.array(model["centres"]),
+        coefficients=np.array(model["coefficients"]),
+        params=KernelParams(model["shape"]),
+        mode=mode,
+        offset=model["offset"],
+    )
+
+
+@pytest.mark.parametrize("mode", [FitMode.F, FitMode.G])
+def test_predict_values_in_blocks_equals_one_shot_product(default_run, mode):
+    # the blocks start at multiples of _EVAL_ROWS, itself a multiple of 16,
+    # so each value is the dot product the one-shot product computes; the
+    # g surrogate is translated, so the offset is added in every block
+    s = study_surrogate(default_run[1], mode)
+    assert (s.offset != 0.0) == (mode is FitMode.G)
+    grid_points = ExperimentConfig().report_grid.points()
+    rows = gradsurf.surrogate._EVAL_ROWS
+    with single_threaded_blas():
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, grid_points.shape[0]):
+            points = grid_points[-n:]
+            got = predict_values(s, points)
+            assert got.tobytes() == reference.predict_values_one_shot(s, points).tobytes()
+
+
+def test_report_grid_is_evaluated_in_blocks_of_at_most_eval_rows(monkeypatch):
+    calls = []
+
+    def recording(points, centres, params):
+        calls.append(points)
+        return assemble_value_matrix(points, centres, params)
+
+    monkeypatch.setattr(gradsurf.surrogate, "assemble_value_matrix", recording)
+    grid = ExperimentConfig().report_grid
+    s = random_surrogate(derive_stream(16, "blocks"), eps=0.8, m=100)
+    evaluate_surface(s, grid)
+    rows = gradsurf.surrogate._EVAL_ROWS
+    assert len(calls) == -(-grid.points().shape[0] // rows) == 10
+    assert all(points.shape[0] <= rows for points in calls)
+    # every grid row once, in order
+    assert np.array_equal(np.concatenate(calls), grid.points())
 
 
 def test_evaluate_gradient_ignores_offset():
