@@ -1,5 +1,6 @@
 """Surrogate fitting: recipes, sweeps, evaluation and zero-translation."""
 
+import functools
 import math
 
 import numpy as np
@@ -273,7 +274,37 @@ def study_cell_observations(mode, n_centres):
     )
 
 
-def sweep_against_reference(observations, mode, n_centres, monkeypatch):
+@functools.cache
+def study_cell_reference(mode, n_centres):
+    """(observations, reference sweep) of a study cell on the fit's centre draw.
+
+    Cached: the reference sweep, which assembles every candidate afresh, is
+    the slow side of each comparison, and two tests compare against it.
+    """
+    observations = study_cell_observations(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    # under the pin the study runs with; the reference's solves on a
+    # threaded BLAS are several times slower on small machines
+    with single_threaded_blas():
+        return observations, reference.shape_sweep(observations, centres, mode)
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
+    # the sweep hoists the geometry and stops at the kernel-floor tail; the
+    # reference sweep, which assembles every candidate afresh, must pick the
+    # same shape and the same coefficient bytes
+    observations, (best, _, _) = study_cell_reference(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    with single_threaded_blas():
+        fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
+    assert fitted.params.shape == best[1]
+    assert fitted.coefficients.tobytes() == best[2].tobytes()
+
+
+def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=None):
     """Run the shipped sweep, fit_surrogate and the reference sweep on one centre draw.
 
     The reference assembles every candidate afresh, where the shipped sweep
@@ -282,6 +313,7 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch):
     from _sweep, and the same shape and coefficient bytes from
     fit_surrogate (or a FitFailure listing the same skipped eps); returns
     (shipped solves, reference distinct systems) of the _sweep call.
+    swept, if given, is the reference sweep already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
@@ -294,7 +326,9 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch):
     # all under the pin the study runs with; the reference's solves on a
     # threaded BLAS are several times slower on small machines
     with single_threaded_blas():
-        want, want_skipped, distinct = reference.shape_sweep(observations, centres, mode)
+        if swept is None:
+            swept = reference.shape_sweep(observations, centres, mode)
+        want, want_skipped, distinct = swept
         # fit_surrogate draws the same centres from the same stream
         if want is None:
             with pytest.raises(FitFailure) as err:
@@ -324,8 +358,10 @@ def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
     # the kernel floor zeroes every off-centre phi from eps ~ 113 on; the
     # sweep solves the 81 candidates below that and the first tail candidate
     # (eps ~ 119) once each, and leaves the other 39 of the 121 unsolved
-    observations = study_cell_observations(mode, n_centres)
-    solves, distinct = sweep_against_reference(observations, mode, n_centres, monkeypatch)
+    observations, swept = study_cell_reference(mode, n_centres)
+    solves, distinct = sweep_against_reference(
+        observations, mode, n_centres, monkeypatch, swept
+    )
     assert solves == distinct == 82
 
 
