@@ -19,6 +19,14 @@ with no masked write and no ``exp(-inf)``, which numpy's SIMD exp takes on
 a special-value path.  Every route (the sweep, the training MSE,
 evaluation) goes through value_block, so the floor gives the same matrix
 bits everywhere.
+
+solve_least_squares is the truncated-SVD solve from the eigenpairs of
+``a^T a``.  A shape sweep screens its candidates with a SweepSolver
+instead: it forms ``a^T a`` with the same checks, and proves the rank
+eigh would find by a shifted Cholesky factorization (every eigenvalue
+kept) or a Rayleigh-Ritz step on the previous candidate's leading
+vectors (few kept), falling back to eigh.  Its solutions are not bitwise
+solve_least_squares's, so the sweep re-solves the candidates that may win.
 """
 
 from __future__ import annotations
@@ -159,6 +167,42 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
 REL_TOL = 1e-12  # on eigenvalues of a^T a; sqrt(REL_TOL) = 1e-6 on singular values of a
 
 
+# the solve helpers below run under np.errstate(over="ignore",
+# invalid="ignore"), held by their callers: they check for overflow
+# themselves
+
+
+def _normal_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(G, a^T b) with G = a^T a, after the input and overflow checks of solve_least_squares."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("matrix must be 2-d")
+    if b.ndim != 1 or b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match matrix rows {a.shape[0]}")
+    g, atb = a.T @ a, a.T @ b
+    # non-finite a_ij makes G_jj non-finite, and non-finite b_i every (a^T b)_j
+    if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(atb).all()):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("matrix and rhs must be finite")
+        raise NumericalError("normal matrix overflowed")
+    return g, atb
+
+
+def _eigh_solve(g: np.ndarray, atb: np.ndarray):
+    """(x, lam, v, keep): the truncated eigen-solve of G x = a^T b, eigenvalues ascending."""
+    try:
+        lam, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve failed: {exc}") from exc
+    keep = lam > REL_TOL * lam.max(initial=0.0)
+    vk = v[:, keep]
+    x = vk @ ((vk.T @ atb) / lam[keep])
+    if not np.isfinite(x).all():
+        raise NumericalError("least-squares solution is not finite")
+    return x, lam, v, keep
+
+
 def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated-SVD least-squares solution of a @ x = b, via the normal matrix.
 
@@ -170,29 +214,140 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     eigensolve or a non-finite x raise NumericalError, so sweeps can skip
     the candidate.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-d")
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs shape {b.shape} does not match matrix rows {a.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        g, atb = a.T @ a, a.T @ b
-        # non-finite a_ij makes G_jj non-finite, and non-finite b_i every (a^T b)_j
-        if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(atb).all()):
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise ValueError("matrix and rhs must be finite")
-            raise NumericalError("normal matrix overflowed")
-        try:
-            lam, v = np.linalg.eigh(g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolve failed: {exc}") from exc
-        keep = lam > REL_TOL * lam.max(initial=0.0)
-        v = v[:, keep]
-        x = v @ ((v.T @ atb) / lam[keep])
-    if not np.isfinite(x).all():
-        raise NumericalError("least-squares solution is not finite")
-    return x
+        return _eigh_solve(*_normal_system(a, b))[0]
+
+
+# the block route's columns beyond the previous candidate's rank
+_MARGIN = 12
+# the narrowest system worth screening: below it the block route cannot
+# apply even at rank 1, and an eigensolve of so few columns costs no more
+# than the screen, so a sweep solves such systems with solve_least_squares
+SCREEN_MIN_COLS = 2 * (_MARGIN + 1)
+# the certificates: an eigenvalue proven above _KEEP times the cutoff is
+# kept by eigh, one proven below _DROP times the cutoff is dropped.  The
+# factors leave room for the rounding of eigh and of the factorizations,
+# about M * u * lam_max, 1e-14 * lam_max against a cutoff of 1e-12 * lam_max
+_KEEP = 1.1
+_DROP = 0.9
+
+
+def _shift_diagonal(m: np.ndarray, shift: float) -> np.ndarray:
+    """m + shift * I, in place on a square C-contiguous m."""
+    m.reshape(-1)[:: m.shape[0] + 1] += shift
+    return m
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the symmetric m succeeds."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _full_rank_solve(g, atb):
+    """(x, M, None, "full") if G is certified to keep all M eigenvalues, else None.
+
+    tau = REL_TOL * ||G||_F is at least REL_TOL * lam_max.  If
+    G - _KEEP * tau * I factors, lam_min > _KEEP * tau, so eigh keeps every
+    eigenvalue and the truncated solve is the plain solve of G x = a^T b.
+    """
+    tau = REL_TOL * float(np.linalg.norm(g))
+    if not _positive_definite(_shift_diagonal(g.copy(), -_KEEP * tau)):
+        return None
+    return np.linalg.solve(g, atb), g.shape[0], None, "full"
+
+
+def _block_solve(g, atb, basis):
+    """(x, k, Ritz vectors, "block") if a block step certifies eigh's k, else None.
+
+    One product by G of the starting basis and a QR give Q; the Ritz pairs
+    (theta, U) of G on Q come from eigh(Q^T G Q), and the cutoff is
+    REL_TOL * theta_max.  The result is accepted only if the block is not
+    saturated (its smallest theta is below the cutoff), the k kept theta
+    are at least _KEEP times the cutoff, and
+    _DROP * cutoff * I - (G - U_k Theta_k U_k^T) factors.  By Cauchy
+    interlacing lam_i >= theta_i, and by Weyl's inequality lam_{k+1} and
+    lam_max - theta_max are below _DROP * cutoff: eigh keeps exactly these
+    k.  x = U_k Theta_k^-1 U_k^T a^T b is then the least-squares solution
+    over span(U_k), close to, but not bitwise, eigh's.  The Ritz vectors are
+    returned in descending order of theta.
+    """
+    q = np.linalg.qr(g @ basis)[0]
+    theta, w = np.linalg.eigh(q.T @ (g @ q))
+    cutoff = REL_TOL * theta[-1]
+    # k >= 1 whenever the cutoff is positive and finite
+    k = int(np.count_nonzero(theta > cutoff))
+    if not (0 < cutoff < np.inf and theta[0] < cutoff and theta[-k] >= _KEEP * cutoff):
+        return None
+    u = q @ w[:, ::-1]
+    uk, theta_k = u[:, :k], theta[: -k - 1 : -1]
+    if not _positive_definite(_shift_diagonal((uk * theta_k) @ uk.T - g, _DROP * cutoff)):
+        return None
+    return uk @ ((uk.T @ atb) / theta_k), k, u, "block"
+
+
+class SweepSolver:
+    """The solves of one shape sweep, screened by rank certificates.
+
+    Along a sweep the cutoff keeps either few eigenvalues of G = a^T a (the
+    flat limit's polynomial ranks 1, 3, 10, ...) or all of them, and the
+    rank never fell from one candidate to the next in the measured study
+    cells.  So each solve carries the previous candidate's kept count k and
+    its leading eigen- or Ritz vectors (rank and basis), and takes the
+    first route that applies:
+
+    1. full rank: the previous candidate kept all M eigenvalues, and a
+       shifted Cholesky factorization proves this one does too
+       (_full_rank_solve);
+    2. block: k + _MARGIN <= M // 2, and a Rayleigh-Ritz step on the
+       previous candidate's leading k + _MARGIN vectors certifies eigh's
+       kept count (_block_solve).  After a block step whose rank rose, the
+       block holds fewer than k + _MARGIN Ritz vectors, and all are used;
+    3. otherwise the eigh solve of solve_least_squares, bit for bit.
+
+    Routes 1 and 2 keep exactly the eigenvalues eigh keeps, but their x,
+    and so the candidate's MSE, is not bitwise eigh's: the MSE differs in
+    about the 14th digit on route 1 and by up to about 1e-3 relative on
+    route 2.  So a sweep re-solves the candidates that may win with
+    solve_least_squares.  A route that is refused, fails or gives a
+    non-finite x falls back to route 3, so the errors are
+    solve_least_squares's on the same input; the one exception is an
+    eigensolve that would fail to converge on a matrix route 1 certifies,
+    as route 1 runs none.  One instance serves one sweep; it is not
+    thread-safe.
+    """
+
+    def __init__(self):
+        self.rank = 0
+        self.basis = None
+
+    def solve(self, a, b) -> tuple[np.ndarray, int, str]:
+        """(x, kept eigenvalue count, route name: "full", "block" or "eigh")."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, atb = _normal_system(a, b)
+            m = g.shape[0]
+            solved = None
+            if self.rank == m or self.basis is not None:
+                try:
+                    if self.rank == m:
+                        solved = _full_rank_solve(g, atb)
+                    else:
+                        solved = _block_solve(g, atb, self.basis)
+                except np.linalg.LinAlgError:
+                    pass
+                if solved is not None and not np.isfinite(solved[0]).all():
+                    solved = None
+            if solved is None:
+                x, _, v, keep = _eigh_solve(g, atb)
+                solved = (x, int(np.count_nonzero(keep)), v[:, ::-1], "eigh")
+        x, self.rank, vectors, route = solved
+        width = self.rank + _MARGIN
+        fits = vectors is not None and width <= m // 2
+        self.basis = vectors[:, :width] if fits else None
+        return x, self.rank, route
 
 
 @functools.cache

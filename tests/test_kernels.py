@@ -1,4 +1,4 @@
-"""Kernel evaluation, matrix assembly and the minimum-norm solver.
+"""Kernel evaluation, matrix assembly, the minimum-norm solver and its sweep screen.
 
 Expected values are recomputed in the tests from the defining formulas
 (math.exp, per-entry loops, normal equations) rather than copied from the
@@ -15,8 +15,10 @@ from reference import _system
 
 from gradsurf.kernels import (
     FLOOR_ARG,
+    REL_TOL,
     KernelParams,
     NumericalError,
+    SweepSolver,
     assemble_gradient_matrix,
     assemble_value_matrix,
     gradient_block,
@@ -352,3 +354,138 @@ def test_solve_rejects_bad_shapes():
 def test_numerical_error_is_distinct_from_input_error():
     assert issubclass(NumericalError, RuntimeError)
     assert not issubclass(NumericalError, ValueError)
+
+
+def system_with_spectrum(lam, label):
+    """(a, b) with a^T a = Q diag(lam) Q^T up to rounding, Q a random orthogonal matrix."""
+    stream = derive_stream(31, f"kernel/spectrum/{label}")
+    m = len(lam)
+    q = np.linalg.qr(np.array([[stream.uniform(-1, 1) for _ in range(m)] for _ in range(m)]))[0]
+    b = np.array([stream.uniform(-1, 1) for _ in range(m)])
+    return np.sqrt(np.asarray(lam))[:, None] * q.T, b, q
+
+
+def sweep_solver(rank=0, basis=None):
+    """A SweepSolver as a previous candidate with this kept count and basis left it."""
+    solver = SweepSolver()
+    solver.rank, solver.basis = rank, basis
+    return solver
+
+
+def test_sweep_solver_takes_the_full_rank_route_when_lam_min_clears_the_cutoff():
+    lam = np.geomspace(1.0, 1e-6, 30)
+    a, b, _ = system_with_spectrum(lam, "full")
+    x, kept, route = sweep_solver(rank=30).solve(a, b)
+    assert (kept, route) == (30, "full")
+    assert np.allclose(x, solve_least_squares(a, b), rtol=1e-8)
+
+
+# (route state, kept eigenvalues, spectrum); lam_max = 1 dominates, so
+# ||G||_F is lam_max to 1e-6 and the cutoff is REL_TOL
+NEAR_CUTOFF = {
+    # the smallest of 30 kept is 1.05 times the cutoff
+    "full": (30, [1.0, *np.geomspace(1e-3, 1e-11, 28), 1.05 * REL_TOL]),
+    # the smallest of 4 kept is 1.05 times the cutoff
+    "block-kept": (4, [1.0, 0.3, 0.1, 1.05 * REL_TOL, *[1e-15] * 36]),
+    # the largest dropped is 0.95 times the cutoff
+    "block-dropped": (3, [1.0, 0.3, 0.1, 0.95 * REL_TOL, *[1e-15] * 36]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_CUTOFF))
+def test_sweep_solver_refuses_an_eigenvalue_near_the_cutoff(case):
+    # eigh keeps or drops it, but the certificates need a margin, so the
+    # solve falls back to eigh
+    kept_want, lam = NEAR_CUTOFF[case]
+    a, b, q = system_with_spectrum(lam, f"near/{case}")
+    if case == "full":
+        solver = sweep_solver(rank=30)
+    else:
+        solver = sweep_solver(rank=4, basis=q[:, :16])
+    x, kept, route = solver.solve(a, b)
+    assert (kept, route) == (kept_want, "eigh")
+    assert x.tobytes() == solve_least_squares(a, b).tobytes()
+
+
+def test_sweep_solver_takes_the_block_route_from_the_previous_eigenvectors():
+    lam = np.concatenate([[1.0, 0.3, 0.1], np.full(37, 1e-15)])
+    a, b, q = system_with_spectrum(lam, "block")
+    x, kept, route = sweep_solver(rank=3, basis=q[:, :15]).solve(a, b)
+    assert (kept, route) == (3, "block")
+    assert np.allclose(x, solve_least_squares(a, b), rtol=1e-9)
+
+
+def test_sweep_solver_refuses_a_stale_block_missing_the_dominant_eigenvector():
+    # the block spans the next 15 eigenvectors, orthogonal to the first: its
+    # Ritz values miss lam_max, and the residual certificate refuses it
+    lam = np.concatenate([[1.0, 0.3, 0.1], np.full(37, 1e-15)])
+    a, b, q = system_with_spectrum(lam, "stale")
+    x, kept, route = sweep_solver(rank=3, basis=q[:, 1:16]).solve(a, b)
+    assert (kept, route) == (3, "eigh")
+    assert x.tobytes() == solve_least_squares(a, b).tobytes()
+
+
+def test_sweep_solver_refuses_a_saturated_block():
+    # the previous rank was 1, so the block has 13 vectors; this system
+    # keeps 20, more than the block holds
+    lam = np.concatenate([np.geomspace(1.0, 1e-6, 20), np.full(40, 1e-15)])
+    a, b, q = system_with_spectrum(lam, "saturated")
+    x, kept, route = sweep_solver(rank=1, basis=q[:, :13]).solve(a, b)
+    assert (kept, route) == (20, "eigh")
+    assert x.tobytes() == solve_least_squares(a, b).tobytes()
+
+
+@pytest.mark.parametrize("state", ["fresh", "full", "block"])
+def test_sweep_solver_gives_exact_zeros_for_the_all_zero_tail_system(state):
+    # the g-mode system in the kernel-floor tail, wide enough to be screened
+    a = np.zeros((60, 30))
+    a[::2] = -0.0
+    basis = np.eye(30)[:, :13] if state == "block" else None
+    solver = sweep_solver(rank={"fresh": 0, "full": 30, "block": 1}[state], basis=basis)
+    x, kept, route = solver.solve(a, np.linspace(-1.0, 1.0, 60))
+    assert (kept, route) == (0, "eigh")
+    assert x.tobytes() == np.zeros(30).tobytes()
+
+
+def sweep_solver_states(m):
+    """A fresh solver and solvers poised for the full-rank and the block route."""
+    return [sweep_solver(), sweep_solver(rank=m), sweep_solver(rank=1, basis=np.eye(m)[:, :13])]
+
+
+ERROR_CASES = [
+    # (a, b, error): the narrow systems of the solve_least_squares tests, and
+    # wide ones that reach the screened routes
+    (np.array([[np.inf, 1.0]]), np.array([1.0]), ValueError),
+    (np.eye(2), np.array([np.nan, 0.0]), ValueError),
+    (np.full((4, 2), 1e200), np.ones(4), NumericalError),
+    (np.array([[1e-155]]), np.array([1e300]), NumericalError),
+    (np.where(np.eye(30), np.inf, 1.0), np.ones(30), ValueError),
+    (np.eye(30), np.full(30, np.nan), ValueError),
+    (np.full((40, 30), 1e200), np.ones(40), NumericalError),
+    # G = 1e-310 * I factors, but x = 1e145 / 1e-310 overflows
+    (1e-155 * np.eye(30), np.full(30, 1e300), NumericalError),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ERROR_CASES)))
+def test_sweep_solver_raises_where_solve_least_squares_raises(case):
+    a, b, error = ERROR_CASES[case]
+    with pytest.raises(error):
+        solve_least_squares(a, b)
+    for solver in sweep_solver_states(a.shape[1]):
+        with pytest.raises(error):
+            solver.solve(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 30])
+def test_sweep_solver_maps_a_failed_eigensolve_to_numerical_error(monkeypatch, m):
+    # the block route's small eigensolve fails too, and falls back; route 1
+    # runs no eigensolve, so its state is left out
+    def fail(g):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    fresh, _, block = sweep_solver_states(m)
+    for solver in (fresh, block):
+        with pytest.raises(NumericalError, match="did not converge"):
+            solver.solve(np.eye(m), np.ones(m))

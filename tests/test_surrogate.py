@@ -14,7 +14,9 @@ from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
     FLOOR_ARG,
+    REL_TOL,
     KernelParams,
+    SweepSolver,
     assemble_value_matrix,
     pairwise,
     single_threaded_blas,
@@ -34,6 +36,8 @@ from gradsurf.surrogate import (
     FitMode,
     FitRecipe,
     Surrogate,
+    _MSE_BAND,
+    _mse,
     _sweep,
     _system_buffers,
     _targets,
@@ -307,20 +311,33 @@ def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
 def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=None):
     """Run the shipped sweep, fit_surrogate and the reference sweep on one centre draw.
 
-    The reference assembles every candidate afresh, where the shipped sweep
-    hoists the geometry and stops at the kernel-floor tail.  Asserts the
-    same winner (eps, MSE, coefficient bytes) and the same skipped list
-    from _sweep, and the same shape and coefficient bytes from
-    fit_surrogate (or a FitFailure listing the same skipped eps); returns
-    (shipped solves, reference distinct systems) of the _sweep call.
-    swept, if given, is the reference sweep already run on this draw.
+    The reference assembles every candidate afresh and solves it with
+    solve_least_squares, where the shipped sweep hoists the geometry, stops
+    at the kernel-floor tail and screens each candidate.  Asserts the same
+    winner (eps, MSE, coefficient bytes) and the same skipped list from
+    _sweep, and the same shape and coefficient bytes from fit_surrogate (or
+    a FitFailure listing the same skipped eps); returns (screened solves,
+    exact re-solves, reference distinct systems) of the _sweep call: the
+    calls of _screen_candidate, and those of solve_least_squares made
+    after the screening pass.  swept, if given, is the reference sweep
+    already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-    solves = []
+    screen = gradsurf.surrogate._screen_candidate
+    screened, resolved, screening = [], [], []
+
+    def counting_screen(solver, a, b):
+        screened.append(a.shape)
+        screening.append(True)
+        try:
+            return screen(solver, a, b)
+        finally:
+            screening.pop()
 
     def counting_solve(a, b):
-        solves.append(a.shape)
+        if not screening:
+            resolved.append(a.shape)
         return solve_least_squares(a, b)
 
     # all under the pin the study runs with; the reference's solves on a
@@ -338,6 +355,7 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
             fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
             assert fitted.params.shape == want[1]
             assert fitted.coefficients.tobytes() == want[2].tobytes()
+        monkeypatch.setattr(gradsurf.surrogate, "_screen_candidate", counting_screen)
         monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_solve)
         best, skipped = _sweep(
             pairwise(observations.points, centres),
@@ -349,20 +367,146 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     if best is not None:
         assert best[:2] == want[:2]
         assert best[2].tobytes() == want[2].tobytes()
-    return len(solves), distinct
+    return len(screened), len(resolved), distinct
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
     # the kernel floor zeroes every off-centre phi from eps ~ 113 on; the
-    # sweep solves the 81 candidates below that and the first tail candidate
-    # (eps ~ 119) once each, and leaves the other 39 of the 121 unsolved
+    # sweep screens the 81 candidates below that and the first tail
+    # candidate (eps ~ 119) once each, and leaves the other 39 of the 121
+    # unsolved.  A one-centre system is too narrow to screen, so every
+    # solve is exact; a c100 sweep re-solves only the candidates off the
+    # eigh route whose screened MSE is within the band of the best (0, 0
+    # and 1 for f, fg and g when measured)
     observations, swept = study_cell_reference(mode, n_centres)
-    solves, distinct = sweep_against_reference(
+    screened, resolved, distinct = sweep_against_reference(
         observations, mode, n_centres, monkeypatch, swept
     )
-    assert solves == distinct == 82
+    assert screened == distinct == 82
+    assert resolved <= (0 if n_centres == 1 else 2)
+
+
+def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
+    # every candidate the sweep solves in the six seed-0 study cells, on the
+    # fit's centre draw: the screen keeps as many eigenvalues as eigh does,
+    # and its MSE is within half the band of the exact one, as selection
+    # assumes.  The sweep does not screen the one-centre systems, but the
+    # screen must hold on them too.  Prints the candidates per route and
+    # the largest deviation
+    routes = {}
+    worst = 0.0
+    with single_threaded_blas():
+        for mode in FitMode:
+            for n_centres in (1, 100):
+                counts = routes[f"{mode.value} c{n_centres}"] = dict.fromkeys(
+                    ("full", "block", "eigh"), 0
+                )
+                observations, _ = study_cell_reference(mode, n_centres)
+                recipe = FitRecipe(mode=mode, n_centres=n_centres)
+                centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+                geometry = pairwise(observations.points, centres)
+                a, phi = _system_buffers(geometry, mode)
+                b = _targets(observations, mode)
+                r_min = np.min(geometry[1], where=geometry[1] > 0, initial=np.inf)
+                solver = SweepSolver()
+                for eps in SHAPE_CANDIDATES.tolist():
+                    _write_system(a, phi, geometry, eps, mode)
+                    x, kept, route = solver.solve(a, b)
+                    lam = np.linalg.eigh(a.T @ a)[0]
+                    assert kept == np.count_nonzero(lam > REL_TOL * lam.max()), (mode, eps)
+                    screened, exact = _mse(a, x, b), _mse(a, solve_least_squares(a, b), b)
+                    deviation = abs(screened - exact) / exact
+                    assert deviation <= _MSE_BAND / 2, (mode, eps, route)
+                    worst = max(worst, deviation)
+                    counts[route] += 1
+                    t = eps * r_min
+                    if t * t > FLOOR_ARG:
+                        break
+    per_cell = (
+        f"{cell}: " + ", ".join(f"{route} {n}" for route, n in counts.items())
+        for cell, counts in routes.items()
+    )
+    print(
+        "ROUTES seed-0 b3 r0 cells, candidates per route: " + "; ".join(per_cell)
+        + f"; largest screened MSE deviation {worst:.2g} (band {_MSE_BAND:g})"
+    )
+    assert all(sum(c.values()) == 82 for c in routes.values())
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("inflate_even", [True, False])
+def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
+    mode, inflate_even, monkeypatch
+):
+    # every screened MSE off by half the band, up and down on alternate
+    # candidates, and none marked exact: the re-solves must still find the
+    # reference winner
+    observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
+    screen = gradsurf.surrogate._screen_candidate
+    calls = []
+
+    def perturbed(solver, a, b):
+        outcome = screen(solver, a, b)
+        calls.append(None)
+        if outcome is None:
+            return None
+        up = (len(calls) % 2 == 1) == inflate_even
+        return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], False
+
+    monkeypatch.setattr(gradsurf.surrogate, "_screen_candidate", perturbed)
+    recipe = FitRecipe(mode=mode, n_centres=100)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    with single_threaded_blas():
+        best, skipped = _sweep(
+            pairwise(observations.points, centres), _targets(observations, mode), mode
+        )
+    assert skipped == want_skipped
+    assert best[:2] == want[:2]
+    assert best[2].tobytes() == want[2].tobytes()
+
+
+class ExactSolver:
+    """A SweepSolver stand-in that solves every candidate with solve_least_squares."""
+
+    def solve(self, a, b):
+        return solve_least_squares(a, b), None, "eigh"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_winner_equals_the_all_eigh_sweep_on_held_out_seeds(seed, monkeypatch):
+    # every c100 cell of the default study at seeds 1 and 2, which no
+    # constant of the screen was tuned on
+    config = ExperimentConfig()
+    data = generate_full_batch()
+    winners = []
+    with single_threaded_blas():
+        for batch_max in config.batch_max_list:
+            for mode in FitMode:
+                for repeat in range(config.repeats):
+                    cell = RunCell(batch_max=batch_max, mode=mode, n_centres=100, repeat=repeat)
+                    cell_seed = cell.derived_seed(seed)
+                    observations = sample_loss_surface(
+                        config.train_grid,
+                        data,
+                        MiniBatchPolicy(batch_max),
+                        derive_stream(cell_seed, "sample"),
+                    )
+                    recipe = FitRecipe(mode=mode, n_centres=100)
+                    centres = sample_centres(
+                        derive_stream(cell_seed, "centres"), observations, recipe
+                    )
+                    args = (pairwise(observations.points, centres), _targets(observations, mode))
+                    got = _sweep(*args, mode)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(gradsurf.surrogate, "SweepSolver", ExactSolver)
+                        want = _sweep(*args, mode)
+                    assert got[1] == want[1]
+                    assert got[0][:2] == want[0][:2], cell
+                    assert got[0][2].tobytes() == want[0][2].tobytes(), cell
+                    winners.append(got[0][1])
+    assert len(winners) == 12
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -372,8 +516,8 @@ def test_sweep_matches_reference_in_tiny_box(mode, monkeypatch):
     grid = GridSpec(lower=(0.0, 0.0), upper=(1e-4, 1e-4), resolution=5)
     base = small_observations(5)
     obs = Observations(grid.points(), base.values, base.gradients, base.batch_sizes)
-    solves, _ = sweep_against_reference(obs, mode, 4, monkeypatch)
-    assert solves == SHAPE_CANDIDATES.size
+    screened, resolved, _ = sweep_against_reference(obs, mode, 4, monkeypatch)
+    assert (screened, resolved) == (SHAPE_CANDIDATES.size, 0)
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -416,7 +560,7 @@ def test_sweep_matches_reference_on_coincident_points(mode, monkeypatch):
     base = small_observations(4)
     points = np.full_like(base.points, 0.25)
     obs = Observations(points, base.values, base.gradients, base.batch_sizes)
-    assert sweep_against_reference(obs, mode, 2, monkeypatch) == (1, 1)
+    assert sweep_against_reference(obs, mode, 2, monkeypatch) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -430,17 +574,19 @@ def test_sweep_matches_reference_when_close_pairs_outlast_the_rest(mode, monkeyp
     points = np.repeat(sites, 2, axis=0)
     points[1::2, 0] += 1e-3
     obs = Observations(points, base.values[:24], base.gradients[:24], base.batch_sizes[:24])
-    solves, distinct = sweep_against_reference(obs, mode, 4, monkeypatch)
+    screened, resolved, distinct = sweep_against_reference(obs, mode, 4, monkeypatch)
     tail_start = int(np.searchsorted(SHAPE_CANDIDATES, math.sqrt(FLOOR_ARG) / 1e-3))
-    assert solves == distinct == tail_start + 1 < SHAPE_CANDIDATES.size
+    assert screened == distinct == tail_start + 1 < SHAPE_CANDIDATES.size
+    assert resolved == 0
 
 
 def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
     points = np.column_stack([np.linspace(0.0, 2.0, 6), np.zeros(6)])
     values = 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     obs = Observations(points, values, np.zeros((6, 2)), np.ones(6, dtype=np.intp))
-    solves, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
-    assert solves == distinct < SHAPE_CANDIDATES.size
+    screened, resolved, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
+    assert screened == distinct < SHAPE_CANDIDATES.size
+    assert resolved == 0
 
 
 def test_fresh_fit_has_zero_offset():
