@@ -16,6 +16,7 @@ from gradsurf.kernels import (
     FLOOR_ARG,
     REL_TOL,
     KernelParams,
+    NumericalError,
     SweepSolver,
     assemble_value_matrix,
     pairwise,
@@ -587,6 +588,133 @@ def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
     screened, resolved, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
     assert screened == distinct < SHAPE_CANDIDATES.size
     assert resolved == 0
+
+
+class FailOn:
+    """Picks out one system, compared bitwise, and counts how often it was met."""
+
+    def __init__(self, system):
+        self.system = system
+        self.fired = 0
+
+    def __call__(self, a) -> bool:
+        hit = a.shape == self.system.shape and np.array_equal(a, self.system)
+        self.fired += hit
+        return hit
+
+    def exact(self, a, b):
+        """solve_least_squares, raising NumericalError on the system."""
+        if self(a):
+            raise NumericalError("injected failure")
+        return solve_least_squares(a, b)
+
+
+def winner_system(mode, n_centres):
+    """The seed-0 study cell's system at its reference winner's eps, on the fit's centre draw."""
+    observations, (want, _, _) = study_cell_reference(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    return want[1], reference._system(observations.points, centres, want[1], mode)
+
+
+def sweep_with_injected_failure(mode, n_centres, monkeypatch, exact, solver, reference_solve):
+    """(winner, skipped) of _sweep on a study cell, asserted equal to the reference sweep's.
+
+    exact stands in for gradsurf.surrogate.solve_least_squares and solver
+    for gradsurf.surrogate.SweepSolver; the reference sweep solves every
+    candidate with reference_solve.
+    """
+    observations, _ = study_cell_reference(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    with single_threaded_blas():
+        want, want_skipped, _ = reference.shape_sweep(observations, centres, mode, reference_solve)
+        monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", exact)
+        monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", solver)
+        best, skipped = _sweep(
+            pairwise(observations.points, centres), _targets(observations, mode), mode
+        )
+    assert skipped == want_skipped
+    assert best[:2] == want[:2]
+    assert best[2].tobytes() == want[2].tobytes()
+    return best, skipped
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, monkeypatch):
+    # a one-centre system is solved exactly; its winner's solve fails, so
+    # the winner is skipped and the runner-up wins
+    eps, system = winner_system(mode, 1)
+    fail = FailOn(system)
+    best, skipped = sweep_with_injected_failure(
+        mode, 1, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact
+    )
+    assert fail.fired == 1
+    assert skipped == [eps] and best[1] != eps
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_skips_a_candidate_whose_screened_solve_raises(mode, monkeypatch):
+    # a failed screen is not redone: the exact solve fails where the screen does
+    eps, system = winner_system(mode, 100)
+    fail = FailOn(system)
+
+    class RaisingSolver(SweepSolver):
+        def solve(self, a, b):
+            if fail(a):
+                raise NumericalError("injected failure")
+            return super().solve(a, b)
+
+    best, skipped = sweep_with_injected_failure(
+        mode, 100, monkeypatch, solve_least_squares, RaisingSolver, FailOn(system).exact
+    )
+    assert fail.fired == 1
+    assert skipped == [eps] and best[1] != eps
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_redoes_a_screened_solve_whose_residual_overflows(mode, monkeypatch):
+    # the winner's screened solution, off the eigh route, overflows its
+    # residual: the candidate is solved exactly instead, and still wins
+    eps, system = winner_system(mode, 100)
+    fail, redone = FailOn(system), FailOn(system)
+
+    class OverflowingSolver(SweepSolver):
+        def solve(self, a, b):
+            x, kept, route = super().solve(a, b)
+            if fail(a):
+                return np.full_like(x, 1e300), kept, "block"
+            return x, kept, route
+
+    def counting_exact(a, b):
+        redone(a)
+        return solve_least_squares(a, b)
+
+    best, skipped = sweep_with_injected_failure(
+        mode, 100, monkeypatch, counting_exact, OverflowingSolver, solve_least_squares
+    )
+    assert fail.fired == redone.fired == 1
+    assert skipped == [] and best[1] == eps
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
+    # every screened solve is reported off the eigh route, so the band walk
+    # re-solves each candidate it reaches; the winner's re-solve fails, so it
+    # is listed as skipped and loses to the runner-up
+    eps, system = winner_system(mode, 100)
+    fail = FailOn(system)
+
+    class OffEighSolver(SweepSolver):
+        def solve(self, a, b):
+            x, kept, route = super().solve(a, b)
+            return x, kept, "full" if route == "eigh" else route
+
+    best, skipped = sweep_with_injected_failure(
+        mode, 100, monkeypatch, fail.exact, OffEighSolver, FailOn(system).exact
+    )
+    assert fail.fired == 1
+    assert skipped == [eps] and best[1] != eps
 
 
 def test_fresh_fit_has_zero_offset():
