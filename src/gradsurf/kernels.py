@@ -190,7 +190,7 @@ def _normal_system(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigh_solve(g: np.ndarray, atb: np.ndarray):
-    """(x, lam, v, keep): the truncated eigen-solve of G x = a^T b, eigenvalues ascending."""
+    """(x, v, keep): the truncated eigen-solve of G x = a^T b, eigenvalues ascending."""
     try:
         lam, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:
@@ -200,7 +200,7 @@ def _eigh_solve(g: np.ndarray, atb: np.ndarray):
     x = vk @ ((vk.T @ atb) / lam[keep])
     if not np.isfinite(x).all():
         raise NumericalError("least-squares solution is not finite")
-    return x, lam, v, keep
+    return x, v, keep
 
 
 def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -341,7 +341,7 @@ class SweepSolver:
                 if solved is not None and not np.isfinite(solved[0]).all():
                     solved = None
             if solved is None:
-                x, _, v, keep = _eigh_solve(g, atb)
+                x, v, keep = _eigh_solve(g, atb)
                 solved = (x, int(np.count_nonzero(keep)), v[:, ::-1], "eigh")
         x, self.rank, vectors, route = solved
         width = self.rank + _MARGIN

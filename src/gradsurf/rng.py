@@ -15,7 +15,7 @@ Algorithm summary (all arithmetic mod 2**64):
 * key derivation: ``k = mix64(seed + GOLDEN)`` then, for each UTF-8 byte
   ``b`` of the label, ``k = mix64(k ^ b)``.
 * state expansion: ``s[i] = mix64(key + (i + 1) * GOLDEN)``.
-* output: standard xoshiro256**; uniform doubles take the top 53 bits.
+* output: standard xoshiro256**.
 
 :class:`Lanes` runs many streams side by side on numpy ``uint64`` arrays,
 one stream per lane, through the same functions (numpy arrays wrap mod
@@ -111,10 +111,6 @@ class Stream:
         result, self._s = _next(*self._s)
         return result
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
         if n <= 0:
@@ -124,9 +120,6 @@ class Stream:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
 
     def choose(self, n: int, k: int) -> list[int]:
         """k distinct integers from range(n), in draw order.

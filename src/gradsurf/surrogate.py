@@ -183,45 +183,30 @@ def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     return float(np.mean(r * r))
 
 
-def _mse(a, coef, b):
-    """Training MSE of coefficients on the system a x = b, or None if it is not finite."""
+def _exact(a, b):
+    """solve_least_squares in the form of SweepSolver.solve: (x, no kept count, "eigh")."""
+    return solve_least_squares(a, b), None, "eigh"
+
+
+def _solve(solve, a, b):
+    """(training MSE, coefficients, route) of one candidate, or None if it is skipped.
+
+    solve is _exact or a SweepSolver's solve.  Only the eigh route is
+    solve_least_squares's own; a solve on another route whose MSE is not
+    finite is redone with _exact, so the skipped candidates are those of
+    the exact solve.
+    """
+    try:
+        coef, _, route = solve(a, b)
+    except NumericalError:
+        return None
     # overflow here just means another skipped candidate
     with np.errstate(over="ignore", invalid="ignore"):
         r = a @ coef - b
         mse = float(np.mean(r * r))
-    return mse if np.isfinite(mse) else None
-
-
-def _solve_candidate(a, b):
-    """(training MSE, coefficients) of one candidate's exact solve, or None if it is skipped."""
-    try:
-        coef = solve_least_squares(a, b)
-    except NumericalError:
-        return None
-    mse = _mse(a, coef, b)
-    return None if mse is None else (mse, coef)
-
-
-def _screen_candidate(solver, a, b):
-    """(training MSE, coefficients, exact) of one candidate's screened solve, or None if skipped.
-
-    exact is whether the solve was solve_least_squares's own: the eigh
-    route, or the exact solve itself when solver is None.  A screened solve
-    whose MSE is not finite is redone exactly here, so the skipped
-    candidates are those of the exact solve.
-    """
-    if solver is not None:
-        try:
-            coef, _, route = solver.solve(a, b)
-        except NumericalError:
-            return None
-        mse = _mse(a, coef, b)
-        if route == "eigh":
-            return None if mse is None else (mse, coef, True)
-        if mse is not None:
-            return mse, coef, False
-    outcome = _solve_candidate(a, b)
-    return None if outcome is None else (*outcome, True)
+    if np.isfinite(mse):
+        return mse, coef, route
+    return None if route == "eigh" else _solve(_exact, a, b)
 
 
 # relative band on screened MSEs: a candidate whose screened MSE m has
@@ -237,79 +222,65 @@ def _sweep(geometry, b, mode):
 
     The fit's one design-matrix buffer is rewritten in place for each
     candidate; it is local to the call, since cells fit on worker threads.
+    Each candidate has one outcome, _solve's, or None if it is skipped.
     Once a candidate's phi is zero everywhere off the centres (every
     nonzero radius is past the kernel floor, kernels.FLOOR_ARG), each
     larger eps gives the same 0/1 phi and the same signed-zero gradient
-    rows, so the same system: the sweep stops there.  Those candidates are
-    listed as skipped if that system failed, and otherwise cannot win,
-    since an equal MSE never displaces a smaller eps.  The tail is
-    recognised from the geometry: fl(fl(eps*r)**2) is monotone in r, so
-    every nonzero radius is past the floor exactly when the smallest one
-    is (t * t rounds as value_block's np.square does).
+    rows, so the same system: the sweep stops there, and the rest repeat
+    its outcome.  They cannot win, since an equal MSE never displaces a
+    smaller eps.  The tail is recognised from the geometry: fl(fl(eps*r)**2)
+    is monotone in r, so every nonzero radius is past the floor exactly
+    when the smallest one is (t * t rounds as value_block's np.square does).
 
-    Each candidate of a system with at least kernels.SCREEN_MIN_COLS
-    columns is screened by one kernels.SweepSolver, which solves most
-    systems on a certified full-rank or low-rank route instead of a full
-    eigensolve; narrower systems (one centre) are solved exactly, as an
-    eigensolve of so few columns is as cheap as the screen.  Selection
-    stays exact: the candidates are taken in order of screened MSE, and
-    each not solved exactly is re-assembled and re-solved with
-    solve_least_squares, until the next screened MSE is beyond _MSE_BAND
-    of the best exact one.  The exact MSEs decide, ties going to the
-    smallest eps, so the winner and its coefficient bytes are those of
-    solving every candidate with solve_least_squares.
+    A system with at least kernels.SCREEN_MIN_COLS columns is solved by one
+    kernels.SweepSolver, which takes a certified full-rank or low-rank
+    route instead of a full eigensolve where it can; a narrower system (one
+    centre) is solved by _exact, as an eigensolve of so few columns is as
+    cheap as the screen.  Selection stays exact: the outcomes are taken in
+    order of MSE, and each off the eigh route is re-assembled and replaced
+    by its _exact outcome, until the next MSE is beyond _MSE_BAND of the
+    best exact one.  The exact MSEs decide, ties going to the smallest eps,
+    so the winner and its coefficient bytes are those of solving every
+    candidate with solve_least_squares.
     """
     a, phi = _system_buffers(geometry, mode)
     r_min = np.min(geometry[1], where=geometry[1] > 0, initial=np.inf)
     eps_list = SHAPE_CANDIDATES.tolist()
-    # a system too narrow to screen is solved exactly, with no SweepSolver
-    solver = SweepSolver() if a.shape[1] >= SCREEN_MIN_COLS else None
-    screened = []  # (MSE, candidate index, coefficients, exact) of the solved
-    failed = []  # indices of the skipped
-    for k, eps in enumerate(eps_list):
+    solve = SweepSolver().solve if a.shape[1] >= SCREEN_MIN_COLS else _exact
+    outcomes = []
+    for eps in eps_list:
         _write_system(a, phi, geometry, eps, mode)
-        outcome = _screen_candidate(solver, a, b)
-        if outcome is None:
-            failed.append(k)
-        else:
-            mse, coef, exact = outcome
-            screened.append((mse, k, coef, exact))
+        outcomes.append(_solve(solve, a, b))
         t = eps * r_min
         if t * t > FLOOR_ARG:
             break
-    best = None
-    for mse, i, coef, exact in sorted(screened, key=lambda s: s[:2]):
+    best = None  # (MSE, index) of the best exact outcome
+    for mse, k in sorted((o[0], k) for k, o in enumerate(outcomes) if o is not None):
         if best is not None and mse * (1.0 - _MSE_BAND) > best[0]:
             break
-        if not exact:
-            _write_system(a, phi, geometry, eps_list[i], mode)
-            outcome = _solve_candidate(a, b)
-            if outcome is None:
-                failed.append(i)
+        if outcomes[k][2] != "eigh":
+            _write_system(a, phi, geometry, eps_list[k], mode)
+            outcomes[k] = _solve(_exact, a, b)
+            if outcomes[k] is None:
                 continue
-            mse, coef = outcome
         # ties go to the earliest, i.e. smallest, eps
-        if best is None or (mse, i) < best[:2]:
-            best = (mse, i, coef)
-    failed.sort()
-    skipped = [eps_list[i] for i in failed]
-    if failed and failed[-1] == k:
-        # the tail's systems are the last one solved
-        skipped += eps_list[k + 1 :]
-    return (None if best is None else (best[0], eps_list[best[1]], best[2])), skipped
+        if best is None or (outcomes[k][0], k) < best:
+            best = (outcomes[k][0], k)
+    # the tail's systems are the last one solved
+    outcomes += outcomes[-1:] * (len(eps_list) - len(outcomes))
+    skipped = [eps for eps, outcome in zip(eps_list, outcomes) if outcome is None]
+    if best is None:
+        return None, skipped
+    return (best[0], eps_list[best[1]], outcomes[best[1]][1]), skipped
 
 
 def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surrogate:
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
     Centres are drawn once and shared by every candidate, so the
-    point-centre geometry is computed once per fit, and one system buffer
-    (plus an N x M phi scratch in mode g) serves every candidate.
-    Candidates that fail the solve or give a non-finite training MSE are
-    skipped; among the rest the lowest MSE wins, ties going to the smallest
-    shape.  The sweep stops at the first candidate whose phi is 0.0 off the
-    centres, as every later one has the same system.  Raises
-    FitFailure, listing every skipped eps, if no candidate is left.
+    point-centre geometry is computed once per fit; _sweep solves the
+    candidates and selects.  Raises FitFailure, listing every skipped eps,
+    if no candidate is left.
     """
     centres = sample_centres(stream, observations, recipe)
     best, skipped = _sweep(

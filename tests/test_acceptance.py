@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import reference
 from basins import basin_depths, gradient_resolution
+from draws import uniform
 from reference import batch_gradient, batch_loss, full_batch_observations
 
 from gradsurf.analysis import count_local_minima, negative_fraction
@@ -59,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
     h = 1e-6
     worst_rel = 0.0
     for _ in range(20):
-        w = np.array([stream.uniform(-2, 2), stream.uniform(-2, 2)])
+        w = np.array([uniform(stream, -2, 2), uniform(stream, -2, 2)])
         k = 1 + stream.below(data.xs.size)
         batch = stream.choose(data.xs.size, k)
         fd = np.array(
@@ -86,17 +87,17 @@ def test_criterion_2_surrogate_gradient_consistency():
     stream = derive_stream(0, "acceptance/gradients")
     worst = 0.0
     for _ in range(10):
-        eps = 10.0 ** stream.uniform(-2.0, 2.0)  # shapes up to 1e2
+        eps = 10.0 ** uniform(stream, -2.0, 2.0)  # shapes up to 1e2
         m = 5
-        centres = np.array([[stream.uniform(-2, 2), stream.uniform(-2, 2)] for _ in range(m)])
-        coef = np.array([stream.uniform(-2, 2) for _ in range(m)])
+        centres = np.array([[uniform(stream, -2, 2), uniform(stream, -2, 2)] for _ in range(m)])
+        coef = np.array([uniform(stream, -2, 2) for _ in range(m)])
         s = Surrogate(centres=centres, coefficients=coef, params=KernelParams(eps), mode=FitMode.F)
         h = max(1e-7, 1e-3 / eps)
         for _ in range(20):
             # probe inside the kernel's active band so values are nonzero
             c = centres[stream.below(m)]
-            theta = stream.uniform(0.0, 2 * math.pi)
-            radius = stream.uniform(0.2, 1.2) / eps
+            theta = uniform(stream, 0.0, 2 * math.pi)
+            radius = uniform(stream, 0.2, 1.2) / eps
             w = c + radius * np.array([math.cos(theta), math.sin(theta)])
             v = predict_values(s, w + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
             fd = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * h)

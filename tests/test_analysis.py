@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from draws import uniform
 
 from gradsurf.analysis import (
     SurfaceGrid,
@@ -61,8 +62,8 @@ def test_evaluate_surface_callable_layout_and_corner():
 
 def test_evaluate_surface_from_surrogate():
     stream = derive_stream(30, "surf")
-    centres = np.array([[stream.uniform(-2, 2), stream.uniform(-2, 2)] for _ in range(4)])
-    coef = np.array([stream.uniform(-1, 1) for _ in range(4)])
+    centres = np.array([[uniform(stream, -2, 2), uniform(stream, -2, 2)] for _ in range(4)])
+    coef = np.array([uniform(stream, -1, 1) for _ in range(4)])
     s = Surrogate(centres=centres, coefficients=coef, params=KernelParams(0.8), mode=FitMode.F)
     surf = surface_from(s)
     flat = predict_values(s, BOX.points())
@@ -164,7 +165,7 @@ def test_count_local_minima_matches_brute_force_random():
     grid = GridSpec(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=8)
     for _ in range(10):
         values = np.array(
-            [[stream.uniform(-1, 1) for _ in range(8)] for _ in range(8)]
+            [[uniform(stream, -1, 1) for _ in range(8)] for _ in range(8)]
         )
         surf = SurfaceGrid(grid=grid, values=values)
         assert count_local_minima(surf) == brute_force_minima(values)

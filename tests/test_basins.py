@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from basins import basin_depths, count_basins, gradient_resolution
+from draws import uniform
 from reference import full_batch_observations
 
 from gradsurf.analysis import SurfaceGrid, count_local_minima, evaluate_surface
@@ -91,7 +92,7 @@ def test_zero_resolution_matches_strict_count_on_tie_free_surfaces():
     stream = derive_stream(33, "basins")
     for size in (2, 3, 8, 13):
         for _ in range(25):
-            values = np.array([[stream.uniform(-1, 1) for _ in range(size)] for _ in range(size)])
+            values = np.array([[uniform(stream, -1, 1) for _ in range(size)] for _ in range(size)])
             assert np.unique(values).size == values.size
             surf = surface(values)
             assert count_basins(surf) == count_local_minima(surf)

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from draws import uniform
 from reference import _system
 
 from gradsurf.kernels import (
@@ -125,9 +126,9 @@ def test_kernel_gradient_zero_at_centre():
 def test_kernel_gradient_matches_finite_differences():
     stream = derive_stream(21, "kernel/fd")
     for _ in range(10):
-        eps = 10 ** stream.uniform(-1, 1)
-        c = np.array([stream.uniform(-2, 2), stream.uniform(-2, 2)])
-        x = c + np.array([stream.uniform(-1, 1), stream.uniform(-1, 1)]) / eps
+        eps = 10 ** uniform(stream, -1, 1)
+        c = np.array([uniform(stream, -2, 2), uniform(stream, -2, 2)])
+        x = c + np.array([uniform(stream, -1, 1), uniform(stream, -1, 1)]) / eps
         h = 1e-6 / eps
 
         def phi(p):
@@ -180,7 +181,7 @@ def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
     # once; every candidate must give the bytes of a fresh assembly and of
     # the defining expressions on the (N, M, d) differences
     stream = derive_stream(11, "kernel/blocks")
-    points = np.array([[stream.uniform(-2, 2), stream.uniform(-2, 2)] for _ in range(30)])
+    points = np.array([[uniform(stream, -2, 2), uniform(stream, -2, 2)] for _ in range(30)])
     centres = points[:7]
     diff, r = pairwise(points, centres)
     ref_diff = points[:, None, :] - centres[None, :, :]
@@ -205,7 +206,7 @@ def test_value_matrix_is_value_block_of_pairwise_radii(d):
     # evaluation sums the squared coordinate differences without the
     # (N, d, M) differences; the bytes must be those of the sweep's route
     stream = derive_stream(12, f"kernel/eval/{d}")
-    points = np.array([[stream.uniform(-2, 2) for _ in range(d)] for _ in range(40)])
+    points = np.array([[uniform(stream, -2, 2) for _ in range(d)] for _ in range(40)])
     centres = points[::3]
     for eps in (1e-4, 0.37, 2.9, 1e5):
         r = pairwise(points, centres)[1]
@@ -323,7 +324,7 @@ def test_solve_maps_a_failed_eigensolve_to_numerical_error(monkeypatch):
 
 def test_solve_recovers_exact_solution():
     stream = derive_stream(3, "solver")
-    a = np.array([[stream.uniform(-1, 1) for _ in range(3)] for _ in range(6)])
+    a = np.array([[uniform(stream, -1, 1) for _ in range(3)] for _ in range(6)])
     x0 = np.array([1.5, -0.25, 0.75])
     x = solve_least_squares(a, a @ x0)
     assert np.allclose(x, x0, rtol=1e-10)
@@ -331,8 +332,8 @@ def test_solve_recovers_exact_solution():
 
 def test_solve_residual_orthogonal_to_columns():
     stream = derive_stream(4, "solver")
-    a = np.array([[stream.uniform(-1, 1) for _ in range(4)] for _ in range(9)])
-    b = np.array([stream.uniform(-5, 5) for _ in range(9)])
+    a = np.array([[uniform(stream, -1, 1) for _ in range(4)] for _ in range(9)])
+    b = np.array([uniform(stream, -5, 5) for _ in range(9)])
     x = solve_least_squares(a, b)
     assert np.linalg.norm(a.T @ (b - a @ x)) <= 1e-10 * np.linalg.norm(b)
 
@@ -360,8 +361,8 @@ def system_with_spectrum(lam, label):
     """(a, b) with a^T a = Q diag(lam) Q^T up to rounding, Q a random orthogonal matrix."""
     stream = derive_stream(31, f"kernel/spectrum/{label}")
     m = len(lam)
-    q = np.linalg.qr(np.array([[stream.uniform(-1, 1) for _ in range(m)] for _ in range(m)]))[0]
-    b = np.array([stream.uniform(-1, 1) for _ in range(m)])
+    q = np.linalg.qr(np.array([[uniform(stream, -1, 1) for _ in range(m)] for _ in range(m)]))[0]
+    b = np.array([uniform(stream, -1, 1) for _ in range(m)])
     return np.sqrt(np.asarray(lam))[:, None] * q.T, b, q
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import reference
+from draws import uniform
 from reference import batch_gradient, batch_loss
 
 from gradsurf import problem
@@ -95,7 +96,7 @@ def test_batch_gradient_matches_central_differences():
     stream = derive_stream(13, "problem/fd")
     h = 1e-6
     for _ in range(20):
-        w = np.array([stream.uniform(-2, 2), stream.uniform(-2, 2)])
+        w = np.array([uniform(stream, -2, 2), uniform(stream, -2, 2)])
         size = 1 + stream.below(10)
         idx = sorted(stream.choose(121, size))
         fd = np.array(

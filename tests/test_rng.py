@@ -8,6 +8,7 @@ draws, which any change to mix64, GOLDEN or the xoshiro step alters.
 
 import numpy as np
 import pytest
+from draws import random
 
 from gradsurf.rng import (
     _GOLDEN,
@@ -104,7 +105,7 @@ def test_lanes_draws_are_pinned():
 
 def test_random_in_unit_interval_and_roughly_uniform():
     s = derive_stream(11, "uniform")
-    draws = [s.random() for _ in range(20000)]
+    draws = [random(s) for _ in range(20000)]
     assert all(0.0 <= d < 1.0 for d in draws)
     mean = sum(draws) / len(draws)
     assert abs(mean - 0.5) < 0.02

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import reference
+from draws import uniform
 
 import gradsurf.surrogate
 from gradsurf.analysis import evaluate_surface
@@ -38,7 +39,6 @@ from gradsurf.surrogate import (
     FitRecipe,
     Surrogate,
     _MSE_BAND,
-    _mse,
     _sweep,
     _system_buffers,
     _targets,
@@ -59,8 +59,8 @@ def small_observations(resolution=5):
 
 
 def random_surrogate(stream, mode=FitMode.F, eps=1.0, m=4):
-    centres = np.array([[stream.uniform(-2, 2), stream.uniform(-2, 2)] for _ in range(m)])
-    coef = np.array([stream.uniform(-2, 2) for _ in range(m)])
+    centres = np.array([[uniform(stream, -2, 2), uniform(stream, -2, 2)] for _ in range(m)])
+    coef = np.array([uniform(stream, -2, 2) for _ in range(m)])
     return Surrogate(centres=centres, coefficients=coef, params=KernelParams(eps), mode=mode)
 
 
@@ -318,28 +318,20 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     winner (eps, MSE, coefficient bytes) and the same skipped list from
     _sweep, and the same shape and coefficient bytes from fit_surrogate (or
     a FitFailure listing the same skipped eps); returns (screened solves,
-    exact re-solves, reference distinct systems) of the _sweep call: the
-    calls of _screen_candidate, and those of solve_least_squares made
-    after the screening pass.  swept, if given, is the reference sweep
-    already run on this draw.
+    exact re-solves, reference distinct systems) of the _sweep call,
+    counted from its _write_system calls: the screening pass writes the
+    candidates in increasing eps, and every later write is a re-solve.
+    swept, if given, is the reference sweep already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-    screen = gradsurf.surrogate._screen_candidate
-    screened, resolved, screening = [], [], []
+    write = gradsurf.surrogate._write_system
+    screened, resolved = [], []
 
-    def counting_screen(solver, a, b):
-        screened.append(a.shape)
-        screening.append(True)
-        try:
-            return screen(solver, a, b)
-        finally:
-            screening.pop()
-
-    def counting_solve(a, b):
-        if not screening:
-            resolved.append(a.shape)
-        return solve_least_squares(a, b)
+    def counting_write(a, phi, geometry, eps, mode):
+        screening = not resolved and (not screened or eps > screened[-1])
+        (screened if screening else resolved).append(eps)
+        return write(a, phi, geometry, eps, mode)
 
     # all under the pin the study runs with; the reference's solves on a
     # threaded BLAS are several times slower on small machines
@@ -356,8 +348,7 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
             fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
             assert fitted.params.shape == want[1]
             assert fitted.coefficients.tobytes() == want[2].tobytes()
-        monkeypatch.setattr(gradsurf.surrogate, "_screen_candidate", counting_screen)
-        monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_solve)
+        monkeypatch.setattr(gradsurf.surrogate, "_write_system", counting_write)
         best, skipped = _sweep(
             pairwise(observations.points, centres),
             _targets(observations, mode),
@@ -389,6 +380,12 @@ def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
     assert resolved <= (0 if n_centres == 1 else 2)
 
 
+def residual_mse(a, x, b):
+    """Mean squared residual of x on the system a x = b, as the sweep computes it."""
+    r = a @ x - b
+    return float(np.mean(r * r))
+
+
 def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
     # every candidate the sweep solves in the six seed-0 study cells, on the
     # fit's centre draw: the screen keeps as many eigenvalues as eigh does,
@@ -417,7 +414,8 @@ def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
                     x, kept, route = solver.solve(a, b)
                     lam = np.linalg.eigh(a.T @ a)[0]
                     assert kept == np.count_nonzero(lam > REL_TOL * lam.max()), (mode, eps)
-                    screened, exact = _mse(a, x, b), _mse(a, solve_least_squares(a, b), b)
+                    screened = residual_mse(a, x, b)
+                    exact = residual_mse(a, solve_least_squares(a, b), b)
                     deviation = abs(screened - exact) / exact
                     assert deviation <= _MSE_BAND / 2, (mode, eps, route)
                     worst = max(worst, deviation)
@@ -445,18 +443,20 @@ def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
     # candidates, and none marked exact: the re-solves must still find the
     # reference winner
     observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
-    screen = gradsurf.surrogate._screen_candidate
+    solve_one = gradsurf.surrogate._solve
     calls = []
 
-    def perturbed(solver, a, b):
-        outcome = screen(solver, a, b)
+    def perturbed(solve, a, b):
+        outcome = solve_one(solve, a, b)
+        if solve is gradsurf.surrogate._exact:
+            return outcome
         calls.append(None)
         if outcome is None:
             return None
         up = (len(calls) % 2 == 1) == inflate_even
-        return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], False
+        return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], "block"
 
-    monkeypatch.setattr(gradsurf.surrogate, "_screen_candidate", perturbed)
+    monkeypatch.setattr(gradsurf.surrogate, "_solve", perturbed)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
@@ -598,7 +598,7 @@ class FailOn:
         self.fired = 0
 
     def __call__(self, a) -> bool:
-        hit = a.shape == self.system.shape and np.array_equal(a, self.system)
+        hit = np.array_equal(a, self.system)
         self.fired += hit
         return hit
 
@@ -739,7 +739,7 @@ def test_evaluate_gradient_matches_finite_differences():
     s = random_surrogate(stream, eps=2.0, m=5)
     h = 1e-6
     for _ in range(5):
-        w = np.array([stream.uniform(-1.5, 1.5), stream.uniform(-1.5, 1.5)])
+        w = np.array([uniform(stream, -1.5, 1.5), uniform(stream, -1.5, 1.5)])
         v = predict_values(s, w + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
         fd = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * h)
         an = predict_gradients(s, w[None, :])[0]
@@ -820,7 +820,7 @@ def test_translate_to_zero_exact_minimum():
     stream = derive_stream(17, "trans")
     grid = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=21)
     for _ in range(5):
-        s = random_surrogate(stream, mode=FitMode.G, eps=10 ** stream.uniform(-1, 0.5))
+        s = random_surrogate(stream, mode=FitMode.G, eps=10 ** uniform(stream, -1, 0.5))
         t = translate_to_zero(s, predict_values(s, grid.points()))
         vals = predict_values(t, grid.points())
         assert vals.min() == 0.0  # exactly
