@@ -7,23 +7,35 @@ would make a traced run fail, so the names are checked here without
 installing the tracer.  Its `_extra` reads attributes of some calls'
 arguments and results (the recipe's sweep bounds and the winning shape,
 the solved matrix's shape, a written file's size); those reads run here on
-real calls, since traced runs are not part of the unit suite.
+real calls, since traced runs are not part of the unit suite.  A small
+study run checks that the program still calls every traced name except the
+ones in HELD, so a span that silently reads 0 fails here by name.
 """
 
 import importlib
 import importlib.util
+import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from gradsurf.analysis import SurfaceGrid
 from gradsurf.artifacts import write_surface_csv
+from gradsurf.cli import main
 from gradsurf.kernels import solve_least_squares
 from gradsurf.problem import GridSpec, Observations
 from gradsurf.rng import derive_stream
 from gradsurf.surrogate import FitMode, FitRecipe, fit_surrogate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# traced names the pipeline no longer calls; each stays where TRACED looks
+# it up, so a traced run still installs, and its span reads 0
+HELD = {
+    ("gradsurf.surrogate", "assemble_gradient_matrix"),
+    ("gradsurf.rng", "Stream.derive"),
+}
 
 
 def load_tracing():
@@ -72,3 +84,36 @@ def test_extra_reads_written_file_size(tmp_path):
     result = write_surface_csv(*args)
     size = len("w1,w2,value\n0.0,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
     assert tracing._extra("artifacts.write_surface_csv", args, result) == {"bytes": size}
+
+
+def counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_every_traced_name_but_the_held_ones_is_called(tmp_path, monkeypatch):
+    tracing = load_tracing()
+    calls = Counter()
+    for module_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        key = (module_name, attr)
+        monkeypatch.setattr(owner, leaf, counted(calls, key, getattr(owner, leaf)))
+    # 6 cells; 26 centres is SCREEN_MIN_COLS, so the screened sweep runs too
+    config = {
+        "batch_max_list": [3],
+        "centre_list": [1, 26],
+        "repeats": 1,
+        "train_grid": 13,
+        "report_grid": 9,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    uncalled = {(m, a) for m, a, _ in tracing.TRACED if not calls[(m, a)]}
+    assert uncalled == HELD
