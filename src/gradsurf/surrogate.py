@@ -27,6 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
+# assemble_gradient_matrix is held, not called: perfbench's TRACED wraps it in this module
 from .kernels import (
     FLOOR_ARG,
     SCREEN_MIN_COLS,
@@ -327,13 +328,6 @@ def predict_values(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
         a = assemble_value_matrix(points[start:stop], surrogate.centres, surrogate.params)
         np.add(a @ surrogate.coefficients, surrogate.offset, out=out[start:stop])
     return out
-
-
-def predict_gradients(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
-    """Surrogate gradients at an (n, d) array of points, shape (n, d); the offset does not enter."""
-    points = np.asarray(points, dtype=np.float64)
-    g = assemble_gradient_matrix(points, surrogate.centres, surrogate.params)
-    return (g @ surrogate.coefficients).reshape(points.shape)
 
 
 def translate_to_zero(surrogate: Surrogate, values: np.ndarray) -> Surrogate:

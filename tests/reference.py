@@ -10,7 +10,8 @@ truncated_svd_solve is the solve the shipped normal-matrix solver stands in
 for, computed from an SVD of the system itself.  predict_values_one_shot
 evaluates a surrogate from one kernel matrix over all points.  Tests
 assert that the shipped code gives bitwise the same observations, fits
-and byte for byte the same files.
+and byte for byte the same files.  predict_gradients, a surrogate's
+gradients, is here because only tests need them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from gradsurf.problem import (
 from gradsurf.kernels import (
     FLOOR_ARG,
     NumericalError,
+    assemble_gradient_matrix,
     assemble_value_matrix,
     solve_least_squares,
 )
@@ -231,3 +233,10 @@ def predict_values_one_shot(surrogate, points) -> np.ndarray:
     """Surrogate values from one N x M kernel matrix over all points, offset included."""
     a = assemble_value_matrix(points, surrogate.centres, surrogate.params)
     return a @ surrogate.coefficients + surrogate.offset
+
+
+def predict_gradients(surrogate, points) -> np.ndarray:
+    """Surrogate gradients at an (n, d) array of points, shape (n, d); the offset does not enter."""
+    points = np.asarray(points, dtype=np.float64)
+    g = assemble_gradient_matrix(points, surrogate.centres, surrogate.params)
+    return (g @ surrogate.coefficients).reshape(points.shape)
