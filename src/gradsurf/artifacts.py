@@ -3,16 +3,26 @@ and SVG heatmaps.
 
 All text artifacts are UTF-8 with "\n" newlines.  Floats are written with
 repr, i.e. the shortest decimal that round-trips to the same double, so a
-read-back reproduces values bit-exactly.  The CSV writers and the heatmap
-make one write per block of rows: a grid row, or up to _BLOCK_ROWS
-observations.
+read-back reproduces values bit-exactly.
+
+The writers build no Python string per node.  A CSV writer takes up to
+_BLOCK_ROWS rows at a time and formats each distinct value of the block
+once (values are told apart by bits, so 0.0 and -0.0 keep their own texts):
+_decimals finds repr's text of most doubles with array arithmetic, and repr
+itself formats the rest.  The texts are gathered into a zero-padded byte
+matrix, one row per CSV row, whose nonzero bytes are written _WRITE_ROWS
+rows at a time.  The heatmap copies a byte template of one grid row's
+rectangles and fills in the row's y and each node's six hex digits; the
+templates depend only on the resolution and the y's digit count, are built
+on first use and are never written to.  A JSON document is written in one
+call.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, islice, repeat
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,28 +32,197 @@ from .problem import GridSpec, Observations
 
 SURFACE_HEADER = "w1,w2,value"
 OBSERVATIONS_HEADER = "w1,w2,b,loss,g1,g2"
-# observation rows per write; a study cell has 625
-_BLOCK_ROWS = 1024
+# CSV rows per deduplicated block: a whole 101 x 101 report surface, so a
+# value repeated anywhere in it is formatted once
+_BLOCK_ROWS = 1 << 14
+# CSV rows per write, and distinct values per formatting pass; these bound
+# the memory a writer holds beyond its input
+_WRITE_ROWS = 1 << 10
+_FORMAT_ROWS = 1 << 12
+# the longest repr of a float64 or int64: -1.7976931348623157e+308
+_TEXT_WIDTH = 24
 # heatmap colours at the surface's minimum and maximum
 _LOW = np.array((13, 8, 135))
 _HIGH = np.array((240, 249, 33))
+_HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
 
 
 def _open_out(path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb")
+
+
+def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): repr of values[k] is row index[k] of table, ASCII
+    padded with zero bytes.
+
+    values is a float or integer array; floats are formatted as float64.
+    Each distinct bit pattern is formatted once, so 0.0 and -0.0 keep their
+    own texts: by _decimals where it can, by repr otherwise.
+    """
+    values = values.ravel()
+    floats = values.dtype.kind == "f"
+    if floats:
+        values = values.astype(np.float64, copy=False)
+    distinct, index = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
+    distinct = distinct.view(values.dtype)
+    table = np.zeros((distinct.size, _TEXT_WIDTH), np.uint8)
+    for start in range(0, distinct.size, _FORMAT_ROWS):
+        chunk = distinct[start : start + _FORMAT_ROWS]
+        texts = table[start : start + _FORMAT_ROWS]
+        rest = np.arange(chunk.size)
+        if floats and chunk.size >= _DECIMALS_MIN:
+            rest = rest[~_decimals(chunk, texts)]
+        if rest.size:
+            # repr of a list formats one element at a time; ", " is in no repr
+            chars = np.frombuffer(repr(chunk[rest].tolist()).encode(), np.uint8)[1:-1]
+            lengths = np.diff(np.flatnonzero(chars == ord(",")), prepend=-2, append=chars.size) - 2
+            slow = np.zeros((rest.size, _TEXT_WIDTH), np.uint8)
+            slow[np.arange(_TEXT_WIDTH) < lengths[:, None]] = chars[(chars != ord(",")) & (chars != ord(" "))]
+            texts[rest] = slow
+    return table[:, : np.count_nonzero(table.any(axis=0))], index
+
+
+# _decimals finds repr's digits of x with 1e-4 <= |x| < 1e15 in float64
+# arithmetic.  For p = 15, 16 and 17 digits and k = p - 1 - floor(log10|x|),
+# |x| * 10**k (with 10**k <= 1e20, an exact double) is split exactly into
+# hi + lo by Dekker's product, then rounded to the integer r.  r / 10**k
+# reads back as x when it lies strictly inside the half-ulp interval around
+# |x|, so repr's digits are those of r for the least such p; at p = 15 at
+# most one p-digit decimal lies inside, so trailing zeros of r are dropped,
+# and at 16 or 17 two may, and repr takes the nearer one, which r is.  (A
+# power of two has a lopsided interval, but in this range it is a decimal
+# of at most 15 digits, which r then is.)  The sums carry a rounding error
+# below 1e-13; a value whose r lies within _MARGIN of a rounding tie or of
+# the interval's ends is left to repr.
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: 26-bit high and low halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_MARGIN = 1e-9
+# below this many values, repr costs less than _decimals' fixed overhead
+_DECIMALS_MIN = 512
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _rounded(a, a_split, half, k, digits):
+    """(r, inside, sure) for a * 10**k, as the comment above describes."""
+    b = _POW10[k]
+    b_high, b_low = _split(b)
+    a_high, a_low = a_split
+    hi = a * b
+    lo = ((a_high * b_high - hi) + a_high * b_low + a_low * b_high) + a_low * b_low
+    r_hi = np.rint(hi)
+    s = (hi - r_hi) + lo
+    q = np.rint(s)
+    d = np.abs(s - q)
+    bound = half * b
+    r = r_hi.astype(np.int64) + q.astype(np.int64)
+    sure = (np.abs(d - 0.5) > _MARGIN) & (np.abs(d - bound) > _MARGIN)
+    sure &= (r >= _POW10_INT[digits - 1]) & (r <= _POW10_INT[digits])
+    return r, d < bound, sure
+
+
+def _decimals(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write repr(x[k]) into row k of out, ASCII padded with zero bytes,
+    where _decimals can find it; returns the mask of the rows written."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    done = (e >= -4) & (e <= 14)
+    rows = np.flatnonzero(done)
+    a, e = a[rows], e[rows].astype(np.int64)
+    a_split = _split(a)
+    half = np.spacing(a) / 2
+    # from 17 digits down, each p whose decimal reads back replaces the last
+    m, inside, sure = _rounded(a, a_split, half, 16 - e, 17)
+    p = np.full(a.size, 17)
+    sure &= inside
+    for digits in (16, 15):
+        r, inside, certain = _rounded(a, a_split, half, digits - 1 - e, digits)
+        m[inside] = r[inside]
+        p[inside] = digits
+        sure = certain & (inside | sure)
+    # r = 10**p: the decimal has one digit, one place higher
+    carry = m == _POW10_INT[p]
+    m[carry] //= 10
+    decpt = e + 1 + carry
+    while (zeros := (m % 10 == 0) & (p > 1)).any():
+        m[zeros] //= 10
+        p[zeros] -= 1
+    done[rows] = sure
+    rows = rows[sure]
+    _fixed_notation(m[sure], p[sure], decpt[sure], np.signbit(x[rows]), out, rows)
+    return done
+
+
+def _fixed_notation(m, p, decpt, negative, out, rows) -> None:
+    """Write into out[rows] repr's text of the decimals 0.d * 10**decpt,
+    where d is the p digits of m, -3 <= decpt <= 16, negated where
+    negative."""
+    # led by four "0"s, the digits of m left-aligned to 17 places; the
+    # leading "0"s are the integer part of 0.<digits> * 10**decpt, decpt < 1
+    digits = np.full((m.size, 21), ord("0"), np.uint8)
+    high, low = np.divmod(m * _POW10_INT[17 - p], 10**9)
+    for part, places, first in ((high, 8, 4), (low, 9, 12)):
+        part = part.astype(np.uint32)
+        for c in range(places):
+            digits[:, first + c] += (part // 10 ** (places - 1 - c) % 10).astype(np.uint8)
+    # the integer part, ".", then at least one fraction digit
+    whole = np.maximum(decpt, 1)
+    length = negative + whole + 1 + np.maximum(p - decpt, 1)
+    texts = np.zeros((m.size, _TEXT_WIDTH), np.uint8)
+    # runs of rows that share sign and decpt share a layout
+    group = negative * 32 + decpt
+    starts = np.flatnonzero(np.diff(group, prepend=99, append=99))
+    for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        sign, point, width = int(negative[start]), int(decpt[start]), int(whole[start])
+        text = texts[start:stop]
+        text[:, :sign] = ord("-")
+        text[:, sign : sign + width] = digits[start:stop, 4 + point - width : 4 + point]
+        text[:, sign + width] = ord(".")
+        fraction = min(_TEXT_WIDTH - sign - width - 1, 17 - point)
+        text[:, sign + width + 1 : sign + width + 1 + fraction] = digits[
+            start:stop, 4 + point : 4 + point + fraction
+        ]
+    texts *= (np.arange(_TEXT_WIDTH) < length[:, None]).view(np.uint8)
+    out[rows] = texts
+
+
+def _write_rows(f, fields) -> None:
+    """Write CSV rows, _WRITE_ROWS at a time: fields holds one (table,
+    index) pair of _texts per column, its index running over the rows."""
+    for start in range(0, fields[0][1].size, _WRITE_ROWS):
+        texts = [table[index[start : start + _WRITE_ROWS]] for table, index in fields]
+        comma = np.full((texts[0].shape[0], 1), ord(","), np.uint8)
+        cells = [cell for text in texts for cell in (text, comma)]
+        cells[-1] = np.full_like(comma, ord("\n"))
+        rows = np.concatenate(cells, axis=1)
+        f.write(rows[rows != 0])
 
 
 def write_surface_csv(surface: SurfaceGrid, path) -> None:
     """One row per grid node in flat order: w1,w2,value."""
-    w1s = [repr(w) for w in surface.grid.axis(0).tolist()]
-    w2s = [repr(w) for w in surface.grid.axis(1).tolist()]
+    res = surface.grid.resolution
+    w1, i_index = _texts(surface.grid.axis(0))
+    w2, j_index = _texts(surface.grid.axis(1))
+    values = np.asarray(surface.values)
+    # whole grid rows per block; along a row w2 is fixed and w1 runs fastest
+    rows = max(1, _BLOCK_ROWS // res)
     with _open_out(path) as f:
-        f.write(SURFACE_HEADER + "\n")
-        # one write per grid row: w2 is fixed along it, w1 runs fastest
-        for w2, row in zip(w2s, surface.values.tolist()):
-            f.write("".join(f"{w1},{w2},{v!r}\n" for w1, v in zip(w1s, row)))
+        f.write(SURFACE_HEADER.encode() + b"\n")
+        for j in range(0, res, rows):
+            block = values[j : j + rows]
+            w1s = (w1, np.tile(i_index, len(block)))
+            w2s = (w2, np.repeat(j_index[j : j + rows], res))
+            _write_rows(f, (w1s, w2s, _texts(block)))
 
 
 def _read_rows(path, header: str, fields) -> list[tuple]:
@@ -99,53 +278,70 @@ def render_heatmap_svg(surface: SurfaceGrid, path) -> None:
     res = surface.grid.resolution
     px = max(2, 600 // res)
     size = px * res
-    values = surface.values
+    values = surface.values.ravel()
     if not np.isfinite(values).all():
         raise ValueError("cannot colour a surface with non-finite values")
     vmin = float(values.min())
     span = float(values.max()) - vmin
     t = np.zeros_like(values) if span == 0 else (values - vmin) / span
-    # np.rint rounds half to even, as Python's round does; the three bytes
-    # of a node in hex are its colour, six characters per node
-    rgb = np.rint(_LOW + t[..., None] * (_HIGH - _LOW)).astype(np.uint8)
-    colours = np.array([rgb.tobytes().hex()]).view("U6").reshape(res, res).tolist()
-    heads = [f'<rect x="{i * px}" y="' for i in range(res)]
-    tail = f'" width="{px}" height="{px}" fill="#'
-    end = repeat('"/>\n')
+    # np.rint rounds half to even, as Python's round does; a node's colour
+    # is its three bytes in lowercase hex
+    rgb = np.rint(_LOW + t[:, None] * (_HIGH - _LOW)).astype(np.uint8)
+    colours = _HEX[np.stack((rgb >> 4, rgb & 15), axis=2).reshape(res, res, 6)]
+    j, i = divmod(int(np.argmin(values)), res)
+    inset = px // 6
+    side = px - 2 * inset
+    x = i * px + inset
+    y = (res - 1 - j) * px + inset
     with _open_out(path) as f:
         f.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n'
+            f'viewBox="0 0 {size} {size}">\n'.encode()
         )
-        # one write per grid row j, drawn at height (res - 1 - j) * px
-        for j, row in enumerate(colours):
-            mid = repeat(f"{(res - 1 - j) * px}{tail}")
-            f.write("".join(chain.from_iterable(zip(heads, mid, row, end))))
-        j, i = divmod(int(np.argmin(values)), res)
-        inset = px // 6
-        side = px - 2 * inset
-        x = i * px + inset
-        y = (res - 1 - j) * px + inset
-        f.write(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>\n')
-        f.write("</svg>\n")
+        # grid row j is drawn at y = (res - 1 - j) * px
+        for row, colour in enumerate(colours):
+            y_text = np.frombuffer(str((res - 1 - row) * px).encode(), np.uint8)
+            template, y_at, colour_at = _heatmap_row(res, y_text.size)
+            rects = template.copy()
+            rects[y_at] = y_text
+            rects[colour_at] = colour
+            f.write(rects)
+        f.write(
+            f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>\n'
+            "</svg>\n".encode()
+        )
+
+
+@lru_cache(maxsize=8)
+def _heatmap_row(res: int, digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(template, y_at, colour_at): the rectangles of one heatmap row at a
+    resolution, as read-only bytes with a y of `digits` zeros and colour
+    000000, and the (res, digits) and (res, 6) offsets of each rectangle's
+    y and colour digits."""
+    px = max(2, 600 // res)
+    heads = [f'<rect x="{i * px}" y="' for i in range(res)]
+    tail = f'" width="{px}" height="{px}" fill="#'
+    rects = [f'{head}{"0" * digits}{tail}000000"/>\n' for head in heads]
+    starts = np.cumsum([0] + [len(rect) for rect in rects[:-1]])
+    y_at = (starts + [len(head) for head in heads])[:, None] + np.arange(digits)
+    colour_at = y_at[:, -1:] + 1 + len(tail) + np.arange(6)
+    template = np.frombuffer("".join(rects).encode(), np.uint8)
+    for offsets in (y_at, colour_at):
+        offsets.flags.writeable = False
+    return template, y_at, colour_at
 
 
 def write_observations_csv(observations: Observations, path) -> None:
     """One row per observation: w1,w2,b,loss,g1,g2."""
-    rows = zip(
-        observations.points.tolist(),
-        observations.batch_sizes.tolist(),
-        observations.values.tolist(),
-        observations.gradients.tolist(),
-    )
+    floats = np.column_stack((observations.points, observations.values, observations.gradients))
+    sizes = observations.batch_sizes
     with _open_out(path) as f:
-        f.write(OBSERVATIONS_HEADER + "\n")
-        # one write per block of rows
-        while block := "".join(
-            f"{w1!r},{w2!r},{b},{loss!r},{g1!r},{g2!r}\n"
-            for (w1, w2), b, loss, (g1, g2) in islice(rows, _BLOCK_ROWS)
-        ):
-            f.write(block)
+        f.write(OBSERVATIONS_HEADER.encode() + b"\n")
+        for start in range(0, sizes.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            table, index = _texts(floats[block])
+            w1, w2, loss, g1, g2 = ((table, column) for column in index.reshape(-1, 5).T)
+            _write_rows(f, (w1, w2, _texts(sizes[block]), loss, g1, g2))
 
 
 def read_observations_csv(path) -> Observations:
@@ -173,8 +369,7 @@ def surrogate_json(surrogate, mse: float) -> dict:
 
 def write_json(obj, path) -> None:
     with _open_out(path) as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        f.write((json.dumps(obj, indent=2) + "\n").encode())
 
 
 def read_json(path):

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from reference import full_batch_observations
 
 from gradsurf.analysis import SurfaceGrid
-from gradsurf.problem import Dataset1D, GridSpec, Observations
+from gradsurf.problem import GridSpec, Observations
 
 
 def _neighbours(k: int, rows: int, cols: int):
@@ -97,16 +96,16 @@ def count_basins(surface: SurfaceGrid, resolution: float = 0.0) -> int:
     return sum(depth >= resolution for depth in basin_depths(surface))
 
 
-def gradient_resolution(observations: Observations, data: Dataset1D, grid: GridSpec) -> float:
+def gradient_resolution(observations: Observations, exact: Observations, grid: GridSpec) -> float:
     """sigma_g * h: the smallest height difference the gradient data resolve.
 
     sigma_g is the RMS, over the observation nodes and both components, of
-    the observed batch gradient minus the full-batch gradient; h is the
-    spacing of the training grid the observations sit on.  A gradient-only
-    fit cannot tell a height difference below sigma_g * h between
-    neighbouring training nodes from noise.
+    the observed batch gradient minus the full-batch gradient in exact (the
+    grid's `full_batch_observations`, built once per grid by the caller); h
+    is the spacing of the training grid the observations sit on.  A
+    gradient-only fit cannot tell a height difference below sigma_g * h
+    between neighbouring training nodes from noise.
     """
-    exact = full_batch_observations(grid, data)
     if not np.array_equal(observations.points, exact.points):
         raise ValueError("observations do not sit on the grid nodes in node order")
     sigma_g = float(np.sqrt(np.mean((observations.gradients - exact.gradients) ** 2)))

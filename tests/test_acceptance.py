@@ -146,7 +146,7 @@ def test_criterion_3_noise_free_recovery():
     assert ok, detail
 
 
-def _gradient_only_cell(seed, batch_max, n_centres, data):
+def _gradient_only_cell(seed, batch_max, n_centres, data, exact):
     cell = RunCell(batch_max=batch_max, mode=FitMode.G, n_centres=n_centres, repeat=0)
     cell_seed = cell.derived_seed(seed)
     observations = sample_loss_surface(
@@ -158,7 +158,7 @@ def _gradient_only_cell(seed, batch_max, n_centres, data):
         derive_stream(cell_seed, "centres"),
         DEFAULT.report_grid,
     )
-    resolution = gradient_resolution(observations, data, DEFAULT.train_grid)
+    resolution = gradient_resolution(observations, exact, DEFAULT.train_grid)
     # one flood gives both counts: every basin at resolution 0, and those
     # whose depth reaches the resolution
     depths = basin_depths(surface)
@@ -184,12 +184,14 @@ def test_criterion_4_gradient_only_shape():
     """
     start = time.perf_counter()
     data = generate_full_batch()
+    # the full-batch gradients every cell's resolution is measured against
+    exact = full_batch_observations(DEFAULT.train_grid, data)
     cells = [
         (seed, b, c) for seed in range(10) for b in (3, 30) for c in (1, 100)
     ]
     # one BLAS thread per fit, as in `gradsurf run`
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=4) as pool:
-        stats = list(pool.map(lambda t: _gradient_only_cell(*t, data), cells))
+        stats = list(pool.map(lambda t: _gradient_only_cell(*t, data, exact), cells))
     elapsed = time.perf_counter() - start
 
     negatives = [cell for cell, (nf, *_) in zip(cells, stats) if nf != 0.0]

@@ -2,15 +2,21 @@
 
 The CSV writers and the heatmap renderer are compared byte for byte with
 the one-row-at-a-time writers in `reference`, on every surface and
-observation set of the default study.
+observation set of the default study, and on the cases the array writers
+could get wrong: signed zeros, exponent-form reprs, a -0.0 grid bound,
+several dedupe blocks, heatmap resolutions whose coordinates change digit
+count, two threads writing at once, and doubles from every binade.
 """
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import reference
 
+from gradsurf import artifacts
 from gradsurf.analysis import SurfaceGrid, locate_min
 from gradsurf.artifacts import (
     read_json,
@@ -333,6 +339,156 @@ def test_observations_writer_matches_reference_on_samples(tmp_path, batch_max, r
         generate_full_batch(),
         MiniBatchPolicy(batch_max),
         derive_stream(3, "sample"),
+    )
+    text = written(write_observations_csv, observations, tmp_path / "o.csv")
+    assert text == reference.observations_csv_text(observations)
+
+
+# values whose repr takes the exponent form, and the zeros told apart by bits
+EXPONENT_FORM = [1e16, 1e-05, 5e-324, -1.7976931348623157e308]
+ZEROS = [0.0, -0.0]
+
+
+def test_surface_writer_keeps_signed_zeros_and_repeats(tmp_path):
+    # 0.0 and -0.0 compare equal; each must keep its own text in every row
+    values = np.array([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, 0.0, -0.0]])
+    surface = SurfaceGrid(GridSpec(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=3), values)
+    text = written(write_surface_csv, surface, tmp_path / "s.csv")
+    assert text == reference.surface_csv_text(surface)
+    assert text.splitlines()[1:4] == ["0.0,0.0,0.0", "0.5,0.0,-0.0", "1.0,0.0,0.5"]
+
+
+def test_surface_writer_exponent_form_values(tmp_path):
+    values = np.array(EXPONENT_FORM).reshape(2, 2)
+    surface = SurfaceGrid(GRID2, values)
+    text = written(write_surface_csv, surface, tmp_path / "s.csv")
+    assert text == reference.surface_csv_text(surface)
+    assert "1.0,1.0,-1.7976931348623157e+308\n" in text and ",5e-324\n" in text
+
+
+def test_surface_writer_signed_zero_bound(tmp_path):
+    # GridSpec compares -0.0 == 0.0, yet the two grids' node texts differ
+    values = np.arange(9.0).reshape(3, 3)
+    texts = []
+    for zero in ZEROS:
+        grid = GridSpec(lower=(zero, -1.0), upper=(1.0, zero), resolution=3)
+        surface = SurfaceGrid(grid, values)
+        texts.append(written(write_surface_csv, surface, tmp_path / "s.csv"))
+        assert texts[-1] == reference.surface_csv_text(surface)
+    # np.linspace keeps the sign of its stop, not of its start
+    assert "\n0.0,0.0,6.0\n" in texts[0] and "\n0.0,-0.0,6.0\n" in texts[1]
+
+
+def test_surface_writer_spans_dedupe_blocks(tmp_path):
+    # 129 x 129 nodes exceed one block of _BLOCK_ROWS; values repeat within
+    # and across blocks, and one block ends inside no grid row
+    res = 129
+    assert res * res > artifacts._BLOCK_ROWS
+    pool = np.array(ZEROS + EXPONENT_FORM + [1 / 3, -2.5, 0.1])
+    values = pool[np.random.default_rng(5).integers(0, pool.size, (res, res))]
+    grid = GridSpec(lower=(-2.0, -1.5), upper=(2.0, 3.0), resolution=res)
+    surface = SurfaceGrid(grid, values)
+    assert written(write_surface_csv, surface, tmp_path / "s.csv") == reference.surface_csv_text(
+        surface
+    )
+
+
+def test_observations_writer_repeats_and_signed_zeros_over_blocks(tmp_path):
+    n = artifacts._BLOCK_ROWS + 37
+    rng = np.random.default_rng(11)
+    pool = np.array(ZEROS + EXPONENT_FORM + [0.25, -1.5])
+    observations = Observations(
+        points=pool[rng.integers(0, pool.size, (n, 2))],
+        values=pool[rng.integers(0, pool.size, n)],
+        gradients=pool[rng.integers(0, pool.size, (n, 2))],
+        batch_sizes=rng.choice([1, 7, 30, 2**40], n),
+    )
+    text = written(write_observations_csv, observations, tmp_path / "o.csv")
+    assert text == reference.observations_csv_text(observations)
+
+
+@pytest.mark.parametrize("res", [2, 3, 7, 101, 301])
+def test_heatmap_matches_reference_across_resolutions(tmp_path, res):
+    # rect x/y change digit count across these; at 301, px = 600 // res
+    # falls below its floor of 2
+    values = np.random.default_rng(res).normal(size=(res, res))
+    grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=res)
+    surface = SurfaceGrid(grid, values)
+    svg = written(render_heatmap_svg, surface, tmp_path / "h.svg")
+    assert svg == reference.heatmap_svg_text(surface, locate_min(surface)[0])
+
+
+def test_writers_in_two_threads_match_serial_writes(tmp_path):
+    """Two threads write surfaces, observations and heatmaps of different
+    resolutions at once, as `gradsurf run --workers 2` does, each thread
+    its own surfaces; every file equals the same write made alone."""
+    rng = np.random.default_rng(2)
+
+    def jobs():
+        out = []
+        # resolutions repeat, so both threads fill one template at once
+        for res in (25, 101, 7, 64, 101, 101, 25, 101):
+            grid = GridSpec(lower=(-2.0, -0.0), upper=(2.0, 4.0), resolution=res)
+            surface = SurfaceGrid(grid, np.round(rng.normal(size=(res, res)), 3))
+            out += [(write_surface_csv, surface), (render_heatmap_svg, surface)]
+        for n in (50, 700):
+            observations = Observations(
+                points=rng.normal(size=(n, 2)),
+                values=np.round(rng.normal(size=n), 2),
+                gradients=rng.normal(size=(n, 2)),
+                batch_sizes=rng.integers(1, 31, n),
+            )
+            out.append((write_observations_csv, observations))
+        return out
+
+    work = {tag: jobs() for tag in ("a", "b")}
+    want = {
+        tag: [written(write, item, tmp_path / "serial") for write, item in work[tag]]
+        for tag in work
+    }
+
+    def write_all(tag):
+        for _ in range(3):
+            for k, (write, item) in enumerate(work[tag]):
+                assert written(write, item, tmp_path / f"{tag}{k}") == want[tag][k]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(write_all, tag) for tag in work]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_observations_writer_matches_repr_across_magnitudes(tmp_path):
+    """Doubles from every binade, short decimals, 17-digit decimals, odd
+    multiples of powers of two (exact decimals whose digits tie when
+    rounded to 15-17 places), and the neighbours of powers of ten and of
+    two, against repr's text."""
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+    powers = np.concatenate((10.0 ** np.arange(-6, 17), 2.0 ** np.arange(-20, 50)))
+    floats = np.concatenate(
+        (
+            bits[np.isfinite(bits)],
+            rng.normal(size=60_000) * 10.0 ** rng.integers(-6, 17, 60_000),
+            rng.integers(-(10**6), 10**6, 40_000) / 10.0 ** rng.integers(0, 12, 40_000),
+            rng.integers(-(10**17), 10**17, 40_000) / 10.0 ** rng.integers(0, 22, 40_000),
+            (2 * rng.integers(0, 10**4, 20_000) + 1) / 2.0 ** rng.integers(10, 40, 20_000),
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+        )
+    )
+    floats = rng.permutation(floats)[: floats.size // 5 * 5].reshape(-1, 5)
+    observations = Observations(
+        points=floats[:, :2],
+        values=floats[:, 2],
+        gradients=floats[:, 3:],
+        batch_sizes=np.ones(floats.shape[0], dtype=np.intp),
     )
     text = written(write_observations_csv, observations, tmp_path / "o.csv")
     assert text == reference.observations_csv_text(observations)

@@ -101,7 +101,8 @@ def test_zero_resolution_matches_strict_count_on_tie_free_surfaces():
 def test_gradient_resolution_of_full_batch_data_is_zero():
     data = generate_full_batch()
     grid = DEFAULT.train_grid
-    assert gradient_resolution(full_batch_observations(grid, data), data, grid) == 0.0
+    exact = full_batch_observations(grid, data)
+    assert gradient_resolution(exact, exact, grid) == 0.0
 
 
 def test_gradient_resolution_is_rms_error_times_spacing():
@@ -110,7 +111,7 @@ def test_gradient_resolution_is_rms_error_times_spacing():
     exact = full_batch_observations(grid, data)
     shifted = replace(exact, gradients=exact.gradients + np.array([3.0, -4.0]))
     want = math.sqrt((9.0 + 16.0) / 2) * 1.0
-    assert gradient_resolution(shifted, data, grid) == pytest.approx(want, rel=1e-12)
+    assert gradient_resolution(shifted, exact, grid) == pytest.approx(want, rel=1e-12)
 
 
 def test_gradient_resolution_rejects_observations_off_the_grid():
@@ -125,7 +126,7 @@ def test_gradient_resolution_rejects_observations_off_the_grid():
             observations.batch_sizes[rows],
         )
         with pytest.raises(ValueError):
-            gradient_resolution(moved, data, grid)
+            gradient_resolution(moved, observations, grid)
 
 
 def test_noisy_value_fit_has_basins_above_gradient_resolution():
@@ -141,6 +142,7 @@ def test_noisy_value_fit_has_basins_above_gradient_resolution():
         observations, FitRecipe(mode=FitMode.F, n_centres=100), derive_stream(cell_seed, "centres")
     )
     surf = evaluate_surface(surrogate, DEFAULT.report_grid)
-    resolution = gradient_resolution(observations, data, DEFAULT.train_grid)
+    exact = full_batch_observations(DEFAULT.train_grid, data)
+    resolution = gradient_resolution(observations, exact, DEFAULT.train_grid)
     assert resolution > 0.0
     assert count_basins(surf, resolution) > 1
