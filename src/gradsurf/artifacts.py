@@ -10,7 +10,7 @@ _BLOCK_ROWS rows at a time and formats each distinct value of the block
 once (values are told apart by bits, so 0.0 and -0.0 keep their own texts):
 _decimals finds repr's text of most doubles with array arithmetic, and repr
 itself formats the rest.  The texts are gathered into a zero-padded byte
-matrix, one row per CSV row, whose nonzero bytes are written _WRITE_ROWS
+matrix, one row per CSV row, whose nonzero bytes are written _CHUNK_ROWS
 rows at a time.  The heatmap copies a byte template of one grid row's
 rectangles and fills in the row's y and each node's six hex digits; the
 templates depend only on the resolution and the y's digit count, are built
@@ -35,16 +35,14 @@ OBSERVATIONS_HEADER = "w1,w2,b,loss,g1,g2"
 # CSV rows per deduplicated block: a whole 101 x 101 report surface, so a
 # value repeated anywhere in it is formatted once
 _BLOCK_ROWS = 1 << 14
-# CSV rows per write, and distinct values per formatting pass; these bound
-# the memory a writer holds beyond its input
-_WRITE_ROWS = 1 << 10
-_FORMAT_ROWS = 1 << 12
+# CSV rows per write, and distinct values per formatting pass: they bound
+# the memory a writer holds beyond its input and its block's texts
+_CHUNK_ROWS = 1 << 11
 # the longest repr of a float64 or int64: -1.7976931348623157e+308
 _TEXT_WIDTH = 24
 # heatmap colours at the surface's minimum and maximum
 _LOW = np.array((13, 8, 135))
 _HIGH = np.array((240, 249, 33))
-_HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
 
 
 def _open_out(path):
@@ -59,31 +57,44 @@ def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(table, index): repr of values[k] is row index[k] of table, ASCII
     padded with zero bytes.
 
-    values is a float or integer array; floats are formatted as float64.
+    values is a float or integer array, formatted as float64 or int64.
     Each distinct bit pattern is formatted once, so 0.0 and -0.0 keep their
     own texts: by _decimals where it can, by repr otherwise.
     """
-    values = values.ravel()
     floats = values.dtype.kind == "f"
-    if floats:
-        values = values.astype(np.float64, copy=False)
-    distinct, index = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
-    distinct = distinct.view(values.dtype)
+    values = values.ravel().astype(np.float64 if floats else np.int64, copy=False)
+    distinct, index = _distinct(values)
     table = np.zeros((distinct.size, _TEXT_WIDTH), np.uint8)
-    for start in range(0, distinct.size, _FORMAT_ROWS):
-        chunk = distinct[start : start + _FORMAT_ROWS]
-        texts = table[start : start + _FORMAT_ROWS]
+    width = 1
+    for start in range(0, distinct.size, _CHUNK_ROWS):
+        chunk = distinct[start : start + _CHUNK_ROWS]
+        texts = table[start : start + _CHUNK_ROWS]
         rest = np.arange(chunk.size)
         if floats and chunk.size >= _DECIMALS_MIN:
             rest = rest[~_decimals(chunk, texts)]
         if rest.size:
             # repr of a list formats one element at a time; ", " is in no repr
-            chars = np.frombuffer(repr(chunk[rest].tolist()).encode(), np.uint8)[1:-1]
-            lengths = np.diff(np.flatnonzero(chars == ord(",")), prepend=-2, append=chars.size) - 2
-            slow = np.zeros((rest.size, _TEXT_WIDTH), np.uint8)
-            slow[np.arange(_TEXT_WIDTH) < lengths[:, None]] = chars[(chars != ord(",")) & (chars != ord(" "))]
-            texts[rest] = slow
-    return table[:, : np.count_nonzero(table.any(axis=0))], index
+            reprs = np.array(repr(chunk[rest].tolist())[1:-1].encode().split(b", "), "S")
+            texts[rest, : reprs.itemsize] = reprs.view(np.uint8).reshape(rest.size, -1)
+        width = max(width, np.count_nonzero(texts.any(axis=0)))
+    return table[:, :width], index
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, index): values[k] has the bits of distinct[index[k]].
+
+    Equal values are adjacent in float order, and each run of equal bits is
+    one distinct value.  The sort's arrays are freed on return, before any
+    text is formatted.
+    """
+    order = np.argsort(values.astype(np.float64, copy=False))
+    bits = values.view(np.int64)[order]
+    first = np.empty(bits.size, bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    index = np.empty(bits.size, np.intp)
+    index[order] = np.cumsum(first) - 1
+    return values[order[first]], index
 
 
 # _decimals finds repr's digits of x with 1e-4 <= |x| < 1e15 in float64
@@ -140,7 +151,9 @@ def _decimals(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(done)
     a, e = a[rows], e[rows].astype(np.int64)
     a_split = _split(a)
-    half = np.spacing(a) / 2
+    # the gap to the next double up, as np.spacing(a) gives it, from
+    # arithmetic the writers use anyway: np.spacing's code costs peak RSS
+    half = ((a.view(np.int64) + 1).view(np.float64) - a) / 2
     # from 17 digits down, each p whose decimal reads back replaces the last
     m, inside, sure = _rounded(a, a_split, half, 16 - e, 17)
     p = np.full(a.size, 17)
@@ -174,7 +187,8 @@ def _fixed_notation(m, p, decpt, negative, out, rows) -> None:
     for part, places, first in ((high, 8, 4), (low, 9, 12)):
         part = part.astype(np.uint32)
         for c in range(places):
-            digits[:, first + c] += (part // 10 ** (places - 1 - c) % 10).astype(np.uint8)
+            digit = part // 10 ** (places - 1 - c) % 10 + ord("0")
+            digits[:, first + c] = digit.astype(np.uint8)
     # the integer part, ".", then at least one fraction digit
     whole = np.maximum(decpt, 1)
     length = negative + whole + 1 + np.maximum(p - decpt, 1)
@@ -192,20 +206,21 @@ def _fixed_notation(m, p, decpt, negative, out, rows) -> None:
         text[:, sign + width + 1 : sign + width + 1 + fraction] = digits[
             start:stop, 4 + point : 4 + point + fraction
         ]
-    texts *= (np.arange(_TEXT_WIDTH) < length[:, None]).view(np.uint8)
+    texts[np.arange(_TEXT_WIDTH) >= length[:, None]] = 0
     out[rows] = texts
 
 
-def _write_rows(f, fields) -> None:
-    """Write CSV rows, _WRITE_ROWS at a time: fields holds one (table,
-    index) pair of _texts per column, its index running over the rows."""
-    for start in range(0, fields[0][1].size, _WRITE_ROWS):
-        texts = [table[index[start : start + _WRITE_ROWS]] for table, index in fields]
-        comma = np.full((texts[0].shape[0], 1), ord(","), np.uint8)
-        cells = [cell for text in texts for cell in (text, comma)]
-        cells[-1] = np.full_like(comma, ord("\n"))
-        rows = np.concatenate(cells, axis=1)
-        f.write(rows[rows != 0])
+def _write_rows(f, texts) -> None:
+    """Write CSV rows whose fields are the rows of texts: one zero-padded
+    byte array per column, all broadcast to one shape but the last axis."""
+    shape = np.broadcast_shapes(*(text.shape[:-1] for text in texts))
+    comma = np.full((*shape, 1), ord(","), np.uint8)
+    cells = [
+        cell for text in texts for cell in (np.broadcast_to(text, (*shape, text.shape[-1])), comma)
+    ]
+    cells[-1] = np.full_like(comma, ord("\n"))
+    rows = np.concatenate(cells, axis=-1)
+    f.write(rows[rows != 0])
 
 
 def write_surface_csv(surface: SurfaceGrid, path) -> None:
@@ -213,16 +228,18 @@ def write_surface_csv(surface: SurfaceGrid, path) -> None:
     res = surface.grid.resolution
     w1, i_index = _texts(surface.grid.axis(0))
     w2, j_index = _texts(surface.grid.axis(1))
+    w1, w2 = w1[i_index], w2[j_index][:, None]
     values = np.asarray(surface.values)
-    # whole grid rows per block; along a row w2 is fixed and w1 runs fastest
-    rows = max(1, _BLOCK_ROWS // res)
+    # whole grid rows per block and per write; along a grid row w2 is fixed
+    # and w1 runs fastest
+    block, chunk = (max(1, rows // res) for rows in (_BLOCK_ROWS, _CHUNK_ROWS))
     with _open_out(path) as f:
         f.write(SURFACE_HEADER.encode() + b"\n")
-        for j in range(0, res, rows):
-            block = values[j : j + rows]
-            w1s = (w1, np.tile(i_index, len(block)))
-            w2s = (w2, np.repeat(j_index[j : j + rows], res))
-            _write_rows(f, (w1s, w2s, _texts(block)))
+        for j in range(0, res, block):
+            table, index = _texts(values[j : j + block])
+            index, w2s = index.reshape(-1, res), w2[j : j + block]
+            for k in range(0, len(index), chunk):
+                _write_rows(f, (w1, w2s[k : k + chunk], table[index[k : k + chunk]]))
 
 
 def _read_rows(path, header: str, fields) -> list[tuple]:
@@ -285,9 +302,14 @@ def render_heatmap_svg(surface: SurfaceGrid, path) -> None:
     span = float(values.max()) - vmin
     t = np.zeros_like(values) if span == 0 else (values - vmin) / span
     # np.rint rounds half to even, as Python's round does; a node's colour
-    # is its three bytes in lowercase hex
-    rgb = np.rint(_LOW + t[:, None] * (_HIGH - _LOW)).astype(np.uint8)
-    colours = _HEX[np.stack((rgb >> 4, rgb & 15), axis=2).reshape(res, res, 6)]
+    # is its three bytes in lowercase hex; one channel at a time holds one
+    # float per node, not three
+    rgb = np.empty((values.size, 3), np.uint8)
+    for channel, (low, high) in enumerate(zip(_LOW, _HIGH)):
+        level = t * (high - low)
+        level += low
+        rgb[:, channel] = np.rint(level, out=level).astype(np.uint8)
+    colours = np.frombuffer(rgb.tobytes().hex().encode(), np.uint8).reshape(res, res, 6)
     j, i = divmod(int(np.argmin(values)), res)
     inset = px // 6
     side = px - 2 * inset
@@ -338,10 +360,12 @@ def write_observations_csv(observations: Observations, path) -> None:
     with _open_out(path) as f:
         f.write(OBSERVATIONS_HEADER.encode() + b"\n")
         for start in range(0, sizes.size, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            table, index = _texts(floats[block])
-            w1, w2, loss, g1, g2 = ((table, column) for column in index.reshape(-1, 5).T)
-            _write_rows(f, (w1, w2, _texts(sizes[block]), loss, g1, g2))
+            table, index = _texts(floats[start : start + _BLOCK_ROWS])
+            b, b_index = _texts(sizes[start : start + _BLOCK_ROWS])
+            index = index.reshape(-1, 5)
+            for k in range(0, len(index), _CHUNK_ROWS):
+                w1, w2, loss, g1, g2 = table[index[k : k + _CHUNK_ROWS].T]
+                _write_rows(f, (w1, w2, b[b_index[k : k + _CHUNK_ROWS]], loss, g1, g2))
 
 
 def read_observations_csv(path) -> Observations:

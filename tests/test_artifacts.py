@@ -407,6 +407,18 @@ def test_observations_writer_repeats_and_signed_zeros_over_blocks(tmp_path):
     assert text == reference.observations_csv_text(observations)
 
 
+def test_observations_writer_takes_32_bit_batch_sizes(tmp_path):
+    # the writer tells values apart by their 64-bit patterns
+    observations = Observations(
+        points=np.zeros((3, 2)),
+        values=np.ones(3),
+        gradients=np.zeros((3, 2)),
+        batch_sizes=np.array([5, 1, 5], np.int32),
+    )
+    text = written(write_observations_csv, observations, tmp_path / "o.csv")
+    assert text == reference.observations_csv_text(observations)
+
+
 @pytest.mark.parametrize("res", [2, 3, 7, 101, 301])
 def test_heatmap_matches_reference_across_resolutions(tmp_path, res):
     # rect x/y change digit count across these; at 301, px = 600 // res
