@@ -22,11 +22,19 @@ bits everywhere.
 
 solve_least_squares is the truncated-SVD solve from the eigenpairs of
 ``a^T a``.  A shape sweep screens its candidates with a SweepSolver
-instead: it forms ``a^T a`` with the same checks, and proves the rank
-eigh would find by a shifted Cholesky factorization (every eigenvalue
-kept) or a Rayleigh-Ritz step on the previous candidate's leading
-vectors (few kept), falling back to eigh.  Its solutions are not bitwise
+instead: it takes a normal system ``(G, a^T b)``, and proves the rank eigh
+would find by a shifted Cholesky factorization (every eigenvalue kept) or
+a Rayleigh-Ritz step on the previous candidate's leading vectors (few
+kept), falling back to eigh.  Its solutions are not bitwise
 solve_least_squares's, so the sweep re-solves the candidates that may win.
+
+The Gaussian factors over coordinates: phi(w - c) = prod_k
+exp(-(eps * (w_k - c_k))**2).  On a tensor grid of points the value rows
+of a design matrix are therefore a column-wise Khatri-Rao product of one
+block per axis (axis_factors), and G is a Hadamard product of the blocks'
+small Gram matrices, so a sweep on grid data forms its normal systems
+without the N x M design matrix (Fasshauer, *Meshfree Approximation
+Methods with MATLAB*, 2007; Saatci, PhD thesis, Cambridge, 2011).
 """
 
 from __future__ import annotations
@@ -83,15 +91,25 @@ def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, keep, out=out)
 
 
-def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+def gradient_block(diff, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     """(N*d) x M gradient rows from differences (N, d, M) and phi = value_block(r, eps, ...).
 
     Entry -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.  out
-    is a C-contiguous (N*d, M) buffer, and may be diff itself.
+    is a C-contiguous (N*d, M) buffer, and may be diff itself.  On a 2-d
+    tensor grid of N = n1 * n2 points, node j * n1 + i at (u_i, v_j), diff
+    may instead be the pair of per-axis differences (u_i - c_j1 as n1 x M,
+    v_j - c_j2 as n2 x M): the same bits without the (N, 2, M) array.
     """
     if not out.flags.c_contiguous:
         # reshape would copy, and the rows would be written to the copy
         raise ValueError("out must be C-contiguous")
+    if isinstance(diff, tuple):
+        du, dv = diff
+        g = out.reshape(dv.shape[0], du.shape[0], 2, du.shape[1])
+        np.multiply(du, -2.0 * eps**2, out=g[:, :, 0])
+        np.multiply(dv[:, None, :], -2.0 * eps**2, out=g[:, :, 1])
+        np.multiply(g, phi.reshape(g.shape[0], g.shape[1], 1, g.shape[3]), out=g)
+        return out
     g = out.reshape(diff.shape)
     np.multiply(diff, -2.0 * eps**2, out=g)
     np.multiply(g, phi[:, None, :], out=g)
@@ -164,6 +182,22 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
     return gradient_block(diff, phi, params.shape, diff.reshape(n * d, m))
 
 
+def axis_factors(d: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, D) of one coordinate axis, from the differences d = node - centre.
+
+    E = exp(-(eps*d)**2) is value_block's floored kernel of d, and D =
+    -2 eps^2 d E.  In 2-d, phi(w - c) is E_1 E_2 and its partial derivatives
+    are D_1 E_2 and E_1 D_2, up to rounding.  Each factor is floored on its
+    own at FLOOR_ARG, so no factor and no product of two is subnormal; a
+    product E_1 E_2 may be nonzero where value_block floors phi of the whole
+    radius, but it is then below exp(-FLOOR_ARG), up to rounding.
+    """
+    e = value_block(d, eps, np.empty_like(d))
+    dd = np.multiply(d, -2.0 * eps**2)
+    dd *= e
+    return e, dd
+
+
 REL_TOL = 1e-12  # on eigenvalues of a^T a; sqrt(REL_TOL) = 1e-6 on singular values of a
 
 
@@ -172,8 +206,11 @@ REL_TOL = 1e-12  # on eigenvalues of a^T a; sqrt(REL_TOL) = 1e-6 on singular val
 # themselves
 
 
-def _normal_system(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(G, a^T b) with G = a^T a, after the input and overflow checks of solve_least_squares."""
+def normal_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(G, a^T b) with G = a^T a, after the input and overflow checks of solve_least_squares.
+
+    Runs under the errstate of the solve helpers below.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2:
@@ -215,7 +252,7 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the candidate.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _eigh_solve(*_normal_system(a, b))[0]
+        return _eigh_solve(*normal_system(a, b))[0]
 
 
 # the block route's columns beyond the previous candidate's rank
@@ -306,28 +343,35 @@ class SweepSolver:
        previous candidate's leading k + _MARGIN vectors certifies eigh's
        kept count (_block_solve).  After a block step whose rank rose, the
        block holds fewer than k + _MARGIN Ritz vectors, and all are used;
-    3. otherwise the eigh solve of solve_least_squares, bit for bit.
+    3. otherwise the eigh solve of solve_least_squares on G, bit for bit.
 
     Routes 1 and 2 keep exactly the eigenvalues eigh keeps, but their x,
     and so the candidate's MSE, is not bitwise eigh's: the MSE differs in
     about the 14th digit on route 1 and by up to about 1e-3 relative on
     route 2.  So a sweep re-solves the candidates that may win with
     solve_least_squares.  A route that is refused, fails or gives a
-    non-finite x falls back to route 3, so the errors are
-    solve_least_squares's on the same input; the one exception is an
-    eigensolve that would fail to converge on a matrix route 1 certifies,
-    as route 1 runs none.  One instance serves one sweep; it is not
-    thread-safe.
+    non-finite x falls back to route 3, so on G = a^T a from normal_system
+    the errors are solve_least_squares's on the same (a, b); the one
+    exception is an eigensolve that would fail to converge on a matrix
+    route 1 certifies, as route 1 runs none.  One instance serves one
+    sweep; it is not thread-safe.
     """
 
     def __init__(self):
         self.rank = 0
         self.basis = None
 
-    def solve(self, a, b) -> tuple[np.ndarray, int, str]:
-        """(x, kept eigenvalue count, route name: "full", "block" or "eigh")."""
+    def solve(self, g, atb) -> tuple[np.ndarray, int, str]:
+        """(x, kept eigenvalue count, route name: "full", "block" or "eigh") of G x = a^T b.
+
+        G is symmetric positive semidefinite up to rounding: a^T a from
+        normal_system, or a Gram matrix formed another way.  A non-finite G
+        diagonal or a^T b raises NumericalError, as an overflow in
+        normal_system does.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            g, atb = _normal_system(a, b)
+            if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(atb).all()):
+                raise NumericalError("normal matrix overflowed")
             m = g.shape[0]
             solved = None
             if self.rank == m or self.basis is not None:

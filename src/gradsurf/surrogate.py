@@ -13,13 +13,15 @@ The shape parameter is selected by sweeping the fixed log-equispaced
 candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
 FitRecipe) and keeping the one with the lowest training mean squared error;
 candidates whose solve fails numerically are skipped.  The sweep screens
-candidates with a cheaper certified solve and re-solves the possible
+candidates with a cheaper certified solve, on grid data from per-axis
+kernel factors without the design matrix, and re-solves the possible
 winners exactly, so the winner is the one of solving every candidate with
 kernels.solve_least_squares.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -36,7 +38,9 @@ from .kernels import (
     SweepSolver,
     assemble_gradient_matrix,
     assemble_value_matrix,
+    axis_factors,
     gradient_block,
+    normal_system,
     pairwise,
     solve_least_squares,
     value_block,
@@ -150,8 +154,11 @@ def _system_buffers(geometry, mode):
     gradient components (point-major, coordinate-minor), or the value rows
     stacked on the gradient rows.  phi is a's value block (a itself, or its
     first N rows) except in mode g, where it is an N x M scratch of its own.
+    geometry is pairwise's, or a _Grid's with per-axis differences.
     """
-    n, d, m = geometry[0].shape
+    diff, r = geometry
+    n, m = r.shape
+    d = len(diff) if isinstance(diff, tuple) else diff.shape[1]
     a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[mode], m))
     return a, (np.empty((n, m)) if mode is FitMode.G else a[:n])
 
@@ -161,8 +168,8 @@ def _write_system(a, phi, geometry, eps: float, mode) -> None:
     diff, r = geometry
     value_block(r, eps, phi)
     if mode is not FitMode.F:
-        # the gradient rows are a's last N*d rows
-        gradient_block(diff, phi, eps, a[-diff.shape[0] * diff.shape[1] :])
+        # the gradient rows: all of a in mode g, and those after phi's in fg
+        gradient_block(diff, phi, eps, a if mode is FitMode.G else a[r.shape[0] :])
 
 
 def training_mse(surrogate: Surrogate, observations: Observations) -> float:
@@ -184,74 +191,240 @@ def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     return float(np.mean(r * r))
 
 
-def _exact(a, b):
-    """solve_least_squares in the form of SweepSolver.solve: (x, no kept count, "eigh")."""
-    return solve_least_squares(a, b), None, "eigh"
+class _Design:
+    """A fit's design matrix, rewritten in place for each candidate.
 
-
-def _solve(solve, a, b):
-    """(training MSE, coefficients, route) of one candidate, or None if it is skipped.
-
-    solve is _exact or a SweepSolver's solve.  Only the eigh route is
-    solve_least_squares's own; a solve on another route whose MSE is not
-    finite is redone with _exact, so the skipped candidates are those of
-    the exact solve.
+    The point-centre geometry and the buffer are built on first use, so a
+    sweep on the grid route builds them only when it solves a candidate
+    exactly, and then from the grid's per-axis differences; they are local
+    to the fit, since cells fit on worker threads.
     """
-    try:
-        coef, _, route = solve(a, b)
-    except NumericalError:
+
+    def __init__(self, points, centres, b, mode, grid=None):
+        self.points, self.centres, self.b, self.mode = points, centres, b, mode
+        self.grid = grid
+
+    @functools.cached_property
+    def geometry(self):
+        if self.grid is not None:
+            return self.grid.geometry()
+        return pairwise(self.points, self.centres)
+
+    @functools.cached_property
+    def buffers(self):
+        return _system_buffers(self.geometry, self.mode)
+
+    @property
+    def r_min(self) -> float:
+        """The smallest nonzero point-centre distance, inf if there is none."""
+        r = self.geometry[1]
+        return float(np.min(r, where=r > 0, initial=np.inf))
+
+    def write(self, eps: float) -> np.ndarray:
+        a, phi = self.buffers
+        _write_system(a, phi, self.geometry, eps, self.mode)
+        return a
+
+    def normal(self, eps: float):
+        """(a^T a, a^T b) of candidate eps."""
+        return normal_system(self.write(eps), self.b)
+
+    def mse(self, x) -> float:
+        """Mean squared residual of x on the candidate last written."""
+        r = self.buffers[0] @ x - self.b
+        return float(np.mean(r * r))
+
+    def exact(self, eps: float):
+        """(MSE, coefficients, True) of solve_least_squares on candidate eps, or None if skipped."""
+        a = self.write(eps)
+        try:
+            x = solve_least_squares(a, self.b)
+        except NumericalError:
+            return None
+        # overflow here just means another skipped candidate
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse = self.mse(x)
+        return (mse, x, True) if np.isfinite(mse) else None
+
+
+def _grid_axes(points):
+    """(u, v): the axis nodes of points that form a full tensor grid, else None.
+
+    Row k must be (u[k % n1], v[k // n1]), bit for bit, with u and v
+    strictly increasing: the order of problem.GridSpec.points().  Any other
+    order, a missing or repeated node, or points that are not 2-d are not a
+    grid.
+    """
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         return None
-    # overflow here just means another skipped candidate
+    n = points.shape[0]
+    # the first row off the first v level; none means one level of n nodes
+    n1 = int(np.argmax(points[:, 1] != points[0, 1])) or n
+    if n % n1:
+        return None
+    u, v = points[:n1, 0], points[::n1, 1]
+    if not ((u[1:] > u[:-1]).all() and (v[1:] > v[:-1]).all()):
+        return None
+    # bitwise, so the grid's differences are those of the points, signed zeros included
+    nodes = np.stack([w.ravel() for w in np.meshgrid(u, v)], axis=1)
+    return (u, v) if nodes.tobytes() == points.tobytes() else None
+
+
+class _Grid:
+    """A fit's candidate normal systems on a tensor grid, from per-axis kernel factors.
+
+    With the points at (u_i, v_j) and the factors (E_u, D_u), (E_v, D_v) of
+    kernels.axis_factors, the value row of node (i, j) is E_u[i] * E_v[j]
+    and its gradient rows D_u[i] * E_v[j] and E_u[i] * D_v[j].  So, with
+    UU = E_u^T E_u and VV = E_v^T E_v, the value rows' G is UU * VV and the
+    gradient rows' is (D_u^T D_u) * VV + UU * (D_v^T D_v), elementwise; a^T b
+    sums columns of E_v * (B E_u) and the like, for the targets B on the
+    (v, u) node array; and the fitted values are (E_v * x) E_u^T.  No N x M
+    matrix is built.  The systems differ from a^T a in rounding only, and
+    by the floor: a product of factors can be nonzero where value_block
+    floors phi of the radius, but only below exp(-FLOOR_ARG).
+    """
+
+    def __init__(self, axes, centres, b, mode):
+        self.d = [np.subtract.outer(axis, centres[:, k]) for k, axis in enumerate(axes)]
+        shape = axes[1].size, axes[0].size
+        n = shape[0] * shape[1]
+        self.rows = b.size
+        self.values = None if mode is FitMode.G else b[:n].reshape(shape)
+        self.grads = None
+        if mode is not FitMode.F:
+            grads = b[-2 * n :].reshape(*shape, 2)
+            self.grads = grads[..., 0].copy(), grads[..., 1].copy()
+        self.r_min = _grid_r_min(*self.d)
+
+    def geometry(self):
+        """pairwise's geometry, with per-axis differences for its (N, 2, M) array.
+
+        The radii are _radii's bits: the same squares, added in the same order.
+        """
+        du, dv = self.d
+        r = np.add(np.square(du)[None], np.square(dv)[:, None])
+        return (du, dv), np.sqrt(r, out=r).reshape(-1, du.shape[1])
+
+    def normal(self, eps: float):
+        """(G, a^T b) of candidate eps."""
+        (eu, du), (ev, dv) = self.factors = [axis_factors(d, eps) for d in self.d]
+        uu, vv = eu.T @ eu, ev.T @ ev
+        g, atb = 0.0, 0.0
+        if self.values is not None:
+            g = uu * vv
+            atb = np.einsum("jm,jm->m", ev, self.values @ eu)
+        if self.grads is not None:
+            gu, gv = self.grads
+            g = g + (du.T @ du) * vv + uu * (dv.T @ dv)
+            atb = atb + np.einsum("jm,jm->m", ev, gu @ du) + np.einsum("jm,jm->m", dv, gv @ eu)
+        return g, atb
+
+    def mse(self, x) -> float:
+        """Mean squared residual of x on the candidate last formed."""
+        (eu, du), (ev, dv) = self.factors
+        evx = ev * x
+        fitted = []
+        if self.values is not None:
+            fitted.append((evx @ eu.T, self.values))
+        if self.grads is not None:
+            fitted += [(evx @ du.T, self.grads[0]), ((dv * x) @ eu.T, self.grads[1])]
+        total = 0.0
+        for p, t in fitted:
+            p -= t
+            total += float(np.vdot(p, p))
+        return total / self.rows
+
+
+def _grid_r_min(du, dv) -> float:
+    """_Design.r_min from the per-axis differences, bitwise.
+
+    A radius squares the two differences and adds them, and rounded addition
+    is monotone, so a centre's smallest sum is that of the smallest squares
+    unless both are 0; then it is the smaller nonzero square of one axis.
+    """
+    su, sv = np.square(du), np.square(dv)
+    lowest = su.min(axis=0) + sv.min(axis=0)
+    other = np.minimum(
+        np.min(su, axis=0, where=su > 0, initial=np.inf),
+        np.min(sv, axis=0, where=sv > 0, initial=np.inf),
+    )
+    return math.sqrt(float(np.where(lowest > 0, lowest, other).min()))
+
+
+def _screen(solver, source, design, eps):
+    """(MSE, coefficients, exact) of a screened candidate, or None if it is skipped.
+
+    source is design or a _Grid.  The outcome is solve_least_squares's own
+    (exact) only on the eigh route on the design's own a^T a.  A failed
+    solve or a non-finite MSE is then final, as the exact solve would fail
+    the same way; otherwise the candidate is redone with design.exact.
+    """
+    assembled = source is design
     with np.errstate(over="ignore", invalid="ignore"):
-        r = a @ coef - b
-        mse = float(np.mean(r * r))
+        try:
+            x, _, route = solver.solve(*source.normal(eps))
+        except NumericalError:
+            return None if assembled else design.exact(eps)
+        mse = source.mse(x)
+    exact = assembled and route == "eigh"
     if np.isfinite(mse):
-        return mse, coef, route
-    return None if route == "eigh" else _solve(_exact, a, b)
+        return mse, x, exact
+    return None if exact else design.exact(eps)
 
 
 # relative band on screened MSEs: a candidate whose screened MSE m has
 # m * (1 - _MSE_BAND) above an exact MSE already found cannot beat it as
 # long as screened MSEs are within _MSE_BAND / 2 of exact.  Measured over
-# the 48 c100 cells of default studies at seeds 0-3: at most 5.9e-4 off on
+# the 48 c100 cells of default studies at seeds 0-3: at most 5.5e-5 off on
+# the grid's normal systems (every route), and on a^T a at most 5.9e-4 on
 # the block route and 1.3e-14 on the full-rank route
 _MSE_BAND = 1e-2
 
 
-def _sweep(geometry, b, mode):
+def _sweep(points, centres, b, mode):
     """((MSE, eps, coefficients) of the winner or None, skipped eps) of one sweep.
 
-    The fit's one design-matrix buffer is rewritten in place for each
-    candidate; it is local to the call, since cells fit on worker threads.
-    Each candidate has one outcome, _solve's, or None if it is skipped.
-    Once a candidate's phi is zero everywhere off the centres (every
-    nonzero radius is past the kernel floor, kernels.FLOOR_ARG), each
-    larger eps gives the same 0/1 phi and the same signed-zero gradient
-    rows, so the same system: the sweep stops there, and the rest repeat
-    its outcome.  They cannot win, since an equal MSE never displaces a
-    smaller eps.  The tail is recognised from the geometry: fl(fl(eps*r)**2)
-    is monotone in r, so every nonzero radius is past the floor exactly
-    when the smallest one is (t * t rounds as value_block's np.square does).
+    Each candidate has one outcome, _screen's or _Design.exact's, or None if
+    it is skipped.  Once a candidate's phi is zero everywhere off the
+    centres (every nonzero radius is past the kernel floor,
+    kernels.FLOOR_ARG), each larger eps gives the same 0/1 phi and the same
+    signed-zero gradient rows, so the same system: the sweep stops there,
+    and the rest repeat its outcome.  They cannot win, since an equal MSE
+    never displaces a smaller eps.  The tail is recognised from the
+    smallest nonzero radius: fl(fl(eps*r)**2) is monotone in r, so every
+    nonzero radius is past the floor exactly when the smallest one is (t * t
+    rounds as value_block's np.square does).
 
-    A system with at least kernels.SCREEN_MIN_COLS columns is solved by one
-    kernels.SweepSolver, which takes a certified full-rank or low-rank
+    A system with at least kernels.SCREEN_MIN_COLS columns is screened by
+    one kernels.SweepSolver, which takes a certified full-rank or low-rank
     route instead of a full eigensolve where it can; a narrower system (one
-    centre) is solved by _exact, as an eigensolve of so few columns is as
-    cheap as the screen.  Selection stays exact: the outcomes are taken in
-    order of MSE, and each off the eigh route is re-assembled and replaced
-    by its _exact outcome, until the next MSE is beyond _MSE_BAND of the
-    best exact one.  The exact MSEs decide, ties going to the smallest eps,
-    so the winner and its coefficient bytes are those of solving every
-    candidate with solve_least_squares.
+    centre) is solved exactly, as an eigensolve of so few columns is as
+    cheap as the screen.  The screen's normal systems come from the
+    per-axis factors (_Grid) when the points are a full tensor grid
+    (_grid_axes), and from the assembled design matrix otherwise.
+    Selection stays exact: the outcomes are taken in order of MSE, and each
+    not exact is replaced by design.exact's outcome, until the next MSE is
+    beyond _MSE_BAND of the best exact one.  The exact MSEs decide, ties
+    going to the smallest eps, so the winner and its coefficient bytes are
+    those of solving every candidate with solve_least_squares.
     """
-    a, phi = _system_buffers(geometry, mode)
-    r_min = np.min(geometry[1], where=geometry[1] > 0, initial=np.inf)
+    grid = solver = None
+    if centres.shape[0] >= SCREEN_MIN_COLS:
+        solver = SweepSolver()
+        axes = _grid_axes(points)
+        if axes is not None:
+            grid = _Grid(axes, centres, b, mode)
+    design = _Design(points, centres, b, mode, grid)
+    source = design if grid is None else grid
+    r_min = source.r_min
     eps_list = SHAPE_CANDIDATES.tolist()
-    solve = SweepSolver().solve if a.shape[1] >= SCREEN_MIN_COLS else _exact
     outcomes = []
     for eps in eps_list:
-        _write_system(a, phi, geometry, eps, mode)
-        outcomes.append(_solve(solve, a, b))
+        if solver is None:
+            outcomes.append(design.exact(eps))
+        else:
+            outcomes.append(_screen(solver, source, design, eps))
         t = eps * r_min
         if t * t > FLOOR_ARG:
             break
@@ -259,9 +432,8 @@ def _sweep(geometry, b, mode):
     for mse, k in sorted((o[0], k) for k, o in enumerate(outcomes) if o is not None):
         if best is not None and mse * (1.0 - _MSE_BAND) > best[0]:
             break
-        if outcomes[k][2] != "eigh":
-            _write_system(a, phi, geometry, eps_list[k], mode)
-            outcomes[k] = _solve(_exact, a, b)
+        if not outcomes[k][2]:
+            outcomes[k] = design.exact(eps_list[k])
             if outcomes[k] is None:
                 continue
         # ties go to the earliest, i.e. smallest, eps
@@ -278,16 +450,15 @@ def _sweep(geometry, b, mode):
 def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surrogate:
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
-    Centres are drawn once and shared by every candidate, so the
-    point-centre geometry is computed once per fit; _sweep solves the
-    candidates and selects.  Raises FitFailure, listing every skipped eps,
+    Centres are drawn once and shared by every candidate, so what the
+    candidates share (the point-centre geometry, or a grid's per-axis
+    differences) is computed once per fit; _sweep solves the candidates and
+    selects.  Raises FitFailure, listing every skipped eps,
     if no candidate is left.
     """
     centres = sample_centres(stream, observations, recipe)
     best, skipped = _sweep(
-        pairwise(observations.points, centres),
-        _targets(observations, recipe.mode),
-        recipe.mode,
+        observations.points, centres, _targets(observations, recipe.mode), recipe.mode
     )
     if best is None:
         raise FitFailure(skipped)

@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
+import reference
 
 import gradsurf.experiment
-from gradsurf.artifacts import read_json
+import gradsurf.surrogate
+from gradsurf.artifacts import read_json, read_observations_csv
 from gradsurf.cli import main
-from gradsurf.surrogate import FitFailure
+from gradsurf.kernels import single_threaded_blas
+from gradsurf.surrogate import FitFailure, FitMode
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +174,37 @@ def test_fit_verb_reproduces_a_study_cell(tmp_path, capsys):
         assert (fit_dir / "model.json").read_bytes() == model
         surface = (out / cell["artifacts"]["surface_report"]).read_bytes()
         assert (fit_dir / "surface.csv").read_bytes() == surface
+
+
+@pytest.mark.parametrize("order", ["sampled", "shuffled"])
+def test_fit_verb_screens_on_the_grid_only_for_rows_in_grid_order(tmp_path, capsys, monkeypatch, order):
+    # sample -> observations.csv -> fit takes the grid route; the same rows
+    # shuffled take the assembled one.  Either way the model is the winner
+    # of solving every candidate exactly, on the centres the fit drew
+    run_cli(capsys, "sample", "--grid", "13", "--out", str(tmp_path / "s"))
+    csv = tmp_path / "s" / "observations.csv"
+    if order == "shuffled":
+        header, *rows = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        csv.write_text("".join([header, *rows[1::2], *rows[0::2]]), encoding="utf-8")
+    grids = []
+
+    class CountingGrid(gradsurf.surrogate._Grid):
+        def __init__(self, *args):
+            grids.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gradsurf.surrogate, "_Grid", CountingGrid)
+    # 26 centres, the narrowest system the sweep screens
+    argv = ["fit", str(csv), "--mode", "fg", "--centres", "26", "--report-grid", "9"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "f"))[0] == 0
+    assert len(grids) == (1 if order == "sampled" else 0)
+    model = read_json(tmp_path / "f" / "model.json")
+    with single_threaded_blas():
+        best, _, _ = reference.shape_sweep(
+            read_observations_csv(csv), np.array(model["centres"]), FitMode.FG
+        )
+    assert model["shape"] == best[1]
+    assert np.array(model["coefficients"]).tobytes() == best[2].tobytes()
 
 
 def test_report_verb(tmp_path, capsys):

@@ -22,7 +22,9 @@ from gradsurf.kernels import (
     SweepSolver,
     assemble_gradient_matrix,
     assemble_value_matrix,
+    axis_factors,
     gradient_block,
+    normal_system,
     pairwise,
     solve_least_squares,
     value_block,
@@ -201,6 +203,40 @@ def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
         assert np.array_equal(g, assemble_gradient_matrix(points, centres, params))
 
 
+def test_axis_factors_multiply_to_the_kernel_and_its_gradient():
+    # off-grid centres against a 7 x 5 tensor grid, from the flat limit to
+    # past the floor: the products of per-axis factors are the assembled
+    # value and gradient entries up to rounding, and where value_block
+    # floors phi of the radius they are below exp(-FLOOR_ARG)
+    stream = derive_stream(12, "kernel/axes")
+    u, v = np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 3.0, 5)
+    points = np.stack([c.ravel() for c in np.meshgrid(u, v)], axis=1)
+    centres = np.array([[uniform(stream, -2, 2), uniform(stream, -1, 3)] for _ in range(6)])
+    floored_products = 0
+    for eps in (1e-4, 0.3, 2.0, 9.0, 15.0, 21.0, 60.0):
+        (eu, du), (ev, dv) = (
+            axis_factors(np.subtract.outer(axis, centres[:, k]), eps) for k, axis in enumerate((u, v))
+        )
+        for e in (eu, ev):
+            assert e[e > 0].min(initial=1.0) >= math.exp(-FLOOR_ARG)
+        phi = assemble_value_matrix(points, centres, KernelParams(eps))
+        grad = assemble_gradient_matrix(points, centres, KernelParams(eps))
+        # node (u[i], v[j]) is row j * 7 + i
+        value = (ev[:, None, :] * eu[None, :, :]).reshape(35, 6)
+        d1 = (ev[:, None, :] * du[None, :, :]).reshape(35, 6)
+        d2 = (dv[:, None, :] * eu[None, :, :]).reshape(35, 6)
+        # exp(-arg) carries the argument's rounding, so the relative error
+        # grows with it, up to about FLOOR_ARG ulps (530 measured)
+        rtol = 2.0 * FLOOR_ARG * 2.0**-52
+        slack = math.exp(-FLOOR_ARG) * max(1.0, 2.0 * eps**2 * 5.0)
+        assert np.allclose(value, phi, rtol=rtol, atol=slack), eps
+        assert np.allclose(d1, grad[0::2], rtol=rtol, atol=slack), eps
+        assert np.allclose(d2, grad[1::2], rtol=rtol, atol=slack), eps
+        floored_products += np.count_nonzero((phi == 0) & (value > 0))
+    # some products survive where phi is floored, so the slack was needed
+    assert floored_products > 0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_value_matrix_is_value_block_of_pairwise_radii(d):
     # evaluation sums the squared coordinate differences without the
@@ -373,10 +409,16 @@ def sweep_solver(rank=0, basis=None):
     return solver
 
 
+def screen(solver, a, b):
+    """solver.solve on the normal system of a x = b, as a sweep on a design matrix calls it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solver.solve(*normal_system(a, b))
+
+
 def test_sweep_solver_takes_the_full_rank_route_when_lam_min_clears_the_cutoff():
     lam = np.geomspace(1.0, 1e-6, 30)
     a, b, _ = system_with_spectrum(lam, "full")
-    x, kept, route = sweep_solver(rank=30).solve(a, b)
+    x, kept, route = screen(sweep_solver(rank=30), a, b)
     assert (kept, route) == (30, "full")
     assert np.allclose(x, solve_least_squares(a, b), rtol=1e-8)
 
@@ -403,7 +445,7 @@ def test_sweep_solver_refuses_an_eigenvalue_near_the_cutoff(case):
         solver = sweep_solver(rank=30)
     else:
         solver = sweep_solver(rank=4, basis=q[:, :16])
-    x, kept, route = solver.solve(a, b)
+    x, kept, route = screen(solver, a, b)
     assert (kept, route) == (kept_want, "eigh")
     assert x.tobytes() == solve_least_squares(a, b).tobytes()
 
@@ -411,7 +453,7 @@ def test_sweep_solver_refuses_an_eigenvalue_near_the_cutoff(case):
 def test_sweep_solver_takes_the_block_route_from_the_previous_eigenvectors():
     lam = np.concatenate([[1.0, 0.3, 0.1], np.full(37, 1e-15)])
     a, b, q = system_with_spectrum(lam, "block")
-    x, kept, route = sweep_solver(rank=3, basis=q[:, :15]).solve(a, b)
+    x, kept, route = screen(sweep_solver(rank=3, basis=q[:, :15]), a, b)
     assert (kept, route) == (3, "block")
     assert np.allclose(x, solve_least_squares(a, b), rtol=1e-9)
 
@@ -421,7 +463,7 @@ def test_sweep_solver_refuses_a_stale_block_missing_the_dominant_eigenvector():
     # Ritz values miss lam_max, and the residual certificate refuses it
     lam = np.concatenate([[1.0, 0.3, 0.1], np.full(37, 1e-15)])
     a, b, q = system_with_spectrum(lam, "stale")
-    x, kept, route = sweep_solver(rank=3, basis=q[:, 1:16]).solve(a, b)
+    x, kept, route = screen(sweep_solver(rank=3, basis=q[:, 1:16]), a, b)
     assert (kept, route) == (3, "eigh")
     assert x.tobytes() == solve_least_squares(a, b).tobytes()
 
@@ -431,7 +473,7 @@ def test_sweep_solver_refuses_a_saturated_block():
     # keeps 20, more than the block holds
     lam = np.concatenate([np.geomspace(1.0, 1e-6, 20), np.full(40, 1e-15)])
     a, b, q = system_with_spectrum(lam, "saturated")
-    x, kept, route = sweep_solver(rank=1, basis=q[:, :13]).solve(a, b)
+    x, kept, route = screen(sweep_solver(rank=1, basis=q[:, :13]), a, b)
     assert (kept, route) == (20, "eigh")
     assert x.tobytes() == solve_least_squares(a, b).tobytes()
 
@@ -443,7 +485,7 @@ def test_sweep_solver_gives_exact_zeros_for_the_all_zero_tail_system(state):
     a[::2] = -0.0
     basis = np.eye(30)[:, :13] if state == "block" else None
     solver = sweep_solver(rank={"fresh": 0, "full": 30, "block": 1}[state], basis=basis)
-    x, kept, route = solver.solve(a, np.linspace(-1.0, 1.0, 60))
+    x, kept, route = screen(solver, a, np.linspace(-1.0, 1.0, 60))
     assert (kept, route) == (0, "eigh")
     assert x.tobytes() == np.zeros(30).tobytes()
 
@@ -475,7 +517,21 @@ def test_sweep_solver_raises_where_solve_least_squares_raises(case):
         solve_least_squares(a, b)
     for solver in sweep_solver_states(a.shape[1]):
         with pytest.raises(error):
-            solver.solve(a, b)
+            screen(solver, a, b)
+
+
+@pytest.mark.parametrize("bad", ["diagonal", "rhs"])
+def test_sweep_solver_raises_numerical_error_on_a_non_finite_system(bad):
+    # a Gram matrix formed without normal_system, as on the grid route, is
+    # checked by the solver itself
+    g, atb = np.eye(30), np.ones(30)
+    if bad == "diagonal":
+        g[3, 3] = np.inf
+    else:
+        atb[5] = np.nan
+    for solver in sweep_solver_states(30):
+        with pytest.raises(NumericalError, match="overflowed"):
+            solver.solve(g, atb)
 
 
 @pytest.mark.parametrize("m", [2, 30])
@@ -489,4 +545,4 @@ def test_sweep_solver_maps_a_failed_eigensolve_to_numerical_error(monkeypatch, m
     fresh, _, block = sweep_solver_states(m)
     for solver in (fresh, block):
         with pytest.raises(NumericalError, match="did not converge"):
-            solver.solve(np.eye(m), np.ones(m))
+            screen(solver, np.eye(m), np.ones(m))

@@ -10,7 +10,7 @@ from draws import uniform
 
 import gradsurf.surrogate
 from gradsurf.analysis import evaluate_surface
-from gradsurf.artifacts import read_json, read_observations_csv
+from gradsurf.artifacts import read_json, read_observations_csv, write_observations_csv
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell
 from gradsurf.kernels import (
@@ -39,6 +39,9 @@ from gradsurf.surrogate import (
     FitRecipe,
     Surrogate,
     _MSE_BAND,
+    _Design,
+    _Grid,
+    _grid_axes,
     _sweep,
     _system_buffers,
     _targets,
@@ -155,19 +158,21 @@ def test_build_system_shapes_and_stacking():
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_build_system_matches_kernel_formula_bitwise(mode):
     # the sweep's in-place blocks against the formula, for every candidate of
-    # a study cell, rewriting one buffer as the sweep does: criterion 8
-    # re-runs the sweep from the formula
+    # a study cell, rewriting one buffer as the sweep does, on pairwise's
+    # geometry and on the grid's per-axis one: criterion 8 re-runs the sweep
+    # from the formula
     observations = study_cell_observations(mode, 100)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(5, "centres"), observations, recipe)
     b = _targets(observations, mode)
     assert b.tobytes() == reference._targets(observations, mode).tobytes()
-    geometry = pairwise(observations.points, centres)
-    a, phi = _system_buffers(geometry, mode)
-    for eps in SHAPE_CANDIDATES.tolist():
-        _write_system(a, phi, geometry, eps, mode)
-        want = reference._system(observations.points, centres, eps, mode)
-        assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
+    grid = _Grid(_grid_axes(observations.points), centres, b, mode)
+    for geometry in (pairwise(observations.points, centres), grid.geometry()):
+        a, phi = _system_buffers(geometry, mode)
+        for eps in SHAPE_CANDIDATES.tolist():
+            _write_system(a, phi, geometry, eps, mode)
+            want = reference._system(observations.points, centres, eps, mode)
+            assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
 
 
 def test_training_mse_exact_interpolation_is_tiny():
@@ -312,25 +317,29 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     """Run the shipped sweep, fit_surrogate and the reference sweep on one centre draw.
 
     The reference assembles every candidate afresh and solves it with
-    solve_least_squares, where the shipped sweep hoists the geometry, stops
-    at the kernel-floor tail and screens each candidate.  Asserts the same
-    winner (eps, MSE, coefficient bytes) and the same skipped list from
-    _sweep, and the same shape and coefficient bytes from fit_surrogate (or
-    a FitFailure listing the same skipped eps); returns (screened solves,
-    exact re-solves, reference distinct systems) of the _sweep call,
-    counted from its _write_system calls: the screening pass writes the
-    candidates in increasing eps, and every later write is a re-solve.
-    swept, if given, is the reference sweep already run on this draw.
+    solve_least_squares, where the shipped sweep stops at the kernel-floor
+    tail and screens each candidate, on a grid from per-axis factors.
+    Asserts the same winner (eps, MSE, coefficient bytes) and the same
+    skipped list from _sweep, and the same shape and coefficient bytes from
+    fit_surrogate (or a FitFailure listing the same skipped eps); returns
+    (screened solves, exact re-solves, reference distinct systems) of the
+    _sweep call, counted from the systems it builds (design matrices and
+    grid normal systems): a candidate's first system is its screening
+    solve, and each later one a re-solve.  swept, if given, is the
+    reference sweep already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-    write = gradsurf.surrogate._write_system
-    screened, resolved = [], []
+    write, grid_normal = gradsurf.surrogate._write_system, _Grid.normal
+    built = []
 
     def counting_write(a, phi, geometry, eps, mode):
-        screening = not resolved and (not screened or eps > screened[-1])
-        (screened if screening else resolved).append(eps)
+        built.append(eps)
         return write(a, phi, geometry, eps, mode)
+
+    def counting_normal(self, eps):
+        built.append(eps)
+        return grid_normal(self, eps)
 
     # all under the pin the study runs with; the reference's solves on a
     # threaded BLAS are several times slower on small machines
@@ -348,17 +357,15 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
             assert fitted.params.shape == want[1]
             assert fitted.coefficients.tobytes() == want[2].tobytes()
         monkeypatch.setattr(gradsurf.surrogate, "_write_system", counting_write)
-        best, skipped = _sweep(
-            pairwise(observations.points, centres),
-            _targets(observations, mode),
-            mode,
-        )
+        monkeypatch.setattr(_Grid, "normal", counting_normal)
+        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert skipped == want_skipped
     assert (best is None) == (want is None)
     if best is not None:
         assert best[:2] == want[:2]
         assert best[2].tobytes() == want[2].tobytes()
-    return len(screened), len(resolved), distinct
+    screened = len(set(built))
+    return screened, len(built) - screened, distinct
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -368,15 +375,19 @@ def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
     # sweep screens the 81 candidates below that and the first tail
     # candidate (eps ~ 119) once each, and leaves the other 39 of the 121
     # unsolved.  A one-centre system is too narrow to screen, so every
-    # solve is exact; a c100 sweep re-solves only the candidates off the
-    # eigh route whose screened MSE is within the band of the best (0, 0
-    # and 1 for f, fg and g when measured)
+    # solve is exact; a c100 sweep on the grid route has no exact outcome
+    # until the band walk, which re-solves the candidates whose screened
+    # MSE is within the band of the best: at least the winner, and 1-4 per
+    # c100 fit over the default studies at seeds 0-3
     observations, swept = study_cell_reference(mode, n_centres)
     screened, resolved, distinct = sweep_against_reference(
         observations, mode, n_centres, monkeypatch, swept
     )
     assert screened == distinct == 82
-    assert resolved <= (0 if n_centres == 1 else 2)
+    if n_centres == 1:
+        assert resolved == 0
+    else:
+        assert 1 <= resolved <= 4
 
 
 def residual_mse(a, x, b):
@@ -385,9 +396,29 @@ def residual_mse(a, x, b):
     return float(np.mean(r * r))
 
 
+def grid_and_design(mode, n_centres):
+    """(_Grid, _Design) of a seed-0 study cell on the fit's centre draw."""
+    observations, _ = study_cell_reference(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
+    b = _targets(observations, mode)
+    axes = _grid_axes(observations.points)
+    return _Grid(axes, centres, b, mode), _Design(observations.points, centres, b, mode)
+
+
+def swept_candidates(source):
+    """(index, eps) of every candidate a sweep solves: those up to the first in the tail."""
+    for k, eps in enumerate(SHAPE_CANDIDATES.tolist()):
+        yield k, eps
+        t = eps * source.r_min
+        if t * t > FLOOR_ARG:
+            return
+
+
 def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
     # every candidate the sweep solves in the six seed-0 study cells, on the
-    # fit's centre draw: the screen keeps as many eigenvalues as eigh does,
+    # fit's centre draw, screened as run screens them, on the grid's normal
+    # systems: the screen keeps as many eigenvalues as eigh does on a^T a,
     # and its MSE is within half the band of the exact one, as selection
     # assumes.  The sweep does not screen the one-centre systems, but the
     # screen must hold on them too.  Prints the candidates per route and
@@ -400,28 +431,19 @@ def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
                 counts = routes[f"{mode.value} c{n_centres}"] = dict.fromkeys(
                     ("full", "block", "eigh"), 0
                 )
-                observations, _ = study_cell_reference(mode, n_centres)
-                recipe = FitRecipe(mode=mode, n_centres=n_centres)
-                centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-                geometry = pairwise(observations.points, centres)
-                a, phi = _system_buffers(geometry, mode)
-                b = _targets(observations, mode)
-                r_min = np.min(geometry[1], where=geometry[1] > 0, initial=np.inf)
+                grid, design = grid_and_design(mode, n_centres)
                 solver = SweepSolver()
-                for eps in SHAPE_CANDIDATES.tolist():
-                    _write_system(a, phi, geometry, eps, mode)
-                    x, kept, route = solver.solve(a, b)
+                for _, eps in swept_candidates(grid):
+                    x, kept, route = solver.solve(*grid.normal(eps))
+                    a = design.write(eps)
                     lam = np.linalg.eigh(a.T @ a)[0]
                     assert kept == np.count_nonzero(lam > REL_TOL * lam.max()), (mode, eps)
-                    screened = residual_mse(a, x, b)
-                    exact = residual_mse(a, solve_least_squares(a, b), b)
+                    screened = grid.mse(x)
+                    exact = residual_mse(a, solve_least_squares(a, design.b), design.b)
                     deviation = abs(screened - exact) / exact
                     assert deviation <= _MSE_BAND / 2, (mode, eps, route)
                     worst = max(worst, deviation)
                     counts[route] += 1
-                    t = eps * r_min
-                    if t * t > FLOOR_ARG:
-                        break
     per_cell = (
         f"{cell}: " + ", ".join(f"{route} {n}" for route, n in counts.items())
         for cell, counts in routes.items()
@@ -434,6 +456,30 @@ def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
+def test_grid_normal_systems_and_residuals_match_the_assembled_ones(mode):
+    # every candidate the sweep solves in the seed-0 b3 c100 r0 cell: the
+    # grid's G and a^T b are a^T a and a^T b of the assembled matrix up to
+    # rounding, and its residual MSE is the assembled residual's.  The
+    # near-tail candidates 79-81 are where a per-factor floor below
+    # FLOOR_ARG would drop the nearest neighbours' kernel values
+    grid, design = grid_and_design(mode, 100)
+    solver = SweepSolver()
+    indices = []
+    with single_threaded_blas():
+        for k, eps in swept_candidates(grid):
+            indices.append(k)
+            g, atb = grid.normal(eps)
+            a = design.write(eps)
+            want_g, want_atb = a.T @ a, a.T @ design.b
+            scale = np.abs(want_g).max()
+            assert np.abs(g - want_g).max() <= 1e-13 * scale, (k, eps)
+            assert np.abs(atb - want_atb).max() <= 1e-13 * np.abs(want_atb).max(), (k, eps)
+            x = solver.solve(g, atb)[0]
+            assert grid.mse(x) == pytest.approx(residual_mse(a, x, design.b), rel=1e-9), (k, eps)
+    assert indices == list(range(82))
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("inflate_even", [True, False])
 def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
     mode, inflate_even, monkeypatch
@@ -442,36 +488,26 @@ def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
     # candidates, and none marked exact: the re-solves must still find the
     # reference winner
     observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
-    solve_one = gradsurf.surrogate._solve
+    screen_one = gradsurf.surrogate._screen
     calls = []
 
-    def perturbed(solve, a, b):
-        outcome = solve_one(solve, a, b)
-        if solve is gradsurf.surrogate._exact:
-            return outcome
+    def perturbed(solver, source, design, eps):
+        outcome = screen_one(solver, source, design, eps)
         calls.append(None)
         if outcome is None:
             return None
         up = (len(calls) % 2 == 1) == inflate_even
-        return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], "block"
+        return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], False
 
-    monkeypatch.setattr(gradsurf.surrogate, "_solve", perturbed)
+    monkeypatch.setattr(gradsurf.surrogate, "_screen", perturbed)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
-        best, skipped = _sweep(
-            pairwise(observations.points, centres), _targets(observations, mode), mode
-        )
+        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
+    assert len(calls) == 82
     assert skipped == want_skipped
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
-
-
-class ExactSolver:
-    """A SweepSolver stand-in that solves every candidate with solve_least_squares."""
-
-    def solve(self, a, b):
-        return solve_least_squares(a, b), None, "eigh"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -497,11 +533,13 @@ def test_sweep_winner_equals_the_all_eigh_sweep_on_held_out_seeds(seed, monkeypa
                     centres = sample_centres(
                         derive_stream(cell_seed, "centres"), observations, recipe
                     )
-                    args = (pairwise(observations.points, centres), _targets(observations, mode))
-                    got = _sweep(*args, mode)
+                    args = (observations.points, centres, _targets(observations, mode), mode)
+                    got = _sweep(*args)
+                    # no system is wide enough to screen: every candidate
+                    # is solved with solve_least_squares
                     with monkeypatch.context() as patch:
-                        patch.setattr(gradsurf.surrogate, "SweepSolver", ExactSolver)
-                        want = _sweep(*args, mode)
+                        patch.setattr(gradsurf.surrogate, "SCREEN_MIN_COLS", 101)
+                        want = _sweep(*args)
                     assert got[1] == want[1]
                     assert got[0][:2] == want[0][:2], cell
                     assert got[0][2].tobytes() == want[0][2].tobytes(), cell
@@ -630,13 +668,33 @@ def sweep_with_injected_failure(mode, n_centres, monkeypatch, exact, solver, ref
         want, want_skipped, _ = reference.shape_sweep(observations, centres, mode, reference_solve)
         monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", exact)
         monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", solver)
-        best, skipped = _sweep(
-            pairwise(observations.points, centres), _targets(observations, mode), mode
-        )
+        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert skipped == want_skipped
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
     return best, skipped
+
+
+def solver_failing_at(index, failure):
+    """A SweepSolver whose screening solve of candidate index returns failure(its result).
+
+    The screening pass solves the candidates in order, one solve each, so
+    the solve calls count the candidates; failure may raise.
+    """
+
+    class Failing(SweepSolver):
+        calls = 0
+
+        def solve(self, g, atb):
+            Failing.calls += 1
+            solved = super().solve(g, atb)
+            return failure(solved) if Failing.calls == index + 1 else solved
+
+    return Failing
+
+
+def injected_failure(solved):
+    raise NumericalError("injected failure")
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -654,66 +712,122 @@ def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_sweep_skips_a_candidate_whose_screened_solve_raises(mode, monkeypatch):
-    # a failed screen is not redone: the exact solve fails where the screen does
+    # a failed screen on the grid's system is redone exactly, and the
+    # candidate is skipped when its exact solve fails too
     eps, system = winner_system(mode, 100)
     fail = FailOn(system)
-
-    class RaisingSolver(SweepSolver):
-        def solve(self, a, b):
-            if fail(a):
-                raise NumericalError("injected failure")
-            return super().solve(a, b)
-
+    solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
     best, skipped = sweep_with_injected_failure(
-        mode, 100, monkeypatch, solve_least_squares, RaisingSolver, FailOn(system).exact
+        mode, 100, monkeypatch, fail.exact, solver, FailOn(system).exact
     )
     assert fail.fired == 1
     assert skipped == [eps] and best[1] != eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
-def test_sweep_redoes_a_screened_solve_whose_residual_overflows(mode, monkeypatch):
-    # the winner's screened solution, off the eigh route, overflows its
-    # residual: the candidate is solved exactly instead, and still wins
+def test_sweep_redoes_a_candidate_whose_screened_solve_raises(mode, monkeypatch):
+    # the grid's system is not a^T a bitwise, so a failed screen says
+    # nothing of the exact solve: the winner is solved exactly once, and
+    # still wins
     eps, system = winner_system(mode, 100)
-    fail, redone = FailOn(system), FailOn(system)
-
-    class OverflowingSolver(SweepSolver):
-        def solve(self, a, b):
-            x, kept, route = super().solve(a, b)
-            if fail(a):
-                return np.full_like(x, 1e300), kept, "block"
-            return x, kept, route
+    redone = FailOn(system)
 
     def counting_exact(a, b):
         redone(a)
         return solve_least_squares(a, b)
 
+    solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
     best, skipped = sweep_with_injected_failure(
-        mode, 100, monkeypatch, counting_exact, OverflowingSolver, solve_least_squares
+        mode, 100, monkeypatch, counting_exact, solver, solve_least_squares
     )
-    assert fail.fired == redone.fired == 1
+    assert solver.calls == 82 and redone.fired == 1
+    assert skipped == [] and best[1] == eps
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_redoes_a_screened_solve_whose_residual_overflows(mode, monkeypatch):
+    # the winner's screened solution overflows its residual: the candidate
+    # is solved exactly instead, and still wins
+    eps, system = winner_system(mode, 100)
+    redone = FailOn(system)
+
+    def counting_exact(a, b):
+        redone(a)
+        return solve_least_squares(a, b)
+
+    def overflowing(solved):
+        return np.full_like(solved[0], 1e300), *solved[1:]
+
+    solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), overflowing)
+    best, skipped = sweep_with_injected_failure(
+        mode, 100, monkeypatch, counting_exact, solver, solve_least_squares
+    )
+    assert solver.calls == 82 and redone.fired == 1
     assert skipped == [] and best[1] == eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
-    # every screened solve is reported off the eigh route, so the band walk
-    # re-solves each candidate it reaches; the winner's re-solve fails, so it
-    # is listed as skipped and loses to the runner-up
+    # no outcome screened on the grid is exact, so the band walk re-solves
+    # each candidate it reaches; the winner's re-solve fails, so it is
+    # listed as skipped and loses to the runner-up
     eps, system = winner_system(mode, 100)
     fail = FailOn(system)
-
-    class OffEighSolver(SweepSolver):
-        def solve(self, a, b):
-            x, kept, route = super().solve(a, b)
-            return x, kept, "full" if route == "eigh" else route
-
     best, skipped = sweep_with_injected_failure(
-        mode, 100, monkeypatch, fail.exact, OffEighSolver, FailOn(system).exact
+        mode, 100, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact
     )
     assert fail.fired == 1
     assert skipped == [eps] and best[1] != eps
+
+
+@pytest.mark.parametrize("resolution", [2, 5, 25])
+def test_grid_axes_accepts_grid_spec_points(resolution):
+    grid = GridSpec(lower=(-2.0, -1.0), upper=(3.0, 2.0), resolution=resolution)
+    u, v = _grid_axes(grid.points())
+    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+
+
+def test_grid_axes_accepts_the_tiny_box():
+    grid = GridSpec(lower=(0.0, 0.0), upper=(1e-4, 1e-4), resolution=5)
+    u, v = _grid_axes(grid.points())
+    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+
+
+def test_grid_axes_accepts_sampled_observations_read_back_from_csv(tmp_path):
+    observations = study_cell_observations(FitMode.G, 100)
+    write_observations_csv(observations, tmp_path / "observations.csv")
+    points = read_observations_csv(tmp_path / "observations.csv").points
+    grid = ExperimentConfig().train_grid
+    u, v = _grid_axes(points)
+    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+
+
+def not_a_grid():
+    """Point sets that are not a grid in GridSpec.points() order, by name."""
+    points = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5).points()
+    swapped = points.copy()
+    swapped[[3, 11]] = swapped[[11, 3]]
+    repeated = points.copy()
+    repeated[7] = repeated[6]
+    return {
+        "shuffled-rows": np.concatenate([points[1::2], points[0::2]]),
+        "two-rows-swapped": swapped,
+        "transposed-order": points[:, ::-1].copy(),
+        "dropped-node": np.delete(points, 12, axis=0),
+        "dropped-last-node": points[:-1],
+        "duplicated-node": repeated,
+        "extra-node": np.concatenate([points, points[-1:]]),
+        "one-coordinate": points[:, :1].copy(),
+        "three-coordinates": np.column_stack([points, points[:, 0]]),
+        "flat": points.ravel(),
+        "empty": np.empty((0, 2)),
+        "coincident": np.full((25, 2), 0.25),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(not_a_grid()))
+def test_grid_axes_rejects_points_that_are_not_a_grid(case):
+    assert _grid_axes(not_a_grid()[case]) is None
 
 
 def test_fresh_fit_has_zero_offset():
