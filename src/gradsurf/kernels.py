@@ -91,25 +91,15 @@ def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, keep, out=out)
 
 
-def gradient_block(diff, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     """(N*d) x M gradient rows from differences (N, d, M) and phi = value_block(r, eps, ...).
 
     Entry -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.  out
-    is a C-contiguous (N*d, M) buffer, and may be diff itself.  On a 2-d
-    tensor grid of N = n1 * n2 points, node j * n1 + i at (u_i, v_j), diff
-    may instead be the pair of per-axis differences (u_i - c_j1 as n1 x M,
-    v_j - c_j2 as n2 x M): the same bits without the (N, 2, M) array.
+    is a C-contiguous (N*d, M) buffer, and may be diff itself.
     """
     if not out.flags.c_contiguous:
         # reshape would copy, and the rows would be written to the copy
         raise ValueError("out must be C-contiguous")
-    if isinstance(diff, tuple):
-        du, dv = diff
-        g = out.reshape(dv.shape[0], du.shape[0], 2, du.shape[1])
-        np.multiply(du, -2.0 * eps**2, out=g[:, :, 0])
-        np.multiply(dv[:, None, :], -2.0 * eps**2, out=g[:, :, 1])
-        np.multiply(g, phi.reshape(g.shape[0], g.shape[1], 1, g.shape[3]), out=g)
-        return out
     g = out.reshape(diff.shape)
     np.multiply(diff, -2.0 * eps**2, out=g)
     np.multiply(g, phi[:, None, :], out=g)

@@ -147,31 +147,6 @@ def _targets(observations: Observations, mode):
     return np.concatenate([observations.values, observations.gradients.ravel()])
 
 
-def _system_buffers(geometry, mode):
-    """(a, phi): an uninitialised design matrix for the geometry, and the phi it is built from.
-
-    a has N, N*d or N+N*d rows for modes f, g and fg: the values, the
-    gradient components (point-major, coordinate-minor), or the value rows
-    stacked on the gradient rows.  phi is a's value block (a itself, or its
-    first N rows) except in mode g, where it is an N x M scratch of its own.
-    geometry is pairwise's, or a _Grid's with per-axis differences.
-    """
-    diff, r = geometry
-    n, m = r.shape
-    d = len(diff) if isinstance(diff, tuple) else diff.shape[1]
-    a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[mode], m))
-    return a, (np.empty((n, m)) if mode is FitMode.G else a[:n])
-
-
-def _write_system(a, phi, geometry, eps: float, mode) -> None:
-    """Overwrite a (and phi) with candidate eps's design matrix."""
-    diff, r = geometry
-    value_block(r, eps, phi)
-    if mode is not FitMode.F:
-        # the gradient rows: all of a in mode g, and those after phi's in fg
-        gradient_block(diff, phi, eps, a if mode is FitMode.G else a[r.shape[0] :])
-
-
 def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     """Mean squared residual of the surrogate over its mode's stacked system.
 
@@ -181,10 +156,9 @@ def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     mode-g surrogate keeps its training MSE.
     """
     mode = surrogate.mode
-    geometry = pairwise(observations.points, surrogate.centres)
-    a, phi = _system_buffers(geometry, mode)
-    _write_system(a, phi, geometry, surrogate.params.shape, mode)
-    r = a @ surrogate.coefficients - _targets(observations, mode)
+    b = _targets(observations, mode)
+    a = _Design(observations.points, surrogate.centres, b, mode).write(surrogate.params.shape)
+    r = a @ surrogate.coefficients - b
     if mode is not FitMode.G:
         # the value rows come first (all of r in mode f); r is a fresh array
         r[: observations.values.size] += surrogate.offset
@@ -192,12 +166,19 @@ def training_mse(surrogate: Surrogate, observations: Observations) -> float:
 
 
 class _Design:
-    """A fit's design matrix, rewritten in place for each candidate.
+    """A fit's design matrix a, rewritten in place for each candidate.
 
-    The point-centre geometry and the buffer are built on first use, so a
-    sweep on the grid route builds them only when it solves a candidate
-    exactly, and then from the grid's per-axis differences; they are local
-    to the fit, since cells fit on worker threads.
+    a has N, N*d or N+N*d rows for modes f, g and fg: the values, the
+    gradient components (point-major, coordinate-minor), or the value rows
+    stacked on the gradient rows.  phi is a's value block (a itself, or its
+    first N rows) except in mode g, where it is an N x M scratch of its own.
+    The geometry is pairwise's, or a _Grid's, which gives the same bits
+    without pairwise's (N, d, M) array.
+
+    The geometry and the buffers are built on the first write, which on the
+    grid route is the band walk's first re-solve: held through the screens
+    as well, they raised the two-worker study's peak RSS by 0.6-0.8 MiB.
+    They are local to the fit, since cells fit on worker threads.
     """
 
     def __init__(self, points, centres, b, mode, grid=None):
@@ -205,24 +186,29 @@ class _Design:
         self.grid = grid
 
     @functools.cached_property
-    def geometry(self):
-        if self.grid is not None:
-            return self.grid.geometry()
-        return pairwise(self.points, self.centres)
+    def system(self):
+        """(radii, gradient_rows(phi, eps, out), a, phi), a and phi uninitialised."""
+        if self.grid is None:
+            diff, r = pairwise(self.points, self.centres)
+            gradient_rows = functools.partial(gradient_block, diff)
+        else:
+            r, gradient_rows = self.grid.radii(), self.grid.gradient_rows
+        n, m = r.shape
+        d = self.points.shape[1]
+        a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[self.mode], m))
+        return r, gradient_rows, a, np.empty((n, m)) if self.mode is FitMode.G else a[:n]
 
-    @functools.cached_property
-    def buffers(self):
-        return _system_buffers(self.geometry, self.mode)
-
-    @property
-    def r_min(self) -> float:
-        """The smallest nonzero point-centre distance, inf if there is none."""
-        r = self.geometry[1]
-        return float(np.min(r, where=r > 0, initial=np.inf))
+    def radii(self) -> np.ndarray:
+        """pairwise's radii (N, M), kept with the system."""
+        return self.system[0]
 
     def write(self, eps: float) -> np.ndarray:
-        a, phi = self.buffers
-        _write_system(a, phi, self.geometry, eps, self.mode)
+        """a, overwritten with candidate eps's design matrix."""
+        r, gradient_rows, a, phi = self.system
+        value_block(r, eps, phi)
+        if self.mode is not FitMode.F:
+            # the gradient rows: all of a in mode g, and those after phi's in fg
+            gradient_rows(phi, eps, a if self.mode is FitMode.G else a[r.shape[0] :])
         return a
 
     def normal(self, eps: float):
@@ -231,7 +217,7 @@ class _Design:
 
     def mse(self, x) -> float:
         """Mean squared residual of x on the candidate last written."""
-        r = self.buffers[0] @ x - self.b
+        r = self.system[2] @ x - self.b
         return float(np.mean(r * r))
 
     def exact(self, eps: float):
@@ -283,6 +269,9 @@ class _Grid:
     matrix is built.  The systems differ from a^T a in rounding only, and
     by the floor: a product of factors can be nonzero where value_block
     floors phi of the radius, but only below exp(-FLOOR_ARG).
+
+    The per-axis differences also give the fit's _Design its geometry:
+    radii and gradient_rows are the bits of pairwise and gradient_block.
     """
 
     def __init__(self, axes, centres, b, mode):
@@ -295,16 +284,25 @@ class _Grid:
         if mode is not FitMode.F:
             grads = b[-2 * n :].reshape(*shape, 2)
             self.grads = grads[..., 0].copy(), grads[..., 1].copy()
-        self.r_min = _grid_r_min(*self.d)
 
-    def geometry(self):
-        """pairwise's geometry, with per-axis differences for its (N, 2, M) array.
-
-        The radii are _radii's bits: the same squares, added in the same order.
-        """
+    def radii(self) -> np.ndarray:
+        """pairwise's radii (N, M): the same squares, added in the same order as _radii."""
         du, dv = self.d
         r = np.add(np.square(du)[None], np.square(dv)[:, None])
-        return (du, dv), np.sqrt(r, out=r).reshape(-1, du.shape[1])
+        return np.sqrt(r, out=r).reshape(-1, du.shape[1])
+
+    def gradient_rows(self, phi, eps: float, out) -> None:
+        """gradient_block's rows on the grid's points into out, from the per-axis differences.
+
+        Node j * n1 + i is (u_i, v_j); each entry takes the ufuncs of
+        gradient_block on the same difference, so the bits are the same.
+        out is a C-contiguous (N*2, M) buffer.
+        """
+        du, dv = self.d
+        g = out.reshape(dv.shape[0], du.shape[0], 2, du.shape[1])
+        np.multiply(du, -2.0 * eps**2, out=g[:, :, 0])
+        np.multiply(dv[:, None, :], -2.0 * eps**2, out=g[:, :, 1])
+        np.multiply(g, phi.reshape(g.shape[0], g.shape[1], 1, g.shape[3]), out=g)
 
     def normal(self, eps: float):
         """(G, a^T b) of candidate eps."""
@@ -334,22 +332,6 @@ class _Grid:
             p -= t
             total += float(np.vdot(p, p))
         return total / self.rows
-
-
-def _grid_r_min(du, dv) -> float:
-    """_Design.r_min from the per-axis differences, bitwise.
-
-    A radius squares the two differences and adds them, and rounded addition
-    is monotone, so a centre's smallest sum is that of the smallest squares
-    unless both are 0; then it is the smaller nonzero square of one axis.
-    """
-    su, sv = np.square(du), np.square(dv)
-    lowest = su.min(axis=0) + sv.min(axis=0)
-    other = np.minimum(
-        np.min(su, axis=0, where=su > 0, initial=np.inf),
-        np.min(sv, axis=0, where=sv > 0, initial=np.inf),
-    )
-    return math.sqrt(float(np.where(lowest > 0, lowest, other).min()))
 
 
 def _screen(solver, source, design, eps):
@@ -382,6 +364,11 @@ def _screen(solver, source, design, eps):
 _MSE_BAND = 1e-2
 
 
+def _smallest_nonzero(r) -> float:
+    """The smallest nonzero entry of the radii r, inf if there is none."""
+    return float(np.min(r, where=r > 0, initial=np.inf))
+
+
 def _sweep(points, centres, b, mode):
     """((MSE, eps, coefficients) of the winner or None, skipped eps) of one sweep.
 
@@ -408,6 +395,12 @@ def _sweep(points, centres, b, mode):
     beyond _MSE_BAND of the best exact one.  The exact MSEs decide, ties
     going to the smallest eps, so the winner and its coefficient bytes are
     those of solving every candidate with solve_least_squares.
+
+    Every eps in skipped fails that exact solve.  When no candidate wins
+    (what FitFailure reports), skipped lists every such eps; otherwise it
+    may leave out one the screen solved that was never solved exactly: a
+    grid screen is not a^T a, so its success does not prove the exact
+    solve's.
     """
     grid = solver = None
     if centres.shape[0] >= SCREEN_MIN_COLS:
@@ -417,7 +410,8 @@ def _sweep(points, centres, b, mode):
             grid = _Grid(axes, centres, b, mode)
     design = _Design(points, centres, b, mode, grid)
     source = design if grid is None else grid
-    r_min = source.r_min
+    # the grid's radii are a fresh array, not held through the screens
+    r_min = _smallest_nonzero(source.radii())
     eps_list = SHAPE_CANDIDATES.tolist()
     outcomes = []
     for eps in eps_list:

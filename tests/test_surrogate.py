@@ -20,7 +20,6 @@ from gradsurf.kernels import (
     NumericalError,
     SweepSolver,
     assemble_value_matrix,
-    pairwise,
     single_threaded_blas,
     solve_least_squares,
 )
@@ -42,10 +41,9 @@ from gradsurf.surrogate import (
     _Design,
     _Grid,
     _grid_axes,
+    _smallest_nonzero,
     _sweep,
-    _system_buffers,
     _targets,
-    _write_system,
     fit_surrogate,
     predict_values,
     sample_centres,
@@ -135,12 +133,11 @@ def test_sample_centres_deterministic():
 
 def test_build_system_shapes_and_stacking():
     obs = small_observations(3)  # 9 observations
-    geometry = pairwise(obs.points, np.array([[0.0, 0.0], [1.0, -1.0]]))
+    centres = np.array([[0.0, 0.0], [1.0, -1.0]])
     systems = []
     for mode in (FitMode.F, FitMode.G, FitMode.FG):
-        a, phi = _system_buffers(geometry, mode)
-        _write_system(a, phi, geometry, 0.9, mode)
-        systems += [a, _targets(obs, mode)]
+        b = _targets(obs, mode)
+        systems += [_Design(obs.points, centres, b, mode).write(0.9), b]
     a_f, b_f, a_g, b_g, a_fg, b_fg = systems
     assert a_f.shape == (9, 2) and b_f.shape == (9,)
     assert a_g.shape == (18, 2) and b_g.shape == (18,)
@@ -166,11 +163,11 @@ def test_build_system_matches_kernel_formula_bitwise(mode):
     centres = sample_centres(derive_stream(5, "centres"), observations, recipe)
     b = _targets(observations, mode)
     assert b.tobytes() == reference._targets(observations, mode).tobytes()
+    args = (observations.points, centres, b, mode)
     grid = _Grid(_grid_axes(observations.points), centres, b, mode)
-    for geometry in (pairwise(observations.points, centres), grid.geometry()):
-        a, phi = _system_buffers(geometry, mode)
+    for design in (_Design(*args), _Design(*args, grid)):
         for eps in SHAPE_CANDIDATES.tolist():
-            _write_system(a, phi, geometry, eps, mode)
+            a = design.write(eps)
             want = reference._system(observations.points, centres, eps, mode)
             assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
 
@@ -283,14 +280,30 @@ def study_cell_observations(mode, n_centres):
     )
 
 
+def interleaved(observations):
+    """The observations with their odd rows first: the same points, out of grid order."""
+    n = observations.values.size
+    order = np.concatenate([np.arange(1, n, 2), np.arange(0, n, 2)])
+    return Observations(
+        observations.points[order],
+        observations.values[order],
+        observations.gradients[order],
+        observations.batch_sizes[order],
+    )
+
+
 @functools.cache
-def study_cell_reference(mode, n_centres):
+def study_cell_reference(mode, n_centres, order="grid"):
     """(observations, reference sweep) of a study cell on the fit's centre draw.
 
-    Cached: the reference sweep, which assembles every candidate afresh, is
-    the slow side of each comparison, and two tests compare against it.
+    With order "interleaved" the cell's rows are interleaved, so a sweep on
+    them takes the assembled route.  Cached: the reference sweep, which
+    assembles every candidate afresh, is the slow side of each comparison,
+    and several tests compare against it.
     """
     observations = study_cell_observations(mode, n_centres)
+    if order == "interleaved":
+        observations = interleaved(observations)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     # under the pin the study runs with; the reference's solves on a
@@ -319,9 +332,10 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     The reference assembles every candidate afresh and solves it with
     solve_least_squares, where the shipped sweep stops at the kernel-floor
     tail and screens each candidate, on a grid from per-axis factors.
-    Asserts the same winner (eps, MSE, coefficient bytes) and the same
-    skipped list from _sweep, and the same shape and coefficient bytes from
-    fit_surrogate (or a FitFailure listing the same skipped eps); returns
+    Asserts the same winner (eps, MSE, coefficient bytes) from _sweep, and
+    skipped eps among the reference's (all of them if nothing wins), and the
+    same shape and coefficient bytes from fit_surrogate (or a FitFailure
+    listing the same skipped eps); returns
     (screened solves, exact re-solves, reference distinct systems) of the
     _sweep call, counted from the systems it builds (design matrices and
     grid normal systems): a candidate's first system is its screening
@@ -330,12 +344,12 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
-    write, grid_normal = gradsurf.surrogate._write_system, _Grid.normal
+    write, grid_normal = _Design.write, _Grid.normal
     built = []
 
-    def counting_write(a, phi, geometry, eps, mode):
+    def counting_write(self, eps):
         built.append(eps)
-        return write(a, phi, geometry, eps, mode)
+        return write(self, eps)
 
     def counting_normal(self, eps):
         built.append(eps)
@@ -356,11 +370,11 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
             fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
             assert fitted.params.shape == want[1]
             assert fitted.coefficients.tobytes() == want[2].tobytes()
-        monkeypatch.setattr(gradsurf.surrogate, "_write_system", counting_write)
+        monkeypatch.setattr(_Design, "write", counting_write)
         monkeypatch.setattr(_Grid, "normal", counting_normal)
         best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
-    assert skipped == want_skipped
     assert (best is None) == (want is None)
+    assert_skipped_among(skipped, best, want_skipped)
     if best is not None:
         assert best[:2] == want[:2]
         assert best[2].tobytes() == want[2].tobytes()
@@ -390,6 +404,28 @@ def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
         assert 1 <= resolved <= 4
 
 
+def assert_skipped_among(skipped, best, want_skipped):
+    """_sweep's skip list against the all-exact one: the same if nothing wins, else a part."""
+    if best is None:
+        assert skipped == want_skipped
+    else:
+        assert set(skipped) <= set(want_skipped)
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_matches_reference_on_interleaved_study_cells(mode, monkeypatch):
+    # the c100 study cells with their rows out of grid order take the
+    # assembled route, where an outcome on the eigh route is already exact:
+    # the band walk re-solves only the others within the band of the best
+    observations, swept = study_cell_reference(mode, 100, "interleaved")
+    assert _grid_axes(observations.points) is None
+    screened, resolved, distinct = sweep_against_reference(
+        observations, mode, 100, monkeypatch, swept
+    )
+    assert screened == distinct == 82
+    assert resolved <= 2
+
+
 def residual_mse(a, x, b):
     """Mean squared residual of x on the system a x = b, as the sweep computes it."""
     r = a @ x - b
@@ -406,53 +442,61 @@ def grid_and_design(mode, n_centres):
     return _Grid(axes, centres, b, mode), _Design(observations.points, centres, b, mode)
 
 
-def swept_candidates(source):
+def swept_candidates(design):
     """(index, eps) of every candidate a sweep solves: those up to the first in the tail."""
+    r_min = _smallest_nonzero(design.radii())
     for k, eps in enumerate(SHAPE_CANDIDATES.tolist()):
         yield k, eps
-        t = eps * source.r_min
+        t = eps * r_min
         if t * t > FLOOR_ARG:
             return
 
 
 def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
     # every candidate the sweep solves in the six seed-0 study cells, on the
-    # fit's centre draw, screened as run screens them, on the grid's normal
-    # systems: the screen keeps as many eigenvalues as eigh does on a^T a,
-    # and its MSE is within half the band of the exact one, as selection
-    # assumes.  The sweep does not screen the one-centre systems, but the
-    # screen must hold on them too.  Prints the candidates per route and
-    # the largest deviation
+    # fit's centre draw, screened on both sources a sweep screens: the
+    # grid's normal systems, which run takes, and the assembled a^T a, which
+    # points out of grid order take.  On each, the screen keeps as many
+    # eigenvalues as eigh does on a^T a, and its MSE is within half the
+    # band of the exact one, as selection assumes.  The sweep does not
+    # screen the one-centre systems, but the screen must hold on them too.
+    # Prints the candidates per route and the largest deviation per source
     routes = {}
-    worst = 0.0
+    worst = {"grid": 0.0, "a^T a": 0.0}
     with single_threaded_blas():
         for mode in FitMode:
             for n_centres in (1, 100):
-                counts = routes[f"{mode.value} c{n_centres}"] = dict.fromkeys(
-                    ("full", "block", "eigh"), 0
-                )
                 grid, design = grid_and_design(mode, n_centres)
-                solver = SweepSolver()
-                for _, eps in swept_candidates(grid):
-                    x, kept, route = solver.solve(*grid.normal(eps))
+                screens = {}
+                for source_name, source in (("grid", grid), ("a^T a", design)):
+                    counts = routes[f"{mode.value} c{n_centres} {source_name}"] = dict.fromkeys(
+                        ("full", "block", "eigh"), 0
+                    )
+                    screens[source_name] = source, SweepSolver(), counts
+                for _, eps in swept_candidates(design):
                     a = design.write(eps)
                     lam = np.linalg.eigh(a.T @ a)[0]
-                    assert kept == np.count_nonzero(lam > REL_TOL * lam.max()), (mode, eps)
-                    screened = grid.mse(x)
+                    want_kept = np.count_nonzero(lam > REL_TOL * lam.max())
                     exact = residual_mse(a, solve_least_squares(a, design.b), design.b)
-                    deviation = abs(screened - exact) / exact
-                    assert deviation <= _MSE_BAND / 2, (mode, eps, route)
-                    worst = max(worst, deviation)
-                    counts[route] += 1
+                    for source_name, (source, solver, counts) in screens.items():
+                        # design.normal rewrites a with the same candidate
+                        x, kept, route = solver.solve(*source.normal(eps))
+                        assert kept == want_kept, (mode, eps, source_name)
+                        deviation = abs(source.mse(x) - exact) / exact
+                        assert deviation <= _MSE_BAND / 2, (mode, eps, source_name, route)
+                        worst[source_name] = max(worst[source_name], deviation)
+                        counts[route] += 1
     per_cell = (
         f"{cell}: " + ", ".join(f"{route} {n}" for route, n in counts.items())
         for cell, counts in routes.items()
     )
     print(
         "ROUTES seed-0 b3 r0 cells, candidates per route: " + "; ".join(per_cell)
-        + f"; largest screened MSE deviation {worst:.2g} (band {_MSE_BAND:g})"
+        + "; largest screened MSE deviation "
+        + ", ".join(f"{source_name} {w:.2g}" for source_name, w in worst.items())
+        + f" (band {_MSE_BAND:g})"
     )
-    assert all(sum(c.values()) == 82 for c in routes.values())
+    assert len(routes) == 12 and all(sum(c.values()) == 82 for c in routes.values())
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -466,7 +510,7 @@ def test_grid_normal_systems_and_residuals_match_the_assembled_ones(mode):
     solver = SweepSolver()
     indices = []
     with single_threaded_blas():
-        for k, eps in swept_candidates(grid):
+        for k, eps in swept_candidates(design):
             indices.append(k)
             g, atb = grid.normal(eps)
             a = design.write(eps)
@@ -479,15 +523,13 @@ def test_grid_normal_systems_and_residuals_match_the_assembled_ones(mode):
     assert indices == list(range(82))
 
 
-@pytest.mark.parametrize("mode", list(FitMode))
-@pytest.mark.parametrize("inflate_even", [True, False])
-def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
-    mode, inflate_even, monkeypatch
-):
-    # every screened MSE off by half the band, up and down on alternate
-    # candidates, and none marked exact: the re-solves must still find the
-    # reference winner
-    observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
+def sweep_with_screened_mses_off_by_half_the_band(mode, order, inflate_even, monkeypatch):
+    """Asserts the reference winner of a c100 study cell from _sweep under perturbed screens.
+
+    Every screened MSE is off by half the band, up and down on alternate
+    candidates, and none is marked exact.
+    """
+    observations, (want, want_skipped, _) = study_cell_reference(mode, 100, order)
     screen_one = gradsurf.surrogate._screen
     calls = []
 
@@ -505,9 +547,28 @@ def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
     with single_threaded_blas():
         best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert len(calls) == 82
-    assert skipped == want_skipped
+    assert_skipped_among(skipped, best, want_skipped)
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("inflate_even", [True, False])
+def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
+    mode, inflate_even, monkeypatch
+):
+    # the re-solves must still find the reference winner, on the grid route
+    sweep_with_screened_mses_off_by_half_the_band(mode, "grid", inflate_even, monkeypatch)
+
+
+@pytest.mark.parametrize("inflate_even", [True, False])
+def test_selection_is_exact_under_screened_mses_off_by_half_the_band_on_interleaved_points(
+    inflate_even, monkeypatch
+):
+    # and on the assembled route, which the cell's rows out of grid order take
+    sweep_with_screened_mses_off_by_half_the_band(
+        FitMode.FG, "interleaved", inflate_even, monkeypatch
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -540,7 +601,7 @@ def test_sweep_winner_equals_the_all_eigh_sweep_on_held_out_seeds(seed, monkeypa
                     with monkeypatch.context() as patch:
                         patch.setattr(gradsurf.surrogate, "SCREEN_MIN_COLS", 101)
                         want = _sweep(*args)
-                    assert got[1] == want[1]
+                    assert_skipped_among(got[1], got[0], want[1])
                     assert got[0][:2] == want[0][:2], cell
                     assert got[0][2].tobytes() == want[0][2].tobytes(), cell
                     winners.append(got[0][1])
@@ -646,22 +707,25 @@ class FailOn:
         return solve_least_squares(a, b)
 
 
-def winner_system(mode, n_centres):
+def winner_system(mode, n_centres, order="grid"):
     """The seed-0 study cell's system at its reference winner's eps, on the fit's centre draw."""
-    observations, (want, _, _) = study_cell_reference(mode, n_centres)
+    observations, (want, _, _) = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     return want[1], reference._system(observations.points, centres, want[1], mode)
 
 
-def sweep_with_injected_failure(mode, n_centres, monkeypatch, exact, solver, reference_solve):
-    """(winner, skipped) of _sweep on a study cell, asserted equal to the reference sweep's.
+def sweep_with_injected_failure(
+    mode, n_centres, monkeypatch, exact, solver, reference_solve, order="grid"
+):
+    """(winner, skipped) of _sweep on a study cell, asserted to agree with the reference sweep.
 
     exact stands in for gradsurf.surrogate.solve_least_squares and solver
     for gradsurf.surrogate.SweepSolver; the reference sweep solves every
-    candidate with reference_solve.
+    candidate with reference_solve.  The winner must be the reference's,
+    and skipped among the reference's skipped eps.
     """
-    observations, _ = study_cell_reference(mode, n_centres)
+    observations, _ = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
@@ -669,7 +733,7 @@ def sweep_with_injected_failure(mode, n_centres, monkeypatch, exact, solver, ref
         monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", exact)
         monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", solver)
         best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
-    assert skipped == want_skipped
+    assert_skipped_among(skipped, best, want_skipped)
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
     return best, skipped
@@ -778,6 +842,49 @@ def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
     )
     assert fail.fired == 1
     assert skipped == [eps] and best[1] != eps
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_on_interleaved_points_skips_a_candidate_whose_screened_solve_raises(
+    mode, monkeypatch
+):
+    # on the assembled route a failed screen is final, as the exact solve of
+    # the same a^T a fails the same way: the winner is not solved again,
+    # and is skipped
+    eps, system = winner_system(mode, 100, "interleaved")
+    redone = FailOn(system)
+
+    def counting_exact(a, b):
+        redone(a)
+        return solve_least_squares(a, b)
+
+    solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
+    best, skipped = sweep_with_injected_failure(
+        mode, 100, monkeypatch, counting_exact, solver, FailOn(system).exact, "interleaved"
+    )
+    assert solver.calls == 82 and redone.fired == 0
+    assert skipped == [eps] and best[1] != eps
+
+
+class EighSolver(SweepSolver):
+    """A SweepSolver that forgets its rank and basis, so every solve takes the eigh route."""
+
+    def solve(self, g, atb):
+        self.rank, self.basis = 0, None
+        x, kept, route = super().solve(g, atb)
+        assert route == "eigh"
+        return x, kept, route
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+def test_sweep_on_interleaved_points_takes_eigh_screens_as_exact(mode, monkeypatch):
+    # a screen on the eigh route of the assembled a^T a is solve_least_squares's
+    # own solve: with every screen on that route the band walk re-solves
+    # nothing, and the winner is still the reference's, bit for bit
+    observations, swept = study_cell_reference(mode, 100, "interleaved")
+    monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", EighSolver)
+    screened, resolved, _ = sweep_against_reference(observations, mode, 100, monkeypatch, swept)
+    assert (screened, resolved) == (82, 0)
 
 
 @pytest.mark.parametrize("resolution", [2, 5, 25])
