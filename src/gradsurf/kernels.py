@@ -9,23 +9,22 @@ structured storage.
 
 phi is floored: where ``(eps * r)**2`` exceeds FLOOR_ARG it is exactly
 ``+0.0``, so every nonzero kernel value is a normal double of at least about
-``2**-511``, and so is the product of any two (the entries of ``a^T a``).
-Without the floor the narrow shapes of a sweep fill the matrices with
-subnormal numbers, which x86 CPUs handle on a slow path.  The floor has no
-slow path of its own: when no argument passes FLOOR_ARG (all but the
-narrowest shapes) value_block is the plain ``exp(-arg)``, and otherwise it
-clamps the argument at FLOOR_ARG, takes exp and multiplies by the 0/1 mask,
-with no masked write and no ``exp(-inf)``, which numpy's SIMD exp takes on
-a special-value path.  Every route (the sweep, the training MSE,
-evaluation) goes through value_block, so the floor gives the same matrix
-bits everywhere.
+``2**-511``, and so is the product of any two.  Without the floor the
+narrow shapes of a sweep fill the matrices with subnormal numbers, which x86
+CPUs handle on a slow path.  The floor has no slow path of its own: when no
+argument passes FLOOR_ARG (all but the narrowest shapes) value_block is the
+plain ``exp(-arg)``, and otherwise it clamps the argument at FLOOR_ARG,
+takes exp and multiplies by the 0/1 mask, with no masked write and no
+``exp(-inf)``, which numpy's SIMD exp takes on a special-value path.  Every
+route (the sweep, the training MSE, evaluation) goes through value_block,
+so the floor gives the same matrix bits everywhere.
 
 solve_least_squares is the truncated-SVD solve from the eigenpairs of
-``a^T a``.  A shape sweep screens its candidates with a SweepSolver
-instead: it takes a normal system ``(G, a^T b)``, and proves the rank eigh
-would find by a shifted Cholesky factorization (every eigenvalue kept) or
-a Rayleigh-Ritz step on the previous candidate's leading vectors (few
-kept), falling back to eigh.  Its solutions are not bitwise
+``a^T a``.  A shape sweep on grid data screens its candidates with a
+SweepSolver instead: it takes a normal system ``(G, a^T b)``, and proves the
+rank eigh would find by a shifted Cholesky factorization (every eigenvalue
+kept) or a Rayleigh-Ritz step on the previous candidate's leading vectors
+(few kept), falling back to eigh.  Its solutions are not bitwise
 solve_least_squares's, so the sweep re-solves the candidates that may win.
 
 The Gaussian factors over coordinates: phi(w - c) = prod_k
@@ -34,7 +33,13 @@ of a design matrix are therefore a column-wise Khatri-Rao product of one
 block per axis (axis_factors), and G is a Hadamard product of the blocks'
 small Gram matrices, so a sweep on grid data forms its normal systems
 without the N x M design matrix (Fasshauer, *Meshfree Approximation
-Methods with MATLAB*, 2007; Saatci, PhD thesis, Cambridge, 2011).
+Methods with MATLAB*, 2007; Saatci, PhD thesis, Cambridge, 2011).  The
+factors and their Gram blocks held no subnormal number on the seed-0 b3
+c100 study cells, but G did: an entry of G multiplies two Gram entries,
+each as small as about exp(-2 FLOOR_ARG), and 510 (mode f) and 586 (fg,
+g) entries underflowed, all at candidates 65-74.  They are left as they
+are: zeroing them would add about 20 us to every candidate, and the solves
+of those candidates timed no faster without them.
 """
 
 from __future__ import annotations
@@ -178,9 +183,10 @@ def axis_factors(d: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     E = exp(-(eps*d)**2) is value_block's floored kernel of d, and D =
     -2 eps^2 d E.  In 2-d, phi(w - c) is E_1 E_2 and its partial derivatives
     are D_1 E_2 and E_1 D_2, up to rounding.  Each factor is floored on its
-    own at FLOOR_ARG, so no factor and no product of two is subnormal; a
-    product E_1 E_2 may be nonzero where value_block floors phi of the whole
-    radius, but it is then below exp(-FLOOR_ARG), up to rounding.
+    own at FLOOR_ARG, so a nonzero E is normal and so is a product of two
+    (a Hadamard product of Gram entries is not: see the module docstring);
+    a product E_1 E_2 may be nonzero where value_block floors phi of the
+    whole radius, but it is then below exp(-FLOOR_ARG), up to rounding.
     """
     e = value_block(d, eps, np.empty_like(d))
     dd = np.multiply(d, -2.0 * eps**2)
@@ -340,11 +346,8 @@ class SweepSolver:
     about the 14th digit on route 1 and by up to about 1e-3 relative on
     route 2.  So a sweep re-solves the candidates that may win with
     solve_least_squares.  A route that is refused, fails or gives a
-    non-finite x falls back to route 3, so on G = a^T a from normal_system
-    the errors are solve_least_squares's on the same (a, b); the one
-    exception is an eigensolve that would fail to converge on a matrix
-    route 1 certifies, as route 1 runs none.  One instance serves one
-    sweep; it is not thread-safe.
+    non-finite x falls back to route 3.  One instance serves one sweep; it
+    is not thread-safe.
     """
 
     def __init__(self):
@@ -354,9 +357,8 @@ class SweepSolver:
     def solve(self, g, atb) -> tuple[np.ndarray, int, str]:
         """(x, kept eigenvalue count, route name: "full", "block" or "eigh") of G x = a^T b.
 
-        G is symmetric positive semidefinite up to rounding: a^T a from
-        normal_system, or a Gram matrix formed another way.  A non-finite G
-        diagonal or a^T b raises NumericalError, as an overflow in
+        G is symmetric positive semidefinite up to rounding.  A non-finite
+        G diagonal or a^T b raises NumericalError, as an overflow in
         normal_system does.
         """
         with np.errstate(over="ignore", invalid="ignore"):

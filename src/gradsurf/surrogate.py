@@ -12,10 +12,11 @@ which rows enter the system:
 The shape parameter is selected by sweeping the fixed log-equispaced
 candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
 FitRecipe) and keeping the one with the lowest training mean squared error;
-candidates whose solve fails numerically are skipped.  The sweep screens
-candidates with a cheaper certified solve, on grid data from per-axis
+candidates whose solve fails numerically are skipped.  On grid data the
+sweep screens candidates with a cheaper certified solve, from per-axis
 kernel factors without the design matrix, and re-solves the possible
-winners exactly, so the winner is the one of solving every candidate with
+winners exactly; any other sweep solves every candidate exactly.  Either
+way the winner is the one of solving every candidate with
 kernels.solve_least_squares.
 """
 
@@ -40,7 +41,6 @@ from .kernels import (
     assemble_value_matrix,
     axis_factors,
     gradient_block,
-    normal_system,
     pairwise,
     solve_least_squares,
     value_block,
@@ -211,10 +211,6 @@ class _Design:
             gradient_rows(phi, eps, a if self.mode is FitMode.G else a[r.shape[0] :])
         return a
 
-    def normal(self, eps: float):
-        """(a^T a, a^T b) of candidate eps."""
-        return normal_system(self.write(eps), self.b)
-
     def mse(self, x) -> float:
         """Mean squared residual of x on the candidate last written."""
         r = self.system[2] @ x - self.b
@@ -268,7 +264,10 @@ class _Grid:
     (v, u) node array; and the fitted values are (E_v * x) E_u^T.  No N x M
     matrix is built.  The systems differ from a^T a in rounding only, and
     by the floor: a product of factors can be nonzero where value_block
-    floors phi of the radius, but only below exp(-FLOOR_ARG).
+    floors phi of the radius, but only below exp(-FLOOR_ARG).  On the study
+    cells the factors and the Gram blocks held no subnormal number, but G
+    did, where the product of two Gram entries underflows (see the kernels
+    module docstring).
 
     The per-axis differences also give the fit's _Design its geometry:
     radii and gradient_rows are the bits of pairwise and gradient_block.
@@ -334,33 +333,27 @@ class _Grid:
         return total / self.rows
 
 
-def _screen(solver, source, design, eps):
-    """(MSE, coefficients, exact) of a screened candidate, or None if it is skipped.
+def _screen(solver, grid, design, eps):
+    """(MSE, coefficients, False) of candidate eps screened on grid, else design.exact's outcome.
 
-    source is design or a _Grid.  The outcome is solve_least_squares's own
-    (exact) only on the eigh route on the design's own a^T a.  A failed
-    solve or a non-finite MSE is then final, as the exact solve would fail
-    the same way; otherwise the candidate is redone with design.exact.
+    A failed screen or a non-finite MSE says nothing of the exact solve, as
+    the grid's system is not a^T a bitwise, so the candidate is then redone
+    with design.exact.
     """
-    assembled = source is design
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            x, _, route = solver.solve(*source.normal(eps))
+            x = solver.solve(*grid.normal(eps))[0]
         except NumericalError:
-            return None if assembled else design.exact(eps)
-        mse = source.mse(x)
-    exact = assembled and route == "eigh"
-    if np.isfinite(mse):
-        return mse, x, exact
-    return None if exact else design.exact(eps)
+            return design.exact(eps)
+        mse = grid.mse(x)
+    return (mse, x, False) if np.isfinite(mse) else design.exact(eps)
 
 
 # relative band on screened MSEs: a candidate whose screened MSE m has
 # m * (1 - _MSE_BAND) above an exact MSE already found cannot beat it as
 # long as screened MSEs are within _MSE_BAND / 2 of exact.  Measured over
-# the 48 c100 cells of default studies at seeds 0-3: at most 5.5e-5 off on
-# the grid's normal systems (every route), and on a^T a at most 5.9e-4 on
-# the block route and 1.3e-14 on the full-rank route
+# the 48 c100 cells of default studies at seeds 0-3: at most 5.5e-5 off,
+# on every route
 _MSE_BAND = 1e-2
 
 
@@ -383,42 +376,32 @@ def _sweep(points, centres, b, mode):
     nonzero radius is past the floor exactly when the smallest one is (t * t
     rounds as value_block's np.square does).
 
-    A system with at least kernels.SCREEN_MIN_COLS columns is screened by
-    one kernels.SweepSolver, which takes a certified full-rank or low-rank
-    route instead of a full eigensolve where it can; a narrower system (one
-    centre) is solved exactly, as an eigensolve of so few columns is as
-    cheap as the screen.  The screen's normal systems come from the
-    per-axis factors (_Grid) when the points are a full tensor grid
-    (_grid_axes), and from the assembled design matrix otherwise.
-    Selection stays exact: the outcomes are taken in order of MSE, and each
-    not exact is replaced by design.exact's outcome, until the next MSE is
-    beyond _MSE_BAND of the best exact one.  The exact MSEs decide, ties
-    going to the smallest eps, so the winner and its coefficient bytes are
-    those of solving every candidate with solve_least_squares.
+    A sweep on a full tensor grid (_grid_axes) of at least
+    kernels.SCREEN_MIN_COLS centres is screened by one kernels.SweepSolver,
+    on normal systems from the per-axis factors (_Grid): it takes a
+    certified full-rank or low-rank route instead of a full eigensolve
+    where it can.  Any other sweep solves every candidate with
+    _Design.exact.  Selection stays exact: the outcomes are taken in order
+    of MSE, and each not exact is replaced by design.exact's outcome, until
+    the next MSE is beyond _MSE_BAND of the best exact one.  The exact MSEs
+    decide, ties going to the smallest eps, so the winner and its
+    coefficient bytes are those of solving every candidate with
+    solve_least_squares.
 
     Every eps in skipped fails that exact solve.  When no candidate wins
     (what FitFailure reports), skipped lists every such eps; otherwise it
-    may leave out one the screen solved that was never solved exactly: a
-    grid screen is not a^T a, so its success does not prove the exact
-    solve's.
+    may leave out one the grid screen solved that was never solved exactly.
     """
-    grid = solver = None
-    if centres.shape[0] >= SCREEN_MIN_COLS:
-        solver = SweepSolver()
-        axes = _grid_axes(points)
-        if axes is not None:
-            grid = _Grid(axes, centres, b, mode)
+    axes = _grid_axes(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
+    grid = None if axes is None else _Grid(axes, centres, b, mode)
     design = _Design(points, centres, b, mode, grid)
-    source = design if grid is None else grid
     # the grid's radii are a fresh array, not held through the screens
-    r_min = _smallest_nonzero(source.radii())
+    r_min = _smallest_nonzero((design if grid is None else grid).radii())
+    solver = SweepSolver()
     eps_list = SHAPE_CANDIDATES.tolist()
     outcomes = []
     for eps in eps_list:
-        if solver is None:
-            outcomes.append(design.exact(eps))
-        else:
-            outcomes.append(_screen(solver, source, design, eps))
+        outcomes.append(design.exact(eps) if grid is None else _screen(solver, grid, design, eps))
         t = eps * r_min
         if t * t > FLOOR_ARG:
             break

@@ -68,7 +68,7 @@ def test_kernel_value_strictly_decreasing_and_bounded():
 
 def test_floor_keeps_products_of_kernel_values_normal():
     # every nonzero phi is at least exp(-FLOOR_ARG) ~ 2**-510.7, so the
-    # product of two, an entry of a^T a, is at least 2**-1021.4
+    # product of two, a term of an entry of a^T a, is at least 2**-1021.4
     assert math.exp(-FLOOR_ARG) > 2.0**-511
     assert math.exp(-FLOOR_ARG) ** 2 >= sys.float_info.min
 
@@ -87,9 +87,12 @@ def test_value_block_is_exp_up_to_the_floor_and_zero_past_it(eps):
 
 
 def test_study_systems_hold_no_subnormal_entry():
-    # seed-0 cell b3/fg/c100/r0, value and gradient rows, from the reference
-    # formula the sweep's blocks equal bitwise: without the floor candidates
-    # 63-73 (eps 5-30) put subnormals in the matrix
+    # seed-0 cell b3/fg/c100/r0: its value and gradient rows, from the
+    # reference formula the sweep's blocks equal bitwise (without the floor
+    # candidates 63-73, eps 5-30, put subnormals in the matrix), and the
+    # train grid's per-axis factors and their Gram blocks, from which the
+    # grid screen forms G.  G itself, their Hadamard product, does hold
+    # subnormals at candidates 65-74
     config = ExperimentConfig()
     seed = RunCell(batch_max=3, mode=FitMode.FG, n_centres=100, repeat=0).derived_seed(0)
     observations = sample_loss_surface(
@@ -100,11 +103,16 @@ def test_study_systems_hold_no_subnormal_entry():
     )
     recipe = FitRecipe(mode=FitMode.FG, n_centres=100)
     centres = sample_centres(derive_stream(seed, "centres"), observations, recipe)
+    diffs = [np.subtract.outer(config.train_grid.axis(k), centres[:, k]) for k in range(2)]
     subnormal = []
     for eps in SHAPE_CANDIDATES.tolist():
-        a = np.abs(_system(observations.points, centres, eps, FitMode.FG))
-        if np.any((a > 0) & (a < sys.float_info.min)):
-            subnormal.append(eps)
+        blocks = [_system(observations.points, centres, eps, FitMode.FG)]
+        for d in diffs:
+            e, dd = axis_factors(d, eps)
+            blocks += [e, dd, e.T @ e, dd.T @ dd]
+        for block in map(np.abs, blocks):
+            if np.any((block > 0) & (block < sys.float_info.min)):
+                subnormal.append(eps)
     assert subnormal == []
 
 

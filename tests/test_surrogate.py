@@ -297,7 +297,7 @@ def study_cell_reference(mode, n_centres, order="grid"):
     """(observations, reference sweep) of a study cell on the fit's centre draw.
 
     With order "interleaved" the cell's rows are interleaved, so a sweep on
-    them takes the assembled route.  Cached: the reference sweep, which
+    them solves every candidate exactly.  Cached: the reference sweep, which
     assembles every candidate afresh, is the slow side of each comparison,
     and several tests compare against it.
     """
@@ -331,16 +331,17 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
 
     The reference assembles every candidate afresh and solves it with
     solve_least_squares, where the shipped sweep stops at the kernel-floor
-    tail and screens each candidate, on a grid from per-axis factors.
+    tail and, on a grid of enough centres, screens each candidate from
+    per-axis factors.
     Asserts the same winner (eps, MSE, coefficient bytes) from _sweep, and
     skipped eps among the reference's (all of them if nothing wins), and the
     same shape and coefficient bytes from fit_surrogate (or a FitFailure
     listing the same skipped eps); returns
     (screened solves, exact re-solves, reference distinct systems) of the
     _sweep call, counted from the systems it builds (design matrices and
-    grid normal systems): a candidate's first system is its screening
-    solve, and each later one a re-solve.  swept, if given, is the
-    reference sweep already run on this draw.
+    grid normal systems): a candidate's first system is its first solve,
+    screened or exact, and each later one a re-solve.  swept, if given, is
+    the reference sweep already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
@@ -414,16 +415,29 @@ def assert_skipped_among(skipped, best, want_skipped):
 
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_sweep_matches_reference_on_interleaved_study_cells(mode, monkeypatch):
-    # the c100 study cells with their rows out of grid order take the
-    # assembled route, where an outcome on the eigh route is already exact:
-    # the band walk re-solves only the others within the band of the best
+    # the c100 study cells with their rows out of grid order are not a
+    # grid: no _Grid is built, each of the 82 candidates is solved exactly
+    # once, and the band walk has nothing to re-solve
     observations, swept = study_cell_reference(mode, 100, "interleaved")
-    assert _grid_axes(observations.points) is None
+
+    def no_grid(*args):
+        raise AssertionError("a sweep on interleaved rows built a _Grid")
+
+    monkeypatch.setattr(gradsurf.surrogate, "_Grid", no_grid)
+    exact = solve_least_squares
+    solved = []
+
+    def counting_exact(a, b):
+        solved.append(None)
+        return exact(a, b)
+
+    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_exact)
     screened, resolved, distinct = sweep_against_reference(
         observations, mode, 100, monkeypatch, swept
     )
-    assert screened == distinct == 82
-    assert resolved <= 2
+    assert (screened, resolved) == (distinct, 0) == (82, 0)
+    # fit_surrogate's sweep and the counted _sweep's
+    assert len(solved) == 2 * 82
 
 
 def residual_mse(a, x, b):
@@ -454,49 +468,42 @@ def swept_candidates(design):
 
 def test_screen_keeps_eigh_counts_and_mses_within_the_band_on_study_cells():
     # every candidate the sweep solves in the six seed-0 study cells, on the
-    # fit's centre draw, screened on both sources a sweep screens: the
-    # grid's normal systems, which run takes, and the assembled a^T a, which
-    # points out of grid order take.  On each, the screen keeps as many
-    # eigenvalues as eigh does on a^T a, and its MSE is within half the
-    # band of the exact one, as selection assumes.  The sweep does not
-    # screen the one-centre systems, but the screen must hold on them too.
-    # Prints the candidates per route and the largest deviation per source
+    # fit's centre draw, screened on the grid's normal systems, which run
+    # takes: the screen keeps as many eigenvalues as eigh does on a^T a,
+    # and its MSE is within half the band of the exact one, as selection
+    # assumes.  The sweep does not screen the one-centre systems, but the
+    # screen must hold on them too.  Prints the candidates per route and
+    # the largest deviation
     routes = {}
-    worst = {"grid": 0.0, "a^T a": 0.0}
+    worst = 0.0
     with single_threaded_blas():
         for mode in FitMode:
             for n_centres in (1, 100):
                 grid, design = grid_and_design(mode, n_centres)
-                screens = {}
-                for source_name, source in (("grid", grid), ("a^T a", design)):
-                    counts = routes[f"{mode.value} c{n_centres} {source_name}"] = dict.fromkeys(
-                        ("full", "block", "eigh"), 0
-                    )
-                    screens[source_name] = source, SweepSolver(), counts
+                solver = SweepSolver()
+                counts = routes[f"{mode.value} c{n_centres}"] = dict.fromkeys(
+                    ("full", "block", "eigh"), 0
+                )
                 for _, eps in swept_candidates(design):
                     a = design.write(eps)
                     lam = np.linalg.eigh(a.T @ a)[0]
                     want_kept = np.count_nonzero(lam > REL_TOL * lam.max())
                     exact = residual_mse(a, solve_least_squares(a, design.b), design.b)
-                    for source_name, (source, solver, counts) in screens.items():
-                        # design.normal rewrites a with the same candidate
-                        x, kept, route = solver.solve(*source.normal(eps))
-                        assert kept == want_kept, (mode, eps, source_name)
-                        deviation = abs(source.mse(x) - exact) / exact
-                        assert deviation <= _MSE_BAND / 2, (mode, eps, source_name, route)
-                        worst[source_name] = max(worst[source_name], deviation)
-                        counts[route] += 1
+                    x, kept, route = solver.solve(*grid.normal(eps))
+                    assert kept == want_kept, (mode, eps)
+                    deviation = abs(grid.mse(x) - exact) / exact
+                    assert deviation <= _MSE_BAND / 2, (mode, eps, route)
+                    worst = max(worst, deviation)
+                    counts[route] += 1
     per_cell = (
         f"{cell}: " + ", ".join(f"{route} {n}" for route, n in counts.items())
         for cell, counts in routes.items()
     )
     print(
-        "ROUTES seed-0 b3 r0 cells, candidates per route: " + "; ".join(per_cell)
-        + "; largest screened MSE deviation "
-        + ", ".join(f"{source_name} {w:.2g}" for source_name, w in worst.items())
-        + f" (band {_MSE_BAND:g})"
+        "ROUTES seed-0 b3 r0 cells, grid screen, candidates per route: " + "; ".join(per_cell)
+        + f"; largest screened MSE deviation {worst:.2g} (band {_MSE_BAND:g})"
     )
-    assert len(routes) == 12 and all(sum(c.values()) == 82 for c in routes.values())
+    assert len(routes) == 6 and all(sum(c.values()) == 82 for c in routes.values())
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -523,18 +530,18 @@ def test_grid_normal_systems_and_residuals_match_the_assembled_ones(mode):
     assert indices == list(range(82))
 
 
-def sweep_with_screened_mses_off_by_half_the_band(mode, order, inflate_even, monkeypatch):
+def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatch):
     """Asserts the reference winner of a c100 study cell from _sweep under perturbed screens.
 
     Every screened MSE is off by half the band, up and down on alternate
     candidates, and none is marked exact.
     """
-    observations, (want, want_skipped, _) = study_cell_reference(mode, 100, order)
+    observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
     screen_one = gradsurf.surrogate._screen
     calls = []
 
-    def perturbed(solver, source, design, eps):
-        outcome = screen_one(solver, source, design, eps)
+    def perturbed(solver, grid, design, eps):
+        outcome = screen_one(solver, grid, design, eps)
         calls.append(None)
         if outcome is None:
             return None
@@ -557,18 +564,8 @@ def sweep_with_screened_mses_off_by_half_the_band(mode, order, inflate_even, mon
 def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
     mode, inflate_even, monkeypatch
 ):
-    # the re-solves must still find the reference winner, on the grid route
-    sweep_with_screened_mses_off_by_half_the_band(mode, "grid", inflate_even, monkeypatch)
-
-
-@pytest.mark.parametrize("inflate_even", [True, False])
-def test_selection_is_exact_under_screened_mses_off_by_half_the_band_on_interleaved_points(
-    inflate_even, monkeypatch
-):
-    # and on the assembled route, which the cell's rows out of grid order take
-    sweep_with_screened_mses_off_by_half_the_band(
-        FitMode.FG, "interleaved", inflate_even, monkeypatch
-    )
+    # the re-solves must still find the reference winner
+    sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -761,14 +758,19 @@ def injected_failure(solved):
     raise NumericalError("injected failure")
 
 
-@pytest.mark.parametrize("mode", list(FitMode))
-def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, monkeypatch):
-    # a one-centre system is solved exactly; its winner's solve fails, so
-    # the winner is skipped and the runner-up wins
-    eps, system = winner_system(mode, 1)
+@pytest.mark.parametrize(
+    "mode, n_centres, order",
+    [pytest.param(mode, 1, "grid", id=mode.value) for mode in FitMode]
+    + [pytest.param(mode, 100, "interleaved", id=f"{mode.value}-interleaved") for mode in FitMode],
+)
+def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, n_centres, order, monkeypatch):
+    # a one-centre system, and a c100 one whose rows are out of grid order,
+    # is solved exactly; its winner's solve fails, so the winner is skipped
+    # and the runner-up wins
+    eps, system = winner_system(mode, n_centres, order)
     fail = FailOn(system)
     best, skipped = sweep_with_injected_failure(
-        mode, 1, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact
+        mode, n_centres, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact, order
     )
     assert fail.fired == 1
     assert skipped == [eps] and best[1] != eps
@@ -842,49 +844,6 @@ def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
     )
     assert fail.fired == 1
     assert skipped == [eps] and best[1] != eps
-
-
-@pytest.mark.parametrize("mode", list(FitMode))
-def test_sweep_on_interleaved_points_skips_a_candidate_whose_screened_solve_raises(
-    mode, monkeypatch
-):
-    # on the assembled route a failed screen is final, as the exact solve of
-    # the same a^T a fails the same way: the winner is not solved again,
-    # and is skipped
-    eps, system = winner_system(mode, 100, "interleaved")
-    redone = FailOn(system)
-
-    def counting_exact(a, b):
-        redone(a)
-        return solve_least_squares(a, b)
-
-    solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
-    best, skipped = sweep_with_injected_failure(
-        mode, 100, monkeypatch, counting_exact, solver, FailOn(system).exact, "interleaved"
-    )
-    assert solver.calls == 82 and redone.fired == 0
-    assert skipped == [eps] and best[1] != eps
-
-
-class EighSolver(SweepSolver):
-    """A SweepSolver that forgets its rank and basis, so every solve takes the eigh route."""
-
-    def solve(self, g, atb):
-        self.rank, self.basis = 0, None
-        x, kept, route = super().solve(g, atb)
-        assert route == "eigh"
-        return x, kept, route
-
-
-@pytest.mark.parametrize("mode", list(FitMode))
-def test_sweep_on_interleaved_points_takes_eigh_screens_as_exact(mode, monkeypatch):
-    # a screen on the eigh route of the assembled a^T a is solve_least_squares's
-    # own solve: with every screen on that route the band walk re-solves
-    # nothing, and the winner is still the reference's, bit for bit
-    observations, swept = study_cell_reference(mode, 100, "interleaved")
-    monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", EighSolver)
-    screened, resolved, _ = sweep_against_reference(observations, mode, 100, monkeypatch, swept)
-    assert (screened, resolved) == (82, 0)
 
 
 @pytest.mark.parametrize("resolution", [2, 5, 25])
