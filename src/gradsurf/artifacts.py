@@ -379,13 +379,13 @@ def read_observations_csv(path) -> Observations:
     )
 
 
-def surrogate_json(surrogate, mse: float) -> dict:
+def surrogate_json(surrogate) -> dict:
     """JSON-ready description of a fitted surrogate and its training MSE."""
     return {
         "mode": surrogate.mode.value,
         "shape": surrogate.params.shape,
         "offset": surrogate.offset,
-        "training_mse": mse,
+        "training_mse": surrogate.mse,
         "centres": [[float(a), float(b)] for a, b in surrogate.centres],
         "coefficients": [float(c) for c in surrogate.coefficients],
     }

@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import evaluate_surface, make_report
 from .artifacts import (
     read_json,
@@ -28,6 +30,7 @@ from .experiment import fit_cell, run_experiment, write_surface
 from .kernels import single_threaded_blas
 from .problem import (
     MiniBatchPolicy,
+    Observations,
     analytic_loss,
     generate_full_batch,
     sample_loss_surface,
@@ -83,17 +86,28 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _canonical_order(obs: Observations) -> Observations:
+    """The rows sorted by w2, then w1, b, loss, g1 and g2, so a fit does not
+    depend on the file's row order.  On a file `gradsurf sample` wrote this
+    is the identity: its rows are the grid's nodes, w1 varying fastest."""
+    p, g = obs.points, obs.gradients
+    # np.lexsort sorts by its last key first
+    order = np.lexsort((g[:, 1], g[:, 0], obs.values, obs.batch_sizes, p[:, 0], p[:, 1]))
+    return Observations(p[order], obs.values[order], g[order], obs.batch_sizes[order])
+
+
 @single_threaded_blas()
 def _cmd_fit(args) -> int:
-    observations = read_observations_csv(args.observations)
+    observations = _canonical_order(read_observations_csv(args.observations))
     recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)
     stream = derive_stream(args.seed, "centres")
     grid = ExperimentConfig().grid(args.report_grid)
-    surrogate, mse, surface = fit_cell(observations, recipe, stream, grid)
+    surrogate, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)
-    write_json(surrogate_json(surrogate, mse), out / "model.json")
+    write_json(surrogate_json(surrogate), out / "model.json")
     write_surface(surface, out)
-    print(f"wrote {out / 'model.json'} (shape {surrogate.params.shape:g}, training MSE {mse:g})")
+    shape, mse = surrogate.params.shape, surrogate.mse
+    print(f"wrote {out / 'model.json'} (shape {shape:g}, training MSE {mse:g})")
     return 0
 
 

@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-# locate_min is held, not called: perfbench's TRACED wraps it in this module
+# locate_min and training_mse are held, not called: perfbench's TRACED wraps
+# them in this module
 from .analysis import SurfaceGrid, evaluate_surface, locate_min, make_report
 from .artifacts import (
     render_heatmap_svg,
@@ -91,19 +92,20 @@ def fit_cell(observations, recipe: FitRecipe, stream, report_grid):
     """Fit one surrogate and evaluate it on the report grid.
 
     The chain is fit, evaluation on the report grid, translation to zero
-    against those values, training MSE; returns (surrogate, training MSE,
-    report surface).  The report grid is evaluated once: a fresh fit has
-    offset 0, so its values are the kernel sums the translation needs, and
-    a mode-g report surface is those values plus the new offset.  Both
-    run_cell and the fit verb go through it.  Raises FitFailure if every
-    shape candidate fails.
+    against those values; returns (surrogate, report surface).  The
+    surrogate carries the training MSE its sweep computed (Surrogate.mse),
+    so no system is assembled again.  The report grid is evaluated once: a
+    fresh fit has offset 0, so its values are the kernel sums the
+    translation needs, and a mode-g report surface is those values plus the
+    new offset.  Both run_cell and the fit verb go through it.  Raises
+    FitFailure if every shape candidate fails.
     """
     surrogate = fit_surrogate(observations, recipe, stream)
     surface = evaluate_surface(surrogate, report_grid)
     surrogate = translate_to_zero(surrogate, surface.values)
     if surrogate.mode is FitMode.G:
         surface = SurfaceGrid(report_grid, surface.values + surrogate.offset)
-    return surrogate, training_mse(surrogate, observations), surface
+    return surrogate, surface
 
 
 def write_surface(surface: SurfaceGrid, out_dir: Path) -> None:
@@ -150,9 +152,7 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
     )
     recipe = FitRecipe(mode=cell.mode, n_centres=cell.n_centres)
     try:
-        surrogate, mse, report_surface = fit_cell(
-            observations, recipe, centre_stream, config.report_grid
-        )
+        surrogate, report_surface = fit_cell(observations, recipe, centre_stream, config.report_grid)
     except FitFailure as e:
         entry["status"] = "failed"
         entry["error"] = str(e)
@@ -162,13 +162,17 @@ def run_cell(cell: RunCell, config: ExperimentConfig, data, references, out_dir:
 
     cell_dir = out_dir / "cells" / cell.cell_id
     write_observations_csv(observations, cell_dir / "observations.csv")
-    write_json(surrogate_json(surrogate, mse), cell_dir / "model.json")
+    write_json(surrogate_json(surrogate), cell_dir / "model.json")
     _write_surface_pair(
         cell_dir,
         {
             "cell": {k: entry[k] for k in ("batch_max", "mode", "n_centres", "repeat")},
             "derived_seed": cell_seed,
-            "fit": {"shape": surrogate.params.shape, "training_mse": mse, "offset": surrogate.offset},
+            "fit": {
+                "shape": surrogate.params.shape,
+                "training_mse": surrogate.mse,
+                "offset": surrogate.offset,
+            },
         },
         (train_surface, report_surface),
         references,

@@ -16,8 +16,13 @@ argument passes FLOOR_ARG (all but the narrowest shapes) value_block is the
 plain ``exp(-arg)``, and otherwise it clamps the argument at FLOOR_ARG,
 takes exp and multiplies by the 0/1 mask, with no masked write and no
 ``exp(-inf)``, which numpy's SIMD exp takes on a special-value path.  Every
-route (the sweep, the training MSE, evaluation) goes through value_block,
-so the floor gives the same matrix bits everywhere.
+route (the sweep, evaluation) goes through value_block, so the floor gives
+the same matrix bits everywhere.
+
+The geometry has one form on every route: _radii sums the squared
+coordinate differences in coordinate order, and gradient_block writes the
+differences straight into the gradient rows it returns.  No (N, d, M)
+difference array is built.
 
 solve_least_squares is the truncated-SVD solve from the eigenpairs of
 ``a^T a``.  A shape sweep on grid data screens its candidates with a
@@ -96,17 +101,21 @@ def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, keep, out=out)
 
 
-def gradient_block(diff: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    """(N*d) x M gradient rows from differences (N, d, M) and phi = value_block(r, eps, ...).
+def gradient_block(points, centres, phi: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """(N*d) x M gradient rows of points (N, d) against centres (M, d), written into out.
 
-    Entry -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.  out
-    is a C-contiguous (N*d, M) buffer, and may be diff itself.
+    phi is value_block of the points' radii at eps.  Entry
+    -2 eps^2 (x_i - c_j)_k phi_ij goes to row d*i + k, column j.  out is a
+    C-contiguous (N*d, M) buffer, viewed as (N, d, M): the differences are
+    written straight into it and scaled in place, so no other array of that
+    size is built.
     """
     if not out.flags.c_contiguous:
         # reshape would copy, and the rows would be written to the copy
         raise ValueError("out must be C-contiguous")
-    g = out.reshape(diff.shape)
-    np.multiply(diff, -2.0 * eps**2, out=g)
+    g = out.reshape(points.shape[0], points.shape[1], centres.shape[0])
+    np.subtract(points[:, :, None], centres.T[None, :, :], out=g)
+    np.multiply(g, -2.0 * eps**2, out=g)
     np.multiply(g, phi[:, None, :], out=g)
     return out
 
@@ -139,20 +148,6 @@ def _radii(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
-def pairwise(points, centres) -> tuple[np.ndarray, np.ndarray]:
-    """The eps-independent geometry of points (N, d) against centres (M, d).
-
-    Returns the differences points[i] - centres[j] as a C-contiguous
-    (N, d, M) array, as gradient_block wants them, and the radii (N, M).  A
-    shape sweep computes this once and evaluates only value_block/
-    gradient_block per candidate.
-    """
-    points, centres = _checked(points, centres)
-    # without order="C" numpy lays the result out like its broadcast inputs
-    diff = np.subtract(points[:, :, None], centres.T[None, :, :], order="C")
-    return diff, _radii(points, centres)
-
-
 def assemble_value_matrix(points, centres, params: KernelParams) -> np.ndarray:
     """N x M matrix with entry (i, j) = phi(||points[i] - centres[j]||).
 
@@ -170,11 +165,11 @@ def assemble_gradient_matrix(points, centres, params: KernelParams) -> np.ndarra
     Rows are point-major, coordinate-minor: rows d*i .. d*i+d-1 hold the d
     gradient components of every kernel column at points[i].
     """
-    diff, r = pairwise(points, centres)
-    n, d, m = diff.shape
-    # both blocks run in place on the geometry, which is not needed after
+    points, centres = _checked(points, centres)
+    r = _radii(points, centres)
     phi = value_block(r, params.shape, r)
-    return gradient_block(diff, phi, params.shape, diff.reshape(n * d, m))
+    out = np.empty((points.size, centres.shape[0]))
+    return gradient_block(points, centres, phi, params.shape, out)
 
 
 def axis_factors(d: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,9 @@ sweep screens candidates with a cheaper certified solve, from per-axis
 kernel factors without the design matrix, and re-solves the possible
 winners exactly; any other sweep solves every candidate exactly.  Either
 way the winner is the one of solving every candidate with
-kernels.solve_least_squares.
+kernels.solve_least_squares, and the fitted Surrogate carries the MSE that
+solve gave it.  Every design matrix takes its radii and gradient rows from
+the points and centres through kernels._radii and kernels.gradient_block.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .kernels import (
     KernelParams,
     NumericalError,
     SweepSolver,
+    _radii,
     assemble_gradient_matrix,
     assemble_value_matrix,
     axis_factors,
     gradient_block,
-    pairwise,
     solve_least_squares,
     value_block,
 )
@@ -102,7 +104,10 @@ class Surrogate:
     """Fitted model: sum_j coefficients[j] * phi(||w - centres[j]||) + offset.
 
     The offset is only ever nonzero for mode ``g`` surrogates after
-    zero-translation; fresh fits always carry offset 0.
+    zero-translation; fresh fits always carry offset 0.  mse is the
+    training MSE the sweep computed for the winner, that of training_mse;
+    None for a surrogate built other than by fit_surrogate.
+    Zero-translation keeps it, as the offset enters no gradient row.
     """
 
     centres: np.ndarray
@@ -110,6 +115,7 @@ class Surrogate:
     params: KernelParams
     mode: FitMode
     offset: float = 0.0
+    mse: float | None = None
 
     def __post_init__(self):
         if self.centres.ndim != 2 or self.coefficients.ndim != 1:
@@ -151,9 +157,10 @@ def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     """Mean squared residual of the surrogate over its mode's stacked system.
 
     The system is built as the sweep builds it, so a fresh fit's MSE is
-    the one its candidate had in the sweep.  The offset enters value
-    residuals only; gradient rows are unaffected, so a zero-translated
-    mode-g surrogate keeps its training MSE.
+    the one its candidate had in the sweep, bitwise: Surrogate.mse.  The
+    offset enters value residuals only; gradient rows are unaffected, so a
+    zero-translated mode-g surrogate keeps its training MSE.  The pipeline
+    reads Surrogate.mse; this recomputation is for checking it.
     """
     mode = surrogate.mode
     b = _targets(observations, mode)
@@ -172,48 +179,40 @@ class _Design:
     gradient components (point-major, coordinate-minor), or the value rows
     stacked on the gradient rows.  phi is a's value block (a itself, or its
     first N rows) except in mode g, where it is an N x M scratch of its own.
-    The geometry is pairwise's, or a _Grid's, which gives the same bits
-    without pairwise's (N, d, M) array.
+    The radii are kernels._radii's, and the gradient rows are written by
+    kernels.gradient_block straight from the points and centres.
 
-    The geometry and the buffers are built on the first write, which on the
+    The radii and the buffers are built on the first write, which on the
     grid route is the band walk's first re-solve: held through the screens
     as well, they raised the two-worker study's peak RSS by 0.6-0.8 MiB.
     They are local to the fit, since cells fit on worker threads.
     """
 
-    def __init__(self, points, centres, b, mode, grid=None):
+    def __init__(self, points, centres, b, mode):
         self.points, self.centres, self.b, self.mode = points, centres, b, mode
-        self.grid = grid
 
     @functools.cached_property
     def system(self):
-        """(radii, gradient_rows(phi, eps, out), a, phi), a and phi uninitialised."""
-        if self.grid is None:
-            diff, r = pairwise(self.points, self.centres)
-            gradient_rows = functools.partial(gradient_block, diff)
-        else:
-            r, gradient_rows = self.grid.radii(), self.grid.gradient_rows
+        """(radii, a, phi), a and phi uninitialised."""
+        r = _radii(self.points, self.centres)
         n, m = r.shape
         d = self.points.shape[1]
         a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[self.mode], m))
-        return r, gradient_rows, a, np.empty((n, m)) if self.mode is FitMode.G else a[:n]
-
-    def radii(self) -> np.ndarray:
-        """pairwise's radii (N, M), kept with the system."""
-        return self.system[0]
+        return r, a, np.empty((n, m)) if self.mode is FitMode.G else a[:n]
 
     def write(self, eps: float) -> np.ndarray:
         """a, overwritten with candidate eps's design matrix."""
-        r, gradient_rows, a, phi = self.system
+        r, a, phi = self.system
         value_block(r, eps, phi)
         if self.mode is not FitMode.F:
             # the gradient rows: all of a in mode g, and those after phi's in fg
-            gradient_rows(phi, eps, a if self.mode is FitMode.G else a[r.shape[0] :])
+            rows = a if self.mode is FitMode.G else a[r.shape[0] :]
+            gradient_block(self.points, self.centres, phi, eps, rows)
         return a
 
     def mse(self, x) -> float:
         """Mean squared residual of x on the candidate last written."""
-        r = self.system[2] @ x - self.b
+        r = self.system[1] @ x - self.b
         return float(np.mean(r * r))
 
     def exact(self, eps: float):
@@ -268,9 +267,6 @@ class _Grid:
     cells the factors and the Gram blocks held no subnormal number, but G
     did, where the product of two Gram entries underflows (see the kernels
     module docstring).
-
-    The per-axis differences also give the fit's _Design its geometry:
-    radii and gradient_rows are the bits of pairwise and gradient_block.
     """
 
     def __init__(self, axes, centres, b, mode):
@@ -283,25 +279,6 @@ class _Grid:
         if mode is not FitMode.F:
             grads = b[-2 * n :].reshape(*shape, 2)
             self.grads = grads[..., 0].copy(), grads[..., 1].copy()
-
-    def radii(self) -> np.ndarray:
-        """pairwise's radii (N, M): the same squares, added in the same order as _radii."""
-        du, dv = self.d
-        r = np.add(np.square(du)[None], np.square(dv)[:, None])
-        return np.sqrt(r, out=r).reshape(-1, du.shape[1])
-
-    def gradient_rows(self, phi, eps: float, out) -> None:
-        """gradient_block's rows on the grid's points into out, from the per-axis differences.
-
-        Node j * n1 + i is (u_i, v_j); each entry takes the ufuncs of
-        gradient_block on the same difference, so the bits are the same.
-        out is a C-contiguous (N*2, M) buffer.
-        """
-        du, dv = self.d
-        g = out.reshape(dv.shape[0], du.shape[0], 2, du.shape[1])
-        np.multiply(du, -2.0 * eps**2, out=g[:, :, 0])
-        np.multiply(dv[:, None, :], -2.0 * eps**2, out=g[:, :, 1])
-        np.multiply(g, phi.reshape(g.shape[0], g.shape[1], 1, g.shape[3]), out=g)
 
     def normal(self, eps: float):
         """(G, a^T b) of candidate eps."""
@@ -394,9 +371,9 @@ def _sweep(points, centres, b, mode):
     """
     axes = _grid_axes(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
     grid = None if axes is None else _Grid(axes, centres, b, mode)
-    design = _Design(points, centres, b, mode, grid)
-    # the grid's radii are a fresh array, not held through the screens
-    r_min = _smallest_nonzero((design if grid is None else grid).radii())
+    design = _Design(points, centres, b, mode)
+    # a fresh array, not held through the screens
+    r_min = _smallest_nonzero(_radii(points, centres))
     solver = SweepSolver()
     eps_list = SHAPE_CANDIDATES.tolist()
     outcomes = []
@@ -428,10 +405,11 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     """Sample centres, sweep shape candidates, return the lowest-MSE surrogate.
 
     Centres are drawn once and shared by every candidate, so what the
-    candidates share (the point-centre geometry, or a grid's per-axis
+    candidates share (the point-centre radii, or a grid's per-axis
     differences) is computed once per fit; _sweep solves the candidates and
-    selects.  Raises FitFailure, listing every skipped eps,
-    if no candidate is left.
+    selects.  The surrogate carries the winner's exact training MSE as
+    mse.  Raises FitFailure, listing every skipped eps, if no candidate is
+    left.
     """
     centres = sample_centres(stream, observations, recipe)
     best, skipped = _sweep(
@@ -439,13 +417,14 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     )
     if best is None:
         raise FitFailure(skipped)
-    _, eps, coef = best
+    mse, eps, coef = best
     return Surrogate(
         centres=centres,
         coefficients=coef,
         params=KernelParams(eps),
         mode=recipe.mode,
         offset=0.0,
+        mse=mse,
     )
 
 

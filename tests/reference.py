@@ -8,7 +8,9 @@ rectangle per node or observation.  The shape sweep here assembles every
 candidate's system afresh and compares it with the previous one, and
 truncated_svd_solve is the solve the shipped normal-matrix solver stands in
 for, computed from an SVD of the system itself.  predict_values_one_shot
-evaluates a surrogate from one kernel matrix over all points.  Tests
+evaluates a surrogate from one kernel matrix over all points, and
+gradient_rows_from_differences builds gradient rows from the (N, d, M)
+difference array that kernels.gradient_block no longer builds.  Tests
 assert that the shipped code gives bitwise the same observations, fits
 and byte for byte the same files.  predict_gradients, a surrogate's
 gradients, is here because only tests need them.
@@ -173,6 +175,16 @@ def _system(points, centres, eps: float, mode: FitMode) -> np.ndarray:
     n, d, m = diff.shape
     g = (-2.0 * eps**2 * diff * phi[:, None, :]).reshape(n * d, m)
     return g if mode is FitMode.G else np.vstack([phi, g])
+
+
+def gradient_rows_from_differences(points, centres, phi, eps: float) -> np.ndarray:
+    """(N*d) x M gradient rows from a fresh (N, d, M) difference array, scaled by
+    -2 eps^2 and then by phi: the ufuncs of kernels.gradient_block, in its order."""
+    diff = np.subtract(points[:, :, None], centres.T[None, :, :], order="C")
+    n, d, m = diff.shape
+    g = np.multiply(diff, -2.0 * eps**2)
+    np.multiply(g, phi[:, None, :], out=g)
+    return g.reshape(n * d, m)
 
 
 def _targets(observations: Observations, mode: FitMode) -> np.ndarray:

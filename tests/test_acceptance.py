@@ -125,7 +125,7 @@ def test_criterion_3_noise_free_recovery():
         # the shipped fit chain with the centre draw of `gradsurf fit` at its
         # default seed; `gradsurf fit --centres 100` reproduces these exact fits
         stream = derive_stream(0, "fit/centres")
-        _, _, surface = fit_cell(observations, FitRecipe(mode=mode, n_centres=100), stream, grid)
+        _, surface = fit_cell(observations, FitRecipe(mode=mode, n_centres=100), stream, grid)
         return surface.values.ravel()
 
     rmse_f = float(np.sqrt(np.mean((fit(FitMode.F) - oracle) ** 2)))
@@ -152,7 +152,7 @@ def _gradient_only_cell(seed, batch_max, n_centres, data, exact):
     observations = sample_loss_surface(
         DEFAULT.train_grid, data, MiniBatchPolicy(batch_max), derive_stream(cell_seed, "sample")
     )
-    _, _, surface = fit_cell(
+    _, surface = fit_cell(
         observations,
         FitRecipe(mode=FitMode.G, n_centres=n_centres),
         derive_stream(cell_seed, "centres"),
@@ -230,7 +230,7 @@ def test_criterion_5_noisy_value_fit_pathology():
                     MiniBatchPolicy(3),
                     derive_stream(cell_seed, "sample"),
                 )
-                _, _, surface = fit_cell(
+                _, surface = fit_cell(
                     observations,
                     FitRecipe(mode=mode, n_centres=n_centres),
                     derive_stream(cell_seed, "centres"),

@@ -174,8 +174,9 @@ def test_surrogate_json_fields():
         params=KernelParams(3.0),
         mode=FitMode.G,
         offset=1.25,
+        mse=1e-9,
     )
-    d = surrogate_json(s, mse=1e-9)
+    d = surrogate_json(s)
     assert d["mode"] == "g"
     assert d["shape"] == 3.0
     assert d["offset"] == 1.25

@@ -177,12 +177,14 @@ def test_fit_verb_reproduces_a_study_cell(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order", ["sampled", "shuffled"])
-def test_fit_verb_screens_on_the_grid_only_for_rows_in_grid_order(tmp_path, capsys, monkeypatch, order):
-    # sample -> observations.csv -> fit takes the grid route; the same rows
-    # shuffled take the assembled one.  Either way the model is the winner
-    # of solving every candidate exactly, on the centres the fit drew
+def test_fit_verb_screens_on_the_grid_in_any_row_order(tmp_path, capsys, monkeypatch, order):
+    # sample -> observations.csv -> fit takes the grid route, and so do the
+    # same rows shuffled, which the verb sorts back into grid order.  Either
+    # way the model is the winner of solving every candidate exactly, on the
+    # sampled rows and the centres the fit drew
     run_cli(capsys, "sample", "--grid", "13", "--out", str(tmp_path / "s"))
     csv = tmp_path / "s" / "observations.csv"
+    observations = read_observations_csv(csv)
     if order == "shuffled":
         header, *rows = csv.read_text(encoding="utf-8").splitlines(keepends=True)
         csv.write_text("".join([header, *rows[1::2], *rows[0::2]]), encoding="utf-8")
@@ -197,14 +199,42 @@ def test_fit_verb_screens_on_the_grid_only_for_rows_in_grid_order(tmp_path, caps
     # 26 centres, the narrowest system the sweep screens
     argv = ["fit", str(csv), "--mode", "fg", "--centres", "26", "--report-grid", "9"]
     assert run_cli(capsys, *argv, "--out", str(tmp_path / "f"))[0] == 0
-    assert len(grids) == (1 if order == "sampled" else 0)
+    assert len(grids) == 1
     model = read_json(tmp_path / "f" / "model.json")
     with single_threaded_blas():
-        best, _, _ = reference.shape_sweep(
-            read_observations_csv(csv), np.array(model["centres"]), FitMode.FG
-        )
+        best, _, _ = reference.shape_sweep(observations, np.array(model["centres"]), FitMode.FG)
     assert model["shape"] == best[1]
     assert np.array(model["coefficients"]).tobytes() == best[2].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["f", "g"])
+@pytest.mark.parametrize("order", ["reversed", "permuted"])
+def test_fit_verb_output_does_not_depend_on_row_order(tmp_path, capsys, mode, order):
+    # the centre draw picks rows, so the verb fits the rows in one canonical
+    # order: a CSV with its rows reordered writes the sampled CSV's files,
+    # byte for byte, off the grid route (one centre) and on it
+    run_cli(capsys, "sample", "--seed", "5", "--grid", "13", "--out", str(tmp_path / "s"))
+    csv = tmp_path / "s" / "observations.csv"
+    header, *rows = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    if order == "reversed":
+        rows = rows[::-1]
+    else:
+        rows = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
+    moved = tmp_path / "moved.csv"
+    moved.write_text("".join([header, *rows]), encoding="utf-8")
+    trees = {}
+    for name, path in (("sampled", csv), ("moved", moved)):
+        for centres in ("1", "26"):
+            out = tmp_path / name / centres
+            argv = ["fit", str(path), "--mode", mode, "--centres", centres, "--report-grid", "9"]
+            assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        trees[name] = {
+            p.relative_to(tmp_path / name): p.read_bytes()
+            for p in sorted((tmp_path / name).rglob("*"))
+            if p.is_file()
+        }
+    assert len(trees["sampled"]) == 8
+    assert trees["moved"] == trees["sampled"]
 
 
 def test_report_verb(tmp_path, capsys):

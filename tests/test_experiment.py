@@ -142,9 +142,9 @@ def test_fit_cell_reproduces_cell_artifacts(tmp_path):
         recipe = FitRecipe(mode=FitMode(entry["mode"]), n_centres=entry["n_centres"])
         stream = derive_stream(entry["derived_seed"], "centres")
         with single_threaded_blas():
-            surrogate, mse, surface = fit_cell(observations, recipe, stream, config.report_grid)
+            surrogate, surface = fit_cell(observations, recipe, stream, config.report_grid)
         mine = tmp_path / entry["id"]
-        write_json(surrogate_json(surrogate, mse), mine / "model.json")
+        write_json(surrogate_json(surrogate), mine / "model.json")
         write_surface_csv(surface, mine / "surface_report.csv")
         for name in ("model", "surface_report"):
             rel = entry["artifacts"][name]

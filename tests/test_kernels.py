@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from draws import uniform
-from reference import _system
+from reference import _system, gradient_rows_from_differences
 
 from gradsurf.kernels import (
     FLOOR_ARG,
@@ -20,12 +20,12 @@ from gradsurf.kernels import (
     KernelParams,
     NumericalError,
     SweepSolver,
+    _radii,
     assemble_gradient_matrix,
     assemble_value_matrix,
     axis_factors,
     gradient_block,
     normal_system,
-    pairwise,
     solve_least_squares,
     value_block,
 )
@@ -37,15 +37,16 @@ from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode, FitRecipe, sample_cent
 
 
 def radii(rs):
-    """pairwise radii of points at distances rs along the first axis from the origin."""
+    """Radii of points at distances rs along the first axis from the origin."""
     points = np.column_stack([rs, np.zeros(len(rs))])
-    return pairwise(points, np.zeros((1, 2)))[1][:, 0]
+    return _radii(points, np.zeros((1, 2)))[:, 0]
 
 
 def kernel_gradient(x, centre, eps):
-    """Spatial gradient of phi(||x - centre||) in x, from pairwise and the blocks."""
-    diff, r = pairwise([x], [centre])
-    return gradient_block(diff, value_block(r, eps, r), eps, np.empty((2, 1)))[:, 0]
+    """Spatial gradient of phi(||x - centre||) in x, from _radii and the blocks."""
+    points, centres = np.array([x], dtype=float), np.array([centre], dtype=float)
+    r = _radii(points, centres)
+    return gradient_block(points, centres, value_block(r, eps, r), eps, np.empty((2, 1)))[:, 0]
 
 
 def test_kernel_value_scalar_examples():
@@ -187,13 +188,14 @@ def test_gradient_matrix_layout_point_major():
 
 
 def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
-    # the sweep evaluates value_block/gradient_block on geometry computed
-    # once; every candidate must give the bytes of a fresh assembly and of
-    # the defining expressions on the (N, M, d) differences
+    # the sweep evaluates value_block on radii computed once and
+    # gradient_block from the points and centres; every candidate must give
+    # the bytes of a fresh assembly and of the defining expressions on the
+    # (N, M, d) differences
     stream = derive_stream(11, "kernel/blocks")
     points = np.array([[uniform(stream, -2, 2), uniform(stream, -2, 2)] for _ in range(30)])
     centres = points[:7]
-    diff, r = pairwise(points, centres)
+    r = _radii(points, centres)
     ref_diff = points[:, None, :] - centres[None, :, :]
     ref_r = np.sqrt((ref_diff**2).sum(axis=-1))
     assert np.array_equal(r, ref_r)
@@ -201,7 +203,7 @@ def test_per_eps_blocks_are_bitwise_the_assembled_matrices():
         eps = float(eps)
         params = KernelParams(eps)
         phi = value_block(r, eps, np.empty_like(r))
-        g = gradient_block(diff, phi, eps, np.empty((60, 7)))
+        g = gradient_block(points, centres, phi, eps, np.empty((60, 7)))
         arg = (eps * ref_r) ** 2
         ref_phi = np.where(arg > FLOOR_ARG, 0.0, np.exp(-arg))
         ref_g = (-2.0 * eps**2 * ref_diff * ref_phi[:, :, None]).transpose(0, 2, 1).reshape(60, 7)
@@ -253,9 +255,27 @@ def test_value_matrix_is_value_block_of_pairwise_radii(d):
     points = np.array([[uniform(stream, -2, 2) for _ in range(d)] for _ in range(40)])
     centres = points[::3]
     for eps in (1e-4, 0.37, 2.9, 1e5):
-        r = pairwise(points, centres)[1]
+        r = _radii(points, centres)
         want = value_block(r, eps, r)
         assert np.array_equal(assemble_value_matrix(points, centres, KernelParams(eps)), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gradient_block_is_the_difference_array_formula_bitwise(d):
+    # gradient_block writes the differences into its output instead of
+    # taking an (N, d, M) array; the bits must be those of the difference
+    # array's form, from the flat limit to past the floor, also when out is
+    # the lower rows of an fg design matrix
+    stream = derive_stream(13, f"kernel/grad/{d}")
+    points = np.array([[uniform(stream, -2, 2) for _ in range(d)] for _ in range(40)])
+    centres = points[::3]
+    r = _radii(points, centres)
+    a = np.empty((40 + 40 * d, centres.shape[0]))
+    for eps in (1e-4, 0.37, 2.9, 60.0, 1e5):
+        phi = value_block(r, eps, np.empty_like(r))
+        want = gradient_rows_from_differences(points, centres, phi, eps)
+        got = gradient_block(points, centres, phi, eps, a[40:])
+        assert got.tobytes() == want.tobytes(), eps
 
 
 def report_grid_and_centres():
@@ -267,7 +287,7 @@ def report_grid_and_centres():
 
 def test_value_matrix_is_value_block_of_pairwise_radii_on_report_grid():
     points, centres = report_grid_and_centres()
-    r = pairwise(points, centres)[1]
+    r = _radii(points, centres)
     want = value_block(r, 0.62, r)
     assert np.array_equal(assemble_value_matrix(points, centres, KernelParams(0.62)), want)
 
@@ -288,10 +308,11 @@ def test_value_matrix_peak_allocation_on_report_grid():
 
 
 def test_gradient_block_refuses_a_strided_buffer():
-    diff, r = pairwise(np.zeros((3, 2)), np.ones((4, 2)))
+    points, centres = np.zeros((3, 2)), np.ones((4, 2))
+    r = _radii(points, centres)
     phi = value_block(r, 1.0, r)
     with pytest.raises(ValueError, match="C-contiguous"):
-        gradient_block(diff, phi, 1.0, np.empty((4, 6)).T)
+        gradient_block(points, centres, phi, 1.0, np.empty((4, 6)).T)
 
 
 def test_matrix_dimension_mismatch():

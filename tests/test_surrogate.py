@@ -19,6 +19,7 @@ from gradsurf.kernels import (
     KernelParams,
     NumericalError,
     SweepSolver,
+    _radii,
     assemble_value_matrix,
     single_threaded_blas,
     solve_least_squares,
@@ -155,20 +156,19 @@ def test_build_system_shapes_and_stacking():
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_build_system_matches_kernel_formula_bitwise(mode):
     # the sweep's in-place blocks against the formula, for every candidate of
-    # a study cell, rewriting one buffer as the sweep does, on pairwise's
-    # geometry and on the grid's per-axis one: criterion 8 re-runs the sweep
-    # from the formula
+    # a study cell, rewriting one buffer as the sweep does, on the grid's
+    # rows and on the same rows interleaved, which the sweep does not screen:
+    # criterion 8 re-runs the sweep from the formula
     observations = study_cell_observations(mode, 100)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(5, "centres"), observations, recipe)
-    b = _targets(observations, mode)
-    assert b.tobytes() == reference._targets(observations, mode).tobytes()
-    args = (observations.points, centres, b, mode)
-    grid = _Grid(_grid_axes(observations.points), centres, b, mode)
-    for design in (_Design(*args), _Design(*args, grid)):
+    for obs in (observations, interleaved(observations)):
+        b = _targets(obs, mode)
+        assert b.tobytes() == reference._targets(obs, mode).tobytes()
+        design = _Design(obs.points, centres, b, mode)
         for eps in SHAPE_CANDIDATES.tolist():
             a = design.write(eps)
-            want = reference._system(observations.points, centres, eps, mode)
+            want = reference._system(obs.points, centres, eps, mode)
             assert a.shape == want.shape and a.tobytes() == want.tobytes(), eps
 
 
@@ -234,6 +234,26 @@ def test_fit_surrogate_selects_lowest_training_mse():
     best_mse, best_eps, _ = reference.shape_sweep(obs, centres, FitMode.F)[0]
     assert s.params.shape == best_eps
     assert training_mse(s, obs) == pytest.approx(best_mse, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(FitMode))
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_fit_carries_its_training_mse_bitwise(mode, n_centres):
+    # the winner's MSE from the sweep, which fit_cell and the artifacts
+    # read, is training_mse's recomputation bit for bit: on the grid (c1
+    # solved exactly, c100 screened, then re-solved) and on the c100 rows
+    # interleaved, where every candidate is solved exactly; and after
+    # zero-translation, which gives a mode-g surrogate an offset
+    observations = study_cell_observations(mode, n_centres)
+    recipe = FitRecipe(mode=mode, n_centres=n_centres)
+    cases = [observations, *([interleaved(observations)] if n_centres == 100 else [])]
+    with single_threaded_blas():
+        for obs in cases:
+            fitted = fit_surrogate(obs, recipe, derive_stream(1, "sweep"))
+            assert fitted.mse == training_mse(fitted, obs)
+            translated = translate_to_zero(fitted, predict_values(fitted, obs.points))
+            assert (translated.offset != 0.0) == (mode is FitMode.G)
+            assert translated.mse == fitted.mse == training_mse(translated, obs)
 
 
 def test_fit_surrogate_tie_breaks_to_smallest_shape():
@@ -458,7 +478,7 @@ def grid_and_design(mode, n_centres):
 
 def swept_candidates(design):
     """(index, eps) of every candidate a sweep solves: those up to the first in the tail."""
-    r_min = _smallest_nonzero(design.radii())
+    r_min = _smallest_nonzero(_radii(design.points, design.centres))
     for k, eps in enumerate(SHAPE_CANDIDATES.tolist()):
         yield k, eps
         t = eps * r_min

@@ -34,6 +34,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # it up, so a traced run still installs, and its span reads 0
 HELD = {
     ("gradsurf.experiment", "locate_min"),
+    ("gradsurf.experiment", "training_mse"),
     ("gradsurf.surrogate", "assemble_gradient_matrix"),
     ("gradsurf.rng", "Stream.derive"),
 }
