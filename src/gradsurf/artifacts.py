@@ -264,23 +264,19 @@ def _read_rows(path, header: str, fields) -> list[tuple]:
 def read_surface_csv(path) -> SurfaceGrid:
     """Parse a surface CSV back into a SurfaceGrid.
 
-    The grid is reconstructed from the corner nodes and row count; the node
-    coordinates in the file must match that grid exactly, and every value
-    must be finite.
+    Every value must be finite, and the node coordinates must be a
+    GridSpec's points() bit for bit (GridSpec.of), as write_surface_csv
+    writes them.  A file that is neither raises a ValueError that starts
+    with path:, as a bad row's starts with path:line:.
     """
     rows = _read_rows(path, SURFACE_HEADER, (float, float, float))
-    n = len(rows)
-    res = int(round(n**0.5))
-    if res < 2 or res * res != n:
-        raise ValueError(f"{n} rows do not form a square grid")
-    grid = GridSpec(lower=rows[0][:2], upper=rows[-1][:2], resolution=res)
-    coords = np.array([r[:2] for r in rows])
-    if not np.array_equal(coords, grid.points()):
-        raise ValueError("node coordinates are not the expected grid")
-    values = np.array([r[2] for r in rows]).reshape(res, res)
+    values = np.array([r[2] for r in rows])
     if not np.isfinite(values).all():
-        raise ValueError("surface values must be finite")
-    return SurfaceGrid(grid=grid, values=values)
+        raise ValueError(f"{path}: surface values must be finite")
+    grid = GridSpec.of(np.array([r[:2] for r in rows]))
+    if grid is None:
+        raise ValueError(f"{path}: {len(rows)} nodes do not form a square grid, w1 fastest")
+    return SurfaceGrid(grid=grid, values=values.reshape(grid.resolution, -1))
 
 
 def render_heatmap_svg(surface: SurfaceGrid, path) -> None:

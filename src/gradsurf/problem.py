@@ -11,6 +11,7 @@ fitting; the closed-form full-batch loss serves as reference surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,25 @@ class GridSpec:
         """All nodes as an (resolution**2, 2) array in flat-index order."""
         w1, w2 = np.meshgrid(self.axis(0), self.axis(1))
         return np.stack([w1.ravel(), w2.ravel()], axis=1)
+
+    @classmethod
+    def of(cls, points) -> GridSpec | None:
+        """The grid whose points() are points bit for bit, else None.
+
+        The corners and the row count give the only candidate.  Bitwise, so
+        a grid's differences are those of the points, signed zeros
+        included; another row order, a missing or moved node, a rectangular
+        or non-uniform grid are not one.
+        """
+        n = points.shape[0] if points.ndim == 2 and points.shape[1] == 2 else 0
+        res = math.isqrt(n)
+        if res < 2 or res * res != n:
+            return None
+        lower, upper = tuple(points[0].tolist()), tuple(points[-1].tolist())
+        if not all(lo < hi for lo, hi in zip(lower, upper)):
+            return None
+        grid = cls(lower, upper, res)
+        return grid if grid.points().tobytes() == points.tobytes() else None
 
 
 def generate_full_batch() -> Dataset1D:

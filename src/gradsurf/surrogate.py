@@ -12,10 +12,11 @@ which rows enter the system:
 The shape parameter is selected by sweeping the fixed log-equispaced
 candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
 FitRecipe) and keeping the one with the lowest training mean squared error;
-candidates whose solve fails numerically are skipped.  On grid data the
-sweep screens candidates with a cheaper certified solve, from per-axis
-kernel factors without the design matrix, and re-solves the possible
-winners exactly; any other sweep solves every candidate exactly.  Either
+candidates whose solve fails numerically are skipped.  On the points of a
+problem.GridSpec the sweep screens candidates with a cheaper certified
+solve, from per-axis kernel factors without the design matrix, and
+re-solves the possible winners exactly; any other sweep solves every
+candidate exactly.  Either
 way the winner is the one of solving every candidate with
 kernels.solve_least_squares, and the fitted Surrogate carries the MSE that
 solve gave it.  Every design matrix takes its radii and gradient rows from
@@ -47,7 +48,7 @@ from .kernels import (
     solve_least_squares,
     value_block,
 )
-from .problem import Observations
+from .problem import GridSpec, Observations
 
 
 class FitMode(str, Enum):
@@ -228,52 +229,33 @@ class _Design:
         return (mse, x, True) if np.isfinite(mse) else None
 
 
-def _grid_axes(points):
-    """(u, v): the axis nodes of points that form a full tensor grid, else None.
-
-    Row k must be (u[k % n1], v[k // n1]), bit for bit, with u and v
-    strictly increasing: the order of problem.GridSpec.points().  Any other
-    order, a missing or repeated node, or points that are not 2-d are not a
-    grid.
-    """
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
-        return None
-    n = points.shape[0]
-    # the first row off the first v level; none means one level of n nodes
-    n1 = int(np.argmax(points[:, 1] != points[0, 1])) or n
-    if n % n1:
-        return None
-    u, v = points[:n1, 0], points[::n1, 1]
-    if not ((u[1:] > u[:-1]).all() and (v[1:] > v[:-1]).all()):
-        return None
-    # bitwise, so the grid's differences are those of the points, signed zeros included
-    nodes = np.stack([w.ravel() for w in np.meshgrid(u, v)], axis=1)
-    return (u, v) if nodes.tobytes() == points.tobytes() else None
-
-
 class _Grid:
-    """A fit's candidate normal systems on a tensor grid, from per-axis kernel factors.
+    """The grid route of a fit on GridSpec data: each candidate screened by
+    one kernels.SweepSolver on a normal system from per-axis kernel factors.
 
-    With the points at (u_i, v_j) and the factors (E_u, D_u), (E_v, D_v) of
-    kernels.axis_factors, the value row of node (i, j) is E_u[i] * E_v[j]
-    and its gradient rows D_u[i] * E_v[j] and E_u[i] * D_v[j].  So, with
-    UU = E_u^T E_u and VV = E_v^T E_v, the value rows' G is UU * VV and the
-    gradient rows' is (D_u^T D_u) * VV + UU * (D_v^T D_v), elementwise; a^T b
-    sums columns of E_v * (B E_u) and the like, for the targets B on the
-    (v, u) node array; and the fitted values are (E_v * x) E_u^T.  No N x M
-    matrix is built.  The systems differ from a^T a in rounding only, and
-    by the floor: a product of factors can be nonzero where value_block
-    floors phi of the radius, but only below exp(-FLOOR_ARG).  On the study
-    cells the factors and the Gram blocks held no subnormal number, but G
-    did, where the product of two Gram entries underflows (see the kernels
-    module docstring).
+    With the points at (u_i, v_j) on the grid's axes and the factors
+    (E_u, D_u), (E_v, D_v) of kernels.axis_factors, the value row of node
+    (i, j) is E_u[i] * E_v[j] and its gradient rows D_u[i] * E_v[j] and
+    E_u[i] * D_v[j].  So, with UU = E_u^T E_u and VV = E_v^T E_v, the value
+    rows' G is UU * VV and the gradient rows' is
+    (D_u^T D_u) * VV + UU * (D_v^T D_v), elementwise; a^T b sums columns of
+    E_v * (B E_u) and the like, for the targets B on the (v, u) node array;
+    and the fitted values are (E_v * x) E_u^T.  No N x M matrix is built.
+    The systems differ from a^T a in rounding only, and by the floor: a
+    product of factors can be nonzero where value_block floors phi of the
+    radius, but only below exp(-FLOOR_ARG).  On the study cells the factors
+    and the Gram blocks held no subnormal number, but G did, where the
+    product of two Gram entries underflows (see the kernels module
+    docstring).  The solver carries its rank and basis from one candidate
+    to the next, so the candidates are screened in order.
     """
 
-    def __init__(self, axes, centres, b, mode):
-        self.d = [np.subtract.outer(axis, centres[:, k]) for k, axis in enumerate(axes)]
-        shape = axes[1].size, axes[0].size
+    def __init__(self, grid: GridSpec, centres, b, mode):
+        self.d = [np.subtract.outer(grid.axis(k), centres[:, k]) for k in range(2)]
+        shape = grid.resolution, grid.resolution
         n = shape[0] * shape[1]
         self.rows = b.size
+        self.solver = SweepSolver()
         self.values = None if mode is FitMode.G else b[:n].reshape(shape)
         self.grads = None
         if mode is not FitMode.F:
@@ -309,21 +291,20 @@ class _Grid:
             total += float(np.vdot(p, p))
         return total / self.rows
 
+    def screen(self, eps: float):
+        """(MSE, coefficients, False) of candidate eps screened by self.solver, else None.
 
-def _screen(solver, grid, design, eps):
-    """(MSE, coefficients, False) of candidate eps screened on grid, else design.exact's outcome.
-
-    A failed screen or a non-finite MSE says nothing of the exact solve, as
-    the grid's system is not a^T a bitwise, so the candidate is then redone
-    with design.exact.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            x = solver.solve(*grid.normal(eps))[0]
-        except NumericalError:
-            return design.exact(eps)
-        mse = grid.mse(x)
-    return (mse, x, False) if np.isfinite(mse) else design.exact(eps)
+        None, for a failed screen or a non-finite MSE, says nothing of the
+        exact solve, as the grid's system is not a^T a bitwise: the sweep
+        then solves the candidate exactly.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                x = self.solver.solve(*self.normal(eps))[0]
+            except NumericalError:
+                return None
+            mse = self.mse(x)
+        return (mse, x, False) if np.isfinite(mse) else None
 
 
 # relative band on screened MSEs: a candidate whose screened MSE m has
@@ -342,8 +323,8 @@ def _smallest_nonzero(r) -> float:
 def _sweep(points, centres, b, mode):
     """((MSE, eps, coefficients) of the winner or None, skipped eps) of one sweep.
 
-    Each candidate has one outcome, _screen's or _Design.exact's, or None if
-    it is skipped.  Once a candidate's phi is zero everywhere off the
+    Each candidate has one outcome, _Grid.screen's or _Design.exact's, or
+    None if it is skipped.  Once a candidate's phi is zero everywhere off the
     centres (every nonzero radius is past the kernel floor,
     kernels.FLOOR_ARG), each larger eps gives the same 0/1 phi and the same
     signed-zero gradient rows, so the same system: the sweep stops there,
@@ -353,32 +334,30 @@ def _sweep(points, centres, b, mode):
     nonzero radius is past the floor exactly when the smallest one is (t * t
     rounds as value_block's np.square does).
 
-    A sweep on a full tensor grid (_grid_axes) of at least
-    kernels.SCREEN_MIN_COLS centres is screened by one kernels.SweepSolver,
-    on normal systems from the per-axis factors (_Grid): it takes a
-    certified full-rank or low-rank route instead of a full eigensolve
-    where it can.  Any other sweep solves every candidate with
-    _Design.exact.  Selection stays exact: the outcomes are taken in order
-    of MSE, and each not exact is replaced by design.exact's outcome, until
-    the next MSE is beyond _MSE_BAND of the best exact one.  The exact MSEs
-    decide, ties going to the smallest eps, so the winner and its
-    coefficient bytes are those of solving every candidate with
-    solve_least_squares.
+    A sweep on the points of a GridSpec (GridSpec.of) with at least
+    kernels.SCREEN_MIN_COLS centres takes the grid route, _Grid.screen: a
+    certified full-rank or low-rank solve instead of a full eigensolve
+    where it can.  A candidate whose screen fails, and every candidate of
+    any other sweep, is solved with _Design.exact.  Selection stays exact:
+    the outcomes are taken in order of MSE, and each not exact is replaced
+    by design.exact's outcome, until the next MSE is beyond _MSE_BAND of
+    the best exact one.  The exact MSEs decide, ties going to the smallest
+    eps, so the winner and its coefficient bytes are those of solving every
+    candidate with solve_least_squares.
 
     Every eps in skipped fails that exact solve.  When no candidate wins
     (what FitFailure reports), skipped lists every such eps; otherwise it
     may leave out one the grid screen solved that was never solved exactly.
     """
-    axes = _grid_axes(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
-    grid = None if axes is None else _Grid(axes, centres, b, mode)
+    spec = GridSpec.of(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
+    grid = None if spec is None else _Grid(spec, centres, b, mode)
     design = _Design(points, centres, b, mode)
     # a fresh array, not held through the screens
     r_min = _smallest_nonzero(_radii(points, centres))
-    solver = SweepSolver()
     eps_list = SHAPE_CANDIDATES.tolist()
     outcomes = []
     for eps in eps_list:
-        outcomes.append(design.exact(eps) if grid is None else _screen(solver, grid, design, eps))
+        outcomes.append((grid is not None and grid.screen(eps)) or design.exact(eps))
         t = eps * r_min
         if t * t > FLOOR_ARG:
             break

@@ -9,6 +9,7 @@ count, two threads writing at once, and doubles from every binade.
 """
 
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,7 +78,7 @@ def test_surface_csv_rejects_non_square(tmp_path):
     write_surface_csv(surf, path)
     with path.open("a", encoding="utf-8") as fh:
         fh.write("2.0,2.0,0.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 5 nodes do not form"):
         read_surface_csv(path)
 
 
@@ -88,7 +89,21 @@ def test_surface_csv_rejects_tampered_nodes(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = "0.25,0.0,0.0"  # node moved off-grid
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 4 nodes do not form"):
+        read_surface_csv(path)
+
+
+def test_surface_csv_reads_signed_zeros_bit_for_bit(tmp_path):
+    # a -0.0 upper bound is written in the last row and read back; a -0.0
+    # where the grid's points() hold 0.0 is not that grid's node
+    path = tmp_path / "s.csv"
+    grid = GridSpec(lower=(-1.0, -1.0), upper=(-0.0, -0.0), resolution=2)
+    write_surface_csv(SurfaceGrid(grid=grid, values=np.zeros((2, 2))), path)
+    assert np.signbit(read_surface_csv(path).grid.upper).all()
+    write_surface_csv(SurfaceGrid(grid=GRID2, values=np.zeros((2, 2))), path)
+    text = path.read_text(encoding="utf-8").replace("\n0.0,0.0,", "\n-0.0,0.0,", 1)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="do not form a square grid"):
         read_surface_csv(path)
 
 
@@ -100,7 +115,7 @@ def test_surface_csv_rejects_non_finite_values(tmp_path, bad):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[3] = f"0.0,1.0,{bad}"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
         read_surface_csv(path)
 
 

@@ -246,17 +246,26 @@ def test_report_verb(tmp_path, capsys):
     assert payload["min_value"] > 0.0
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_report_verb_non_finite_surface_exits_1(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "bad, order",
+    [pytest.param(bad, "grid", id=bad) for bad in ("nan", "inf")]
+    + [pytest.param("nan", "transposed", id="nan-transposed")],
+)
+def test_report_verb_non_finite_surface_exits_1(tmp_path, capsys, bad, order):
+    # a whole-file error names the file as a row error does; a surface in
+    # w2-fastest order is not a grid either, but its value is named first
     run_cli(capsys, "oracle", "--grid", "9", "--out", str(tmp_path))
     path = tmp_path / "surface.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    w1, w2, _ = lines[5].split(",")
-    lines[5] = f"{w1},{w2},{bad}"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    w1, w2, _ = lines[4].split(",")
+    lines[4] = f"{w1},{w2},{bad}"
+    if order == "transposed":
+        lines = [lines[i * 9 + j] for j in range(9) for i in range(9)]
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "report", str(path))
     assert code == 1
     assert out == ""
+    assert err.startswith(f"gradsurf: {path}: ")
     assert "finite" in err
 
 

@@ -41,7 +41,6 @@ from gradsurf.surrogate import (
     _MSE_BAND,
     _Design,
     _Grid,
-    _grid_axes,
     _smallest_nonzero,
     _sweep,
     _targets,
@@ -312,18 +311,32 @@ def interleaved(observations):
     )
 
 
+def without_last_grid_row(observations):
+    """The observations without their last row of grid nodes: a rectangular tensor grid."""
+    n = observations.values.size - math.isqrt(observations.values.size)
+    return Observations(
+        observations.points[:n],
+        observations.values[:n],
+        observations.gradients[:n],
+        observations.batch_sizes[:n],
+    )
+
+
 @functools.cache
 def study_cell_reference(mode, n_centres, order="grid"):
     """(observations, reference sweep) of a study cell on the fit's centre draw.
 
-    With order "interleaved" the cell's rows are interleaved, so a sweep on
-    them solves every candidate exactly.  Cached: the reference sweep, which
+    With order "interleaved" the cell's rows are interleaved, and with
+    "rectangular" its last grid row is dropped, so a sweep on them solves
+    every candidate exactly.  Cached: the reference sweep, which
     assembles every candidate afresh, is the slow side of each comparison,
     and several tests compare against it.
     """
     observations = study_cell_observations(mode, n_centres)
     if order == "interleaved":
         observations = interleaved(observations)
+    elif order == "rectangular":
+        observations = without_last_grid_row(observations)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     # under the pin the study runs with; the reference's solves on a
@@ -433,15 +446,20 @@ def assert_skipped_among(skipped, best, want_skipped):
         assert set(skipped) <= set(want_skipped)
 
 
-@pytest.mark.parametrize("mode", list(FitMode))
-def test_sweep_matches_reference_on_interleaved_study_cells(mode, monkeypatch):
-    # the c100 study cells with their rows out of grid order are not a
-    # grid: no _Grid is built, each of the 82 candidates is solved exactly
-    # once, and the band walk has nothing to re-solve
-    observations, swept = study_cell_reference(mode, 100, "interleaved")
+@pytest.mark.parametrize(
+    "mode, order",
+    [pytest.param(mode, "interleaved", id=mode.value) for mode in FitMode]
+    + [pytest.param(mode, "rectangular", id=f"{mode.value}-rectangular") for mode in FitMode],
+)
+def test_sweep_matches_reference_on_interleaved_study_cells(mode, order, monkeypatch):
+    # the c100 study cells with their rows out of grid order, or without
+    # their last grid row (a 25 x 24 tensor grid), are not a GridSpec grid:
+    # no _Grid is built, each of the 82 candidates is solved exactly once,
+    # and the band walk has nothing to re-solve
+    observations, swept = study_cell_reference(mode, 100, order)
 
     def no_grid(*args):
-        raise AssertionError("a sweep on interleaved rows built a _Grid")
+        raise AssertionError(f"a sweep on {order} rows built a _Grid")
 
     monkeypatch.setattr(gradsurf.surrogate, "_Grid", no_grid)
     exact = solve_least_squares
@@ -472,8 +490,8 @@ def grid_and_design(mode, n_centres):
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     b = _targets(observations, mode)
-    axes = _grid_axes(observations.points)
-    return _Grid(axes, centres, b, mode), _Design(observations.points, centres, b, mode)
+    grid = GridSpec.of(observations.points)
+    return _Grid(grid, centres, b, mode), _Design(observations.points, centres, b, mode)
 
 
 def swept_candidates(design):
@@ -557,18 +575,18 @@ def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatc
     candidates, and none is marked exact.
     """
     observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
-    screen_one = gradsurf.surrogate._screen
+    screen_one = _Grid.screen
     calls = []
 
-    def perturbed(solver, grid, design, eps):
-        outcome = screen_one(solver, grid, design, eps)
+    def perturbed(self, eps):
+        outcome = screen_one(self, eps)
         calls.append(None)
         if outcome is None:
             return None
         up = (len(calls) % 2 == 1) == inflate_even
         return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], False
 
-    monkeypatch.setattr(gradsurf.surrogate, "_screen", perturbed)
+    monkeypatch.setattr(_Grid, "screen", perturbed)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
@@ -866,35 +884,48 @@ def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
     assert skipped == [eps] and best[1] != eps
 
 
-@pytest.mark.parametrize("resolution", [2, 5, 25])
-def test_grid_axes_accepts_grid_spec_points(resolution):
-    grid = GridSpec(lower=(-2.0, -1.0), upper=(3.0, 2.0), resolution=resolution)
-    u, v = _grid_axes(grid.points())
-    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+def assert_round_trip(grid):
+    """GridSpec.of gives grid back from its points, and the same points bit for bit."""
+    back = GridSpec.of(grid.points())
+    assert back == grid
+    assert back.points().tobytes() == grid.points().tobytes()
+
+
+@pytest.mark.parametrize(
+    "lower, resolution",
+    [pytest.param((-2.0, -1.0), res, id=str(res)) for res in (2, 5, 25, 101)]
+    # linspace starts the axis at +0.0, which GridSpec.of reads back
+    + [pytest.param((-0.0, -0.0), 5, id="signed-zero-lower")],
+)
+def test_grid_axes_accepts_grid_spec_points(lower, resolution):
+    assert_round_trip(GridSpec(lower=lower, upper=(3.0, 2.0), resolution=resolution))
 
 
 def test_grid_axes_accepts_the_tiny_box():
-    grid = GridSpec(lower=(0.0, 0.0), upper=(1e-4, 1e-4), resolution=5)
-    u, v = _grid_axes(grid.points())
-    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+    assert_round_trip(GridSpec(lower=(0.0, 0.0), upper=(1e-4, 1e-4), resolution=5))
 
 
 def test_grid_axes_accepts_sampled_observations_read_back_from_csv(tmp_path):
     observations = study_cell_observations(FitMode.G, 100)
     write_observations_csv(observations, tmp_path / "observations.csv")
     points = read_observations_csv(tmp_path / "observations.csv").points
-    grid = ExperimentConfig().train_grid
-    u, v = _grid_axes(points)
-    assert np.array_equal(u, grid.axis(0)) and np.array_equal(v, grid.axis(1))
+    assert GridSpec.of(points) == ExperimentConfig().train_grid
 
 
 def not_a_grid():
-    """Point sets that are not a grid in GridSpec.points() order, by name."""
+    """Point sets that are not a GridSpec's points() bit for bit, by name."""
     points = GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=5).points()
     swapped = points.copy()
     swapped[[3, 11]] = swapped[[11, 3]]
     repeated = points.copy()
     repeated[7] = repeated[6]
+    unbounded = points.copy()
+    unbounded[[0, -1]] = -np.inf, np.inf
+    nudged = points.copy()
+    nudged[6, 0] = np.nextafter(nudged[6, 0], np.inf)
+    # a tensor grid with the corners of points, but unequal steps
+    axis = np.array([-2.0, -1.5, 0.0, 1.0, 2.0])
+    uneven = np.stack([w.ravel() for w in np.meshgrid(axis, axis)], axis=1)
     return {
         "shuffled-rows": np.concatenate([points[1::2], points[0::2]]),
         "two-rows-swapped": swapped,
@@ -908,12 +939,17 @@ def not_a_grid():
         "flat": points.ravel(),
         "empty": np.empty((0, 2)),
         "coincident": np.full((25, 2), 0.25),
+        "nudged-by-one-ulp": nudged,
+        "infinite-corners": unbounded,
+        "non-uniform": uneven,
+        # the study's training grid without its last row of 25 nodes
+        "rectangular": ExperimentConfig().train_grid.points()[:-25],
     }
 
 
 @pytest.mark.parametrize("case", sorted(not_a_grid()))
 def test_grid_axes_rejects_points_that_are_not_a_grid(case):
-    assert _grid_axes(not_a_grid()[case]) is None
+    assert GridSpec.of(not_a_grid()[case]) is None
 
 
 def test_fresh_fit_has_zero_offset():
