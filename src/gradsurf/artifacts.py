@@ -245,7 +245,9 @@ def write_surface_csv(surface: SurfaceGrid, path) -> None:
 def _read_rows(path, header: str, fields) -> list[tuple]:
     """The rows under a CSV's header, each field parsed by its entry of
     fields; a bad header, field count or field raises a ValueError that
-    starts with path:line:."""
+    starts with path:line:.  Bytes that are not UTF-8 raise one that
+    starts with path: alone, as the text layer decodes ahead of the line
+    the reader is on."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -256,6 +258,8 @@ def _read_rows(path, header: str, fields) -> list[tuple]:
                 if len(row) != len(fields):
                     raise ValueError(f"{len(row)} fields, expected {len(fields)}")
                 rows.append(tuple(parse(v) for parse, v in zip(fields, row)))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text: {e.reason}") from None
         except (ValueError, csv.Error) as e:
             raise ValueError(f"{path}:{max(reader.line_num, 1)}: {e}") from None
     return rows
@@ -365,14 +369,18 @@ def write_observations_csv(observations: Observations, path) -> None:
 
 
 def read_observations_csv(path) -> Observations:
-    """Parse an observations CSV; the record checks the values it gets."""
+    """Parse an observations CSV; the record checks the values it gets, and
+    a file it rejects raises a ValueError that starts with path:."""
     rows = _read_rows(path, OBSERVATIONS_HEADER, (float, float, int, float, float, float))
-    return Observations(
-        points=np.reshape([r[:2] for r in rows], (-1, 2)),
-        values=[r[3] for r in rows],
-        gradients=np.reshape([r[4:] for r in rows], (-1, 2)),
-        batch_sizes=[r[2] for r in rows],
-    )
+    try:
+        return Observations(
+            points=np.reshape([r[:2] for r in rows], (-1, 2)),
+            values=[r[3] for r in rows],
+            gradients=np.reshape([r[4:] for r in rows], (-1, 2)),
+            batch_sizes=[r[2] for r in rows],
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def surrogate_json(surrogate) -> dict:

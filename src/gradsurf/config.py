@@ -153,9 +153,11 @@ def _distinct_keys(pairs) -> dict:
 
 def load_mapping(path) -> dict:
     """Read a config file as a raw mapping, before validation."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         mapping = json.loads(text, object_pairs_hook=_distinct_keys)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     if not isinstance(mapping, dict):

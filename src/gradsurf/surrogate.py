@@ -16,11 +16,11 @@ candidates whose solve fails numerically are skipped.  On the points of a
 problem.GridSpec the sweep screens candidates with a cheaper certified
 solve, from per-axis kernel factors without the design matrix, and
 re-solves the possible winners exactly; any other sweep solves every
-candidate exactly.  Either
-way the winner is the one of solving every candidate with
-kernels.solve_least_squares, and the fitted Surrogate carries the MSE that
-solve gave it.  Every design matrix takes its radii and gradient rows from
-the points and centres through kernels._radii and kernels.gradient_block.
+candidate exactly.  Either way the winner is the one of solving every
+candidate with kernels.solve_least_squares, and the fitted Surrogate
+carries the MSE that solve gave it.  Every design matrix takes its radii
+and gradient rows from the points and centres through kernels._radii and
+kernels.gradient_block.
 """
 
 from __future__ import annotations
@@ -58,14 +58,12 @@ class FitMode(str, Enum):
 
 
 class FitFailure(RuntimeError):
-    """Every shape candidate failed numerically; nothing to select."""
+    """Every shape candidate failed numerically; the message names their whole range."""
 
-    def __init__(self, skipped: list[float]):
-        self.skipped = list(skipped)
-        lo, hi = (skipped[0], skipped[-1]) if skipped else (float("nan"),) * 2
+    def __init__(self):
         super().__init__(
-            f"all {len(skipped)} shape candidates failed "
-            f"(skipped eps from {lo:g} to {hi:g})"
+            f"all {FitRecipe.shape_count} shape candidates failed "
+            f"(skipped eps from {FitRecipe.shape_lo:g} to {FitRecipe.shape_hi:g})"
         )
 
 
@@ -217,7 +215,11 @@ class _Design:
         return float(np.mean(r * r))
 
     def exact(self, eps: float):
-        """(MSE, coefficients, True) of solve_least_squares on candidate eps, or None if skipped."""
+        """(MSE, coefficients, True) of solve_least_squares on candidate eps.
+
+        None, the candidate skipped, if the solve raises NumericalError or
+        the MSE is not finite.
+        """
         a = self.write(eps)
         try:
             x = solve_least_squares(a, self.b)
@@ -321,18 +323,18 @@ def _smallest_nonzero(r) -> float:
 
 
 def _sweep(points, centres, b, mode):
-    """((MSE, eps, coefficients) of the winner or None, skipped eps) of one sweep.
+    """(MSE, eps, coefficients) of one sweep's winner, or None if every candidate fails.
 
     Each candidate has one outcome, _Grid.screen's or _Design.exact's, or
     None if it is skipped.  Once a candidate's phi is zero everywhere off the
     centres (every nonzero radius is past the kernel floor,
     kernels.FLOOR_ARG), each larger eps gives the same 0/1 phi and the same
-    signed-zero gradient rows, so the same system: the sweep stops there,
-    and the rest repeat its outcome.  They cannot win, since an equal MSE
-    never displaces a smaller eps.  The tail is recognised from the
-    smallest nonzero radius: fl(fl(eps*r)**2) is monotone in r, so every
-    nonzero radius is past the floor exactly when the smallest one is (t * t
-    rounds as value_block's np.square does).
+    signed-zero gradient rows, so the same system: the sweep stops there.
+    The rest cannot win, since an equal MSE never displaces a smaller eps.
+    The tail is recognised from the smallest nonzero radius:
+    fl(fl(eps*r)**2) is monotone in r, so every nonzero radius is past the
+    floor exactly when the smallest one is (t * t rounds as value_block's
+    np.square does).
 
     A sweep on the points of a GridSpec (GridSpec.of) with at least
     kernels.SCREEN_MIN_COLS centres takes the grid route, _Grid.screen: a
@@ -343,11 +345,9 @@ def _sweep(points, centres, b, mode):
     by design.exact's outcome, until the next MSE is beyond _MSE_BAND of
     the best exact one.  The exact MSEs decide, ties going to the smallest
     eps, so the winner and its coefficient bytes are those of solving every
-    candidate with solve_least_squares.
-
-    Every eps in skipped fails that exact solve.  When no candidate wins
-    (what FitFailure reports), skipped lists every such eps; otherwise it
-    may leave out one the grid screen solved that was never solved exactly.
+    candidate with solve_least_squares.  So None, no exact outcome left,
+    means that solve fails on every candidate: the tail's too, whose
+    system is the last one solved.
     """
     spec = GridSpec.of(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
     grid = None if spec is None else _Grid(spec, centres, b, mode)
@@ -372,12 +372,7 @@ def _sweep(points, centres, b, mode):
         # ties go to the earliest, i.e. smallest, eps
         if best is None or (outcomes[k][0], k) < best:
             best = (outcomes[k][0], k)
-    # the tail's systems are the last one solved
-    outcomes += outcomes[-1:] * (len(eps_list) - len(outcomes))
-    skipped = [eps for eps, outcome in zip(eps_list, outcomes) if outcome is None]
-    if best is None:
-        return None, skipped
-    return (best[0], eps_list[best[1]], outcomes[best[1]][1]), skipped
+    return None if best is None else (best[0], eps_list[best[1]], outcomes[best[1]][1])
 
 
 def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surrogate:
@@ -387,24 +382,14 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     candidates share (the point-centre radii, or a grid's per-axis
     differences) is computed once per fit; _sweep solves the candidates and
     selects.  The surrogate carries the winner's exact training MSE as
-    mse.  Raises FitFailure, listing every skipped eps, if no candidate is
-    left.
+    mse.  Raises FitFailure if every candidate fails.
     """
     centres = sample_centres(stream, observations, recipe)
-    best, skipped = _sweep(
-        observations.points, centres, _targets(observations, recipe.mode), recipe.mode
-    )
+    best = _sweep(observations.points, centres, _targets(observations, recipe.mode), recipe.mode)
     if best is None:
-        raise FitFailure(skipped)
+        raise FitFailure()
     mse, eps, coef = best
-    return Surrogate(
-        centres=centres,
-        coefficients=coef,
-        params=KernelParams(eps),
-        mode=recipe.mode,
-        offset=0.0,
-        mse=mse,
-    )
+    return Surrogate(centres, coef, KernelParams(eps), recipe.mode, mse=mse)
 
 
 # rows of points per kernel matrix in predict_values: a 1024 x 100 block is

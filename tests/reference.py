@@ -209,17 +209,16 @@ def truncated_svd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def shape_sweep(
     observations: Observations, centres: np.ndarray, mode: FitMode, solve=solve_least_squares
 ):
-    """(best, skipped, solves) of a sweep over all 121 candidates.
+    """(best, solves) of a sweep over all 121 candidates.
 
     best is (training MSE, eps, coefficients) of the lowest-MSE candidate,
-    the smallest eps on ties, or None; skipped lists the eps whose solve
-    failed or gave a non-finite MSE.  Each system is assembled in full and
-    solved by solve; one bitwise equal to the previous candidate's keeps its
-    outcome unsolved, and solves counts the solved, i.e. distinct, systems.
+    the smallest eps on ties, or None if every solve failed or gave a
+    non-finite MSE.  Each system is assembled in full and solved by solve;
+    one bitwise equal to the previous candidate's keeps its outcome
+    unsolved, and solves counts the solved, i.e. distinct, systems.
     """
     b = _targets(observations, mode)
     best = prev = outcome = None
-    skipped: list[float] = []
     solves = 0
     for eps in SHAPE_CANDIDATES.tolist():
         a = _system(observations.points, centres, eps, mode)
@@ -234,11 +233,9 @@ def shape_sweep(
             except NumericalError:
                 outcome = None
         prev = a
-        if outcome is None:
-            skipped.append(eps)
-        elif best is None or outcome[0] < best[0]:
+        if outcome is not None and (best is None or outcome[0] < best[0]):
             best = (outcome[0], eps, outcome[1])
-    return best, skipped, solves
+    return best, solves
 
 
 def predict_values_one_shot(surrogate, points) -> np.ndarray:

@@ -340,7 +340,7 @@ def _check_cell_optimality(out, entry):
     observations = read_observations_csv(out / entry["artifacts"]["observations"])
     model = read_json(out / entry["artifacts"]["model"])
     centres = np.array(model["centres"])
-    best, _, solves = reference.shape_sweep(observations, centres, FitMode(model["mode"]))
+    best, solves = reference.shape_sweep(observations, centres, FitMode(model["mode"]))
     recorded = (model["training_mse"], model["shape"], np.array(model["coefficients"]).tobytes())
     want = (best[0], best[1], best[2].tobytes()) if best is not None else (None,) * 3
     differ = [

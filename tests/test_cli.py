@@ -14,6 +14,10 @@ from gradsurf.kernels import single_threaded_blas
 from gradsurf.surrogate import FitFailure, FitMode
 
 
+# FitFailure's message: a sweep fails only when every candidate does
+FAILURE = "all 121 shape candidates failed (skipped eps from 0.0001 to 100000)"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -127,19 +131,19 @@ def test_fit_verb_numerical_failure_exits_2(tmp_path, capsys):
         capsys, "fit", str(path), "--mode", "f", "--centres", "1", "--out", str(tmp_path / "o")
     )
     assert code == 2
-    assert "121 shape candidates failed" in err
+    assert err == f"gradsurf: {FAILURE}\n"
 
 
 def test_fit_verb_goes_through_the_experiment_fit_chain(tmp_path, capsys, monkeypatch):
     def always_fails(observations, recipe, stream):
-        raise FitFailure([1e-4, 1e5])
+        raise FitFailure()
 
     monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", always_fails)
     run_cli(capsys, "sample", "--grid", "5", "--out", str(tmp_path))
     observations = str(tmp_path / "observations.csv")
     code, _, err = run_cli(capsys, "fit", observations, "--centres", "1", "--out", str(tmp_path))
     assert code == 2
-    assert "2 shape candidates failed" in err
+    assert err == f"gradsurf: {FAILURE}\n"
 
 
 def test_fit_verb_reproduces_a_study_cell(tmp_path, capsys):
@@ -202,7 +206,7 @@ def test_fit_verb_screens_on_the_grid_in_any_row_order(tmp_path, capsys, monkeyp
     assert len(grids) == 1
     model = read_json(tmp_path / "f" / "model.json")
     with single_threaded_blas():
-        best, _, _ = reference.shape_sweep(observations, np.array(model["centres"]), FitMode.FG)
+        best, _ = reference.shape_sweep(observations, np.array(model["centres"]), FitMode.FG)
     assert model["shape"] == best[1]
     assert np.array(model["coefficients"]).tobytes() == best[2].tobytes()
 
@@ -314,6 +318,57 @@ def test_fit_verb_csv_errors_name_file_and_line(tmp_path, capsys, line, edit, me
     assert not out.exists()
 
 
+def with_field(row, k, value):
+    """A CSV row with its field k replaced by value."""
+    fields = row.split(b",")
+    fields[k] = value
+    return b",".join(fields)
+
+
+def undecodable_at(line, total):
+    """A CSV of total lines, rows repeated as needed, with a 0xff byte ending line line."""
+
+    def edit(header, rows):
+        body = [rows[k % len(rows)] for k in range(total - 1)]
+        body[line - 2] += b"\xff"
+        return [header, *body]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        pytest.param(lambda header, rows: [header], "nonempty", id="header-only"),
+        pytest.param(
+            lambda header, rows: [header, with_field(rows[0], 3, b"nan"), *rows[1:]],
+            "observations must be finite",
+            id="nan-loss",
+        ),
+        pytest.param(
+            lambda header, rows: [header, *rows[:-1], with_field(rows[-1], 2, b"0")],
+            "batch sizes must be integers >= 1",
+            id="batch-size-0",
+        ),
+        # the text layer decodes ahead of the CSV reader, whose line
+        # number is then not the bad byte's, so only the file is named
+        pytest.param(undecodable_at(1501, 2001), "not UTF-8", id="undecodable-line-1501"),
+        pytest.param(undecodable_at(2, 3), "not UTF-8", id="undecodable-line-2"),
+    ],
+)
+def test_fit_verb_file_errors_name_the_file(tmp_path, capsys, edit, message):
+    run_cli(capsys, "sample", "--grid", "5", "--out", str(tmp_path))
+    path = tmp_path / "observations.csv"
+    header, *rows = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join(edit(header, rows)) + b"\n")
+    out = tmp_path / "fit"
+    code, _, err = run_cli(capsys, "fit", str(path), "--centres", "2", "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"gradsurf: {path}: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_run_verb_small_matrix(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -419,7 +474,7 @@ def test_run_verb_missing_config_exits_1(tmp_path, capsys):
 
 def test_run_verb_single_cell_failure_exits_2(tmp_path, capsys, monkeypatch):
     def always_fails(observations, recipe, stream):
-        raise FitFailure([1e-4, 1e5])
+        raise FitFailure()
 
     monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", always_fails)
     code, out, err = run_cli(
@@ -441,12 +496,12 @@ def test_run_verb_single_cell_failure_exits_2(tmp_path, capsys, monkeypatch):
     # matrix restricted to repeats=2 still has two cells -> not single-cell
     assert code == 0
     assert "0/2 cells ok" in out
-    assert "failed" in err
+    assert err == "".join(f"cell b3_f_c1_r{r} failed: {FAILURE}\n" for r in range(2))
 
 
 def test_run_verb_restricted_single_cell_failure(tmp_path, capsys, monkeypatch):
     def always_fails(observations, recipe, stream):
-        raise FitFailure([1e-4, 1e5])
+        raise FitFailure()
 
     monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", always_fails)
     cfg = tmp_path / "cfg.json"
@@ -467,4 +522,4 @@ def test_run_verb_restricted_single_cell_failure(tmp_path, capsys, monkeypatch):
         capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "out")
     )
     assert code == 2
-    assert "b3_f_c1_r0 failed" in err
+    assert err == f"cell b3_f_c1_r0 failed: {FAILURE}\n"

@@ -162,6 +162,14 @@ def test_load_mapping_reports_json_position(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_mapping_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"seed": 1, "\xffrepeats": 2}\n')
+    with pytest.raises(ConfigError) as err:
+        load_mapping(path)
+    assert str(err.value) == f"{path}: not UTF-8 text at byte 13: invalid start byte"
+
+
 def test_load_mapping_rejects_a_repeated_key(tmp_path):
     # json.loads alone keeps the last value, so this would run with seed 2
     path = tmp_path / "twice.json"

@@ -174,7 +174,7 @@ def test_seed_changes_observations(tmp_path):
 
 def test_failed_cell_recorded_without_artifacts(tmp_path, monkeypatch):
     def always_fails(observations, recipe, stream):
-        raise FitFailure([1e-4, 1e5])
+        raise FitFailure()
 
     monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", always_fails)
     config = tiny_config(centre_list=(1,), mode_list=(FitMode.F,))
@@ -184,7 +184,7 @@ def test_failed_cell_recorded_without_artifacts(tmp_path, monkeypatch):
     entry = index["cells"][0]
     assert entry["status"] == "failed"
     assert "artifacts" not in entry
-    assert "2 shape candidates failed" in entry["error"]
+    assert entry["error"] == "all 121 shape candidates failed (skipped eps from 0.0001 to 100000)"
     assert not (tmp_path / "out" / "cells").exists()
     # the reference is still written
     assert (tmp_path / "out" / "reference" / "surface_report.csv").is_file()

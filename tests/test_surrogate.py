@@ -284,8 +284,8 @@ def test_fit_surrogate_all_candidates_fail():
     recipe = FitRecipe(mode=FitMode.F, n_centres=1)
     with pytest.raises(FitFailure) as err:
         fit_surrogate(obs, recipe, derive_stream(0, "fail"))
-    # the candidates past the kernel floor are not solved, but still listed
-    assert err.value.skipped == SHAPE_CANDIDATES.tolist()
+    # the candidates past the kernel floor are not solved, but still named
+    assert str(err.value) == "all 121 shape candidates failed (skipped eps from 0.0001 to 100000)"
 
 
 def study_cell_observations(mode, n_centres):
@@ -351,7 +351,7 @@ def test_fit_surrogate_matches_brute_force_sweep(mode, n_centres):
     # the sweep hoists the geometry and stops at the kernel-floor tail; the
     # reference sweep, which assembles every candidate afresh, must pick the
     # same shape and the same coefficient bytes
-    observations, (best, _, _) = study_cell_reference(mode, n_centres)
+    observations, (best, _) = study_cell_reference(mode, n_centres)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     with single_threaded_blas():
         fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
@@ -366,10 +366,9 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     solve_least_squares, where the shipped sweep stops at the kernel-floor
     tail and, on a grid of enough centres, screens each candidate from
     per-axis factors.
-    Asserts the same winner (eps, MSE, coefficient bytes) from _sweep, and
-    skipped eps among the reference's (all of them if nothing wins), and the
-    same shape and coefficient bytes from fit_surrogate (or a FitFailure
-    listing the same skipped eps); returns
+    Asserts the same winner (eps, MSE, coefficient bytes) from _sweep, or
+    None with the reference's, and the same shape and coefficient bytes
+    from fit_surrogate (or a FitFailure); returns
     (screened solves, exact re-solves, reference distinct systems) of the
     _sweep call, counted from the systems it builds (design matrices and
     grid normal systems): a candidate's first system is its first solve,
@@ -394,21 +393,19 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     with single_threaded_blas():
         if swept is None:
             swept = reference.shape_sweep(observations, centres, mode)
-        want, want_skipped, distinct = swept
+        want, distinct = swept
         # fit_surrogate draws the same centres from the same stream
         if want is None:
-            with pytest.raises(FitFailure) as err:
+            with pytest.raises(FitFailure):
                 fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
-            assert err.value.skipped == want_skipped
         else:
             fitted = fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
             assert fitted.params.shape == want[1]
             assert fitted.coefficients.tobytes() == want[2].tobytes()
         monkeypatch.setattr(_Design, "write", counting_write)
         monkeypatch.setattr(_Grid, "normal", counting_normal)
-        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
+        best = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert (best is None) == (want is None)
-    assert_skipped_among(skipped, best, want_skipped)
     if best is not None:
         assert best[:2] == want[:2]
         assert best[2].tobytes() == want[2].tobytes()
@@ -436,14 +433,6 @@ def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
         assert resolved == 0
     else:
         assert 1 <= resolved <= 4
-
-
-def assert_skipped_among(skipped, best, want_skipped):
-    """_sweep's skip list against the all-exact one: the same if nothing wins, else a part."""
-    if best is None:
-        assert skipped == want_skipped
-    else:
-        assert set(skipped) <= set(want_skipped)
 
 
 @pytest.mark.parametrize(
@@ -574,7 +563,7 @@ def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatc
     Every screened MSE is off by half the band, up and down on alternate
     candidates, and none is marked exact.
     """
-    observations, (want, want_skipped, _) = study_cell_reference(mode, 100)
+    observations, (want, _) = study_cell_reference(mode, 100)
     screen_one = _Grid.screen
     calls = []
 
@@ -590,9 +579,8 @@ def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatc
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
-        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
+        best = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert len(calls) == 82
-    assert_skipped_among(skipped, best, want_skipped)
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
 
@@ -636,10 +624,9 @@ def test_sweep_winner_equals_the_all_eigh_sweep_on_held_out_seeds(seed, monkeypa
                     with monkeypatch.context() as patch:
                         patch.setattr(gradsurf.surrogate, "SCREEN_MIN_COLS", 101)
                         want = _sweep(*args)
-                    assert_skipped_among(got[1], got[0], want[1])
-                    assert got[0][:2] == want[0][:2], cell
-                    assert got[0][2].tobytes() == want[0][2].tobytes(), cell
-                    winners.append(got[0][1])
+                    assert got[:2] == want[:2], cell
+                    assert got[2].tobytes() == want[2].tobytes(), cell
+                    winners.append(got[1])
     assert len(winners) == 12
 
 
@@ -666,7 +653,7 @@ def test_normal_matrix_solve_picks_the_truncated_svd_winner(default_run, batch_m
     observations = read_observations_csv(cell / "observations.csv")
     model = read_json(cell / "model.json")
     with single_threaded_blas():
-        exact, _, _ = reference.shape_sweep(
+        exact, _ = reference.shape_sweep(
             observations, np.array(model["centres"]), mode, reference.truncated_svd_solve
         )
     assert model["shape"] == exact[1]
@@ -744,7 +731,7 @@ class FailOn:
 
 def winner_system(mode, n_centres, order="grid"):
     """The seed-0 study cell's system at its reference winner's eps, on the fit's centre draw."""
-    observations, (want, _, _) = study_cell_reference(mode, n_centres, order)
+    observations, (want, _) = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     return want[1], reference._system(observations.points, centres, want[1], mode)
@@ -753,25 +740,24 @@ def winner_system(mode, n_centres, order="grid"):
 def sweep_with_injected_failure(
     mode, n_centres, monkeypatch, exact, solver, reference_solve, order="grid"
 ):
-    """(winner, skipped) of _sweep on a study cell, asserted to agree with the reference sweep.
+    """The winner of _sweep on a study cell, asserted to be the reference sweep's.
 
     exact stands in for gradsurf.surrogate.solve_least_squares and solver
     for gradsurf.surrogate.SweepSolver; the reference sweep solves every
-    candidate with reference_solve.  The winner must be the reference's,
-    and skipped among the reference's skipped eps.
+    candidate with reference_solve.  The winner's eps, MSE and coefficient
+    bytes must be the reference's.
     """
     observations, _ = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
-        want, want_skipped, _ = reference.shape_sweep(observations, centres, mode, reference_solve)
+        want, _ = reference.shape_sweep(observations, centres, mode, reference_solve)
         monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", exact)
         monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", solver)
-        best, skipped = _sweep(observations.points, centres, _targets(observations, mode), mode)
-    assert_skipped_among(skipped, best, want_skipped)
+        best = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert best[:2] == want[:2]
     assert best[2].tobytes() == want[2].tobytes()
-    return best, skipped
+    return best
 
 
 def solver_failing_at(index, failure):
@@ -807,11 +793,11 @@ def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, n_centres, order
     # and the runner-up wins
     eps, system = winner_system(mode, n_centres, order)
     fail = FailOn(system)
-    best, skipped = sweep_with_injected_failure(
+    best = sweep_with_injected_failure(
         mode, n_centres, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact, order
     )
     assert fail.fired == 1
-    assert skipped == [eps] and best[1] != eps
+    assert best[1] != eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -821,11 +807,11 @@ def test_sweep_skips_a_candidate_whose_screened_solve_raises(mode, monkeypatch):
     eps, system = winner_system(mode, 100)
     fail = FailOn(system)
     solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
-    best, skipped = sweep_with_injected_failure(
+    best = sweep_with_injected_failure(
         mode, 100, monkeypatch, fail.exact, solver, FailOn(system).exact
     )
     assert fail.fired == 1
-    assert skipped == [eps] and best[1] != eps
+    assert best[1] != eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -841,11 +827,11 @@ def test_sweep_redoes_a_candidate_whose_screened_solve_raises(mode, monkeypatch)
         return solve_least_squares(a, b)
 
     solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), injected_failure)
-    best, skipped = sweep_with_injected_failure(
+    best = sweep_with_injected_failure(
         mode, 100, monkeypatch, counting_exact, solver, solve_least_squares
     )
     assert solver.calls == 82 and redone.fired == 1
-    assert skipped == [] and best[1] == eps
+    assert best[1] == eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
@@ -863,25 +849,25 @@ def test_sweep_redoes_a_screened_solve_whose_residual_overflows(mode, monkeypatc
         return np.full_like(solved[0], 1e300), *solved[1:]
 
     solver = solver_failing_at(SHAPE_CANDIDATES.tolist().index(eps), overflowing)
-    best, skipped = sweep_with_injected_failure(
+    best = sweep_with_injected_failure(
         mode, 100, monkeypatch, counting_exact, solver, solve_least_squares
     )
     assert solver.calls == 82 and redone.fired == 1
-    assert skipped == [] and best[1] == eps
+    assert best[1] == eps
 
 
 @pytest.mark.parametrize("mode", list(FitMode))
 def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
     # no outcome screened on the grid is exact, so the band walk re-solves
     # each candidate it reaches; the winner's re-solve fails, so it is
-    # listed as skipped and loses to the runner-up
+    # skipped and loses to the runner-up
     eps, system = winner_system(mode, 100)
     fail = FailOn(system)
-    best, skipped = sweep_with_injected_failure(
+    best = sweep_with_injected_failure(
         mode, 100, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact
     )
     assert fail.fired == 1
-    assert skipped == [eps] and best[1] != eps
+    assert best[1] != eps
 
 
 def assert_round_trip(grid):
