@@ -9,20 +9,17 @@ The writers build no Python string per node.  A CSV writer takes up to
 _BLOCK_ROWS rows at a time and formats each distinct value of the block
 once (values are told apart by bits, so 0.0 and -0.0 keep their own texts):
 _decimals finds repr's text of most doubles with array arithmetic, and repr
-itself formats the rest.  The texts are gathered into a zero-padded byte
-matrix, one row per CSV row, whose nonzero bytes are written _CHUNK_ROWS
-rows at a time.  The heatmap copies a byte template of one grid row's
-rectangles and fills in the row's y and each node's six hex digits; the
-templates depend only on the resolution and the y's digit count, are built
-on first use and are never written to.  A JSON document is written in one
-call.
+itself formats the rest.  One row writer serves the CSVs and the heatmap:
+it concatenates zero-padded byte pieces (texts, hex colours and literals
+such as "," and "\n") into one row per CSV row or heatmap rectangle, and
+writes their nonzero bytes about _CHUNK_ROWS rows at a time.  A JSON
+document is written in one call.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -210,17 +207,20 @@ def _fixed_notation(m, p, decpt, negative, out, rows) -> None:
     out[rows] = texts
 
 
-def _write_rows(f, texts) -> None:
-    """Write CSV rows whose fields are the rows of texts: one zero-padded
-    byte array per column, all broadcast to one shape but the last axis."""
-    shape = np.broadcast_shapes(*(text.shape[:-1] for text in texts))
-    comma = np.full((*shape, 1), ord(","), np.uint8)
-    cells = [
-        cell for text in texts for cell in (np.broadcast_to(text, (*shape, text.shape[-1])), comma)
-    ]
-    cells[-1] = np.full_like(comma, ord("\n"))
-    rows = np.concatenate(cells, axis=-1)
+def _write_rows(f, pieces) -> None:
+    """Write rows, each the concatenation of pieces: bytes literals and
+    zero-padded byte arrays, broadcast to one shape but the last axis; the
+    zero bytes are not written."""
+    pieces = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in pieces]
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in pieces))
+    rows = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in pieces], axis=-1)
     f.write(rows[rows != 0])
+
+
+def _write_csv_rows(f, fields) -> None:
+    """Write CSV rows: the fields, pieces as _write_rows takes them, joined
+    by "," and ended by "\n"."""
+    _write_rows(f, [p for field in fields for p in (b",", field)][1:] + [b"\n"])
 
 
 def write_surface_csv(surface: SurfaceGrid, path) -> None:
@@ -239,7 +239,7 @@ def write_surface_csv(surface: SurfaceGrid, path) -> None:
             table, index = _texts(values[j : j + block])
             index, w2s = index.reshape(-1, res), w2[j : j + block]
             for k in range(0, len(index), chunk):
-                _write_rows(f, (w1, w2s[k : k + chunk], table[index[k : k + chunk]]))
+                _write_csv_rows(f, (w1, w2s[k : k + chunk], table[index[k : k + chunk]]))
 
 
 def _read_rows(path, header: str, fields) -> list[tuple]:
@@ -310,47 +310,27 @@ def render_heatmap_svg(surface: SurfaceGrid, path) -> None:
         level += low
         rgb[:, channel] = np.rint(level, out=level).astype(np.uint8)
     colours = np.frombuffer(rgb.tobytes().hex().encode(), np.uint8).reshape(res, res, 6)
+    # grid row j is drawn at y = (res - 1 - j) * px
+    x, i_index = _texts(np.arange(res) * px)
+    y, j_index = _texts((res - 1 - np.arange(res)) * px)
+    x, y = x[i_index], y[j_index][:, None]
+    fill = f'" width="{px}" height="{px}" fill="#'.encode()
+    chunk = max(1, _CHUNK_ROWS // res)
     j, i = divmod(int(np.argmin(values)), res)
     inset = px // 6
     side = px - 2 * inset
-    x = i * px + inset
-    y = (res - 1 - j) * px + inset
     with _open_out(path) as f:
         f.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">\n'.encode()
         )
-        # grid row j is drawn at y = (res - 1 - j) * px
-        for row, colour in enumerate(colours):
-            y_text = np.frombuffer(str((res - 1 - row) * px).encode(), np.uint8)
-            template, y_at, colour_at = _heatmap_row(res, y_text.size)
-            rects = template.copy()
-            rects[y_at] = y_text
-            rects[colour_at] = colour
-            f.write(rects)
+        for k in range(0, res, chunk):
+            rects = (b'<rect x="', x, b'" y="', y[k : k + chunk], fill, colours[k : k + chunk])
+            _write_rows(f, rects + (b'"/>\n',))
         f.write(
-            f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="#ff0000"/>\n'
-            "</svg>\n".encode()
+            f'<rect x="{i * px + inset}" y="{(res - 1 - j) * px + inset}" '
+            f'width="{side}" height="{side}" fill="#ff0000"/>\n</svg>\n'.encode()
         )
-
-
-@lru_cache(maxsize=8)
-def _heatmap_row(res: int, digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(template, y_at, colour_at): the rectangles of one heatmap row at a
-    resolution, as read-only bytes with a y of `digits` zeros and colour
-    000000, and the (res, digits) and (res, 6) offsets of each rectangle's
-    y and colour digits."""
-    px = max(2, 600 // res)
-    heads = [f'<rect x="{i * px}" y="' for i in range(res)]
-    tail = f'" width="{px}" height="{px}" fill="#'
-    rects = [f'{head}{"0" * digits}{tail}000000"/>\n' for head in heads]
-    starts = np.cumsum([0] + [len(rect) for rect in rects[:-1]])
-    y_at = (starts + [len(head) for head in heads])[:, None] + np.arange(digits)
-    colour_at = y_at[:, -1:] + 1 + len(tail) + np.arange(6)
-    template = np.frombuffer("".join(rects).encode(), np.uint8)
-    for offsets in (y_at, colour_at):
-        offsets.flags.writeable = False
-    return template, y_at, colour_at
 
 
 def write_observations_csv(observations: Observations, path) -> None:
@@ -365,7 +345,7 @@ def write_observations_csv(observations: Observations, path) -> None:
             index = index.reshape(-1, 5)
             for k in range(0, len(index), _CHUNK_ROWS):
                 w1, w2, loss, g1, g2 = table[index[k : k + _CHUNK_ROWS].T]
-                _write_rows(f, (w1, w2, b[b_index[k : k + _CHUNK_ROWS]], loss, g1, g2))
+                _write_csv_rows(f, (w1, w2, b[b_index[k : k + _CHUNK_ROWS]], loss, g1, g2))
 
 
 def read_observations_csv(path) -> Observations:

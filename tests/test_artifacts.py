@@ -435,10 +435,11 @@ def test_observations_writer_takes_32_bit_batch_sizes(tmp_path):
     assert text == reference.observations_csv_text(observations)
 
 
-@pytest.mark.parametrize("res", [2, 3, 7, 101, 301])
+@pytest.mark.parametrize("res", [2, 3, 7, 64, 101, 128, 301])
 def test_heatmap_matches_reference_across_resolutions(tmp_path, res):
     # rect x/y change digit count across these; at 301, px = 600 // res
-    # falls below its floor of 2
+    # falls below its floor of 2.  A write takes 2048 // res grid rows: at
+    # 64 and 128 the last write is a whole one, at 101 and 301 a single row
     values = np.random.default_rng(res).normal(size=(res, res))
     grid = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), resolution=res)
     surface = SurfaceGrid(grid, values)
@@ -454,7 +455,7 @@ def test_writers_in_two_threads_match_serial_writes(tmp_path):
 
     def jobs():
         out = []
-        # resolutions repeat, so both threads fill one template at once
+        # resolutions repeat, so both threads write same-shaped rows at once
         for res in (25, 101, 7, 64, 101, 101, 25, 101):
             grid = GridSpec(lower=(-2.0, -0.0), upper=(2.0, 4.0), resolution=res)
             surface = SurfaceGrid(grid, np.round(rng.normal(size=(res, res)), 3))
