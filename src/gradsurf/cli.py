@@ -130,7 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--centres", type=int, help="restrict to one centre count")
     run.add_argument("--grid", type=int, help="training grid resolution")
     run.add_argument("--report-grid", type=int, help="reporting grid resolution")
-    run.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, at most one per cell and per CPU (default 1: no pool)",
+    )
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser("oracle", help="emit the analytic full-batch surface")

@@ -9,15 +9,19 @@ ties the tree together.  The surface layouts of cells, reference/ and the
 oracle and fit verbs are all written here.  The fit goes through fit_cell,
 which the `gradsurf fit` verb calls too, so both give the same bytes for the
 same observations, recipe and centre stream.  Output is byte-identical for
-identical configs, regardless of worker-thread count: cells run in
-parallel across workers, while numpy's bundled OpenBLAS runs on one thread
-for the whole run, so no result depends on how BLAS splits a reduction
-across its threads (whatever OPENBLAS_NUM_THREADS says).
+identical configs, regardless of the worker count: with workers > 1 the
+cells run in forked worker processes, each writing only its own cells/<id>/
+and returning its index entry, while the parent writes reference/ before
+the pool starts and index.json after it ends.  numpy's bundled OpenBLAS
+runs on one thread for the whole run, a setting the forked workers inherit,
+so no result depends on how BLAS splits a reduction across its threads
+(whatever OPENBLAS_NUM_THREADS says).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,8 +208,21 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1) -> 
     cells = enumerate_cells(config)
     # serial without a pool: a one-thread pool measured no faster, ~1 MiB more RSS
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda c: run_cell(c, config, data, references, out), cells))
+        # imported here, as importing the pool at module load raised a
+        # serial run's peak RSS by about 1 MiB
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, named: children inherit the loaded modules and the BLAS pin,
+        # and Python 3.14 no longer forks by default on Linux.  With fork,
+        # 3.11 starts every worker at the first submit, hence the cap
+        task = functools.partial(
+            run_cell, config=config, data=data, references=references, out_dir=out
+        )
+        processes = min(workers, len(cells), os.cpu_count() or 1)
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(processes, mp_context=context) as pool:
+            entries = list(pool.map(task, cells))
     else:
         entries = [run_cell(c, config, data, references, out) for c in cells]
 

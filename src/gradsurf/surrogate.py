@@ -184,7 +184,7 @@ class _Design:
     The radii and the buffers are built on the first write, which on the
     grid route is the band walk's first re-solve: held through the screens
     as well, they raised the two-worker study's peak RSS by 0.6-0.8 MiB.
-    They are local to the fit, since cells fit on worker threads.
+    They are local to the fit, so fits on concurrent threads share none.
     """
 
     def __init__(self, points, centres, b, mode):

@@ -449,8 +449,8 @@ def test_heatmap_matches_reference_across_resolutions(tmp_path, res):
 
 def test_writers_in_two_threads_match_serial_writes(tmp_path):
     """Two threads write surfaces, observations and heatmaps of different
-    resolutions at once, as `gradsurf run --workers 2` does, each thread
-    its own surfaces; every file equals the same write made alone."""
+    resolutions at once, as a library caller may, each thread its own
+    surfaces; every file equals the same write made alone."""
     rng = np.random.default_rng(2)
 
     def jobs():

@@ -3,15 +3,18 @@
 A threaded BLAS splits dot products across threads, so the summation order
 and with it the rounding of a result can follow the thread count.  The study
 runner and the fit verb therefore run numpy's bundled OpenBLAS on one
-thread.  The thread count is read once per interpreter, so the comparisons
-run the CLI in fresh subprocesses with different OPENBLAS_NUM_THREADS.
+thread, a setting the runner's forked worker processes inherit.  The thread
+count is read once per interpreter, so the comparisons run the CLI in fresh
+subprocesses with different OPENBLAS_NUM_THREADS.
 """
 
 import filecmp
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -79,12 +82,12 @@ def blas_threads():
     return funcs[0]
 
 
-def tiny_config():
+def tiny_config(repeats=1):
     return ExperimentConfig(
         batch_max_list=(3,),
         centre_list=(2,),
         mode_list=(FitMode.G,),
-        repeats=1,
+        repeats=repeats,
         train_resolution=7,
         report_resolution=9,
     )
@@ -100,8 +103,28 @@ def test_run_experiment_pins_and_restores_blas_threads(tmp_path, monkeypatch, bl
         return fit(*args)
 
     monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", recording_fit)
-    run_experiment(tiny_config(), out_dir=tmp_path / "a", workers=2)
-    assert seen == [1]
+    run_experiment(tiny_config(repeats=2), out_dir=tmp_path / "a", workers=1)
+    assert seen == [1, 1]
+    assert blas_threads() == before
+
+
+def test_worker_processes_run_with_pinned_blas_threads(tmp_path, monkeypatch, blas_threads):
+    # the cells fit in forked workers, so each records what it saw in a file
+    before = blas_threads()
+    record = tmp_path / "seen"
+    record.mkdir()
+    fit = gradsurf.experiment.fit_surrogate
+
+    def recording_fit(*args):
+        with tempfile.NamedTemporaryFile("w", dir=record, delete=False) as f:
+            f.write(f"{os.getpid()} {blas_threads()}")
+        return fit(*args)
+
+    monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", recording_fit)
+    run_experiment(tiny_config(repeats=2), out_dir=tmp_path / "a", workers=2)
+    seen = [path.read_text().split() for path in record.iterdir()]
+    assert len(seen) == 2
+    assert all(pid != str(os.getpid()) and threads == "1" for pid, threads in seen)
     assert blas_threads() == before
 
 
@@ -117,6 +140,24 @@ def test_run_experiment_restores_blas_threads_when_it_raises(
     with pytest.raises(RuntimeError, match="boom"):
         run_experiment(tiny_config(), out_dir=tmp_path / "a")
     assert blas_threads() == before
+
+
+def test_worker_error_reaches_the_caller_with_its_traceback(
+    tmp_path, monkeypatch, blas_threads
+):
+    before = blas_threads()
+
+    def broken_fit(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(gradsurf.experiment, "fit_surrogate", broken_fit)
+    with pytest.raises(RuntimeError, match="boom") as raised:
+        run_experiment(tiny_config(repeats=2), out_dir=tmp_path / "a", workers=2)
+    worker_traceback = str(raised.value.__cause__)
+    assert "in broken_fit" in worker_traceback
+    assert 'raise RuntimeError("boom")' in worker_traceback
+    assert blas_threads() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_overlapping_pins_restore_once_the_last_exits(blas_threads):

@@ -2,11 +2,16 @@
 
 import filecmp
 import json
+import multiprocessing.context
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradsurf
 import gradsurf.experiment
 from gradsurf.artifacts import (
     read_json,
@@ -163,6 +168,37 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     run_experiment(config, out_dir=tmp_path / "serial", workers=1)
     run_experiment(config, out_dir=tmp_path / "pooled", workers=3)
     assert_trees_identical(tmp_path / "serial", tmp_path / "pooled")
+
+
+def test_pool_starts_at_most_one_process_per_cell_and_cpu(tmp_path, monkeypatch):
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    config = tiny_config(centre_list=(1,), mode_list=(FitMode.F, FitMode.FG, FitMode.G))
+    index = read_json(run_experiment(config, out_dir=tmp_path / "out", workers=8))
+    assert [c["status"] for c in index["cells"]] == ["ok"] * 3
+    assert len(started) == min(3, os.cpu_count() or 1)
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only when a run asks for workers, which keeps a
+    # serial run's peak RSS down
+    src = str(Path(gradsurf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = (
+        "import gradsurf.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_seed_changes_observations(tmp_path):
