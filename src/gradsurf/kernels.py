@@ -250,7 +250,9 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _MARGIN = 12
 # the narrowest system worth screening: below it the block route cannot
 # apply even at rank 1, and an eigensolve of so few columns costs no more
-# than the screen, so a sweep solves such systems with solve_least_squares
+# than the screen, so a sweep solves such systems with solve_least_squares.
+# A one-centre sweep takes neither: it solves its one-column systems in
+# batched exact passes (surrogate._column_outcomes)
 SCREEN_MIN_COLS = 2 * (_MARGIN + 1)
 # the certificates: an eigenvalue proven above _KEEP times the cutoff is
 # kept by eigh, one proven below _DROP times the cutoff is dropped.  The

@@ -12,15 +12,17 @@ which rows enter the system:
 The shape parameter is selected by sweeping the fixed log-equispaced
 candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
 FitRecipe) and keeping the one with the lowest training mean squared error;
-candidates whose solve fails numerically are skipped.  On the points of a
-problem.GridSpec the sweep screens candidates with a cheaper certified
-solve, from per-axis kernel factors without the design matrix, and
-re-solves the possible winners exactly; any other sweep solves every
-candidate exactly.  Either way the winner is the one of solving every
-candidate with kernels.solve_least_squares, and the fitted Surrogate
-carries the MSE that solve gave it.  Every design matrix takes its radii
-and gradient rows from the points and centres through kernels._radii and
-kernels.gradient_block.
+candidates whose solve fails numerically are skipped.  A one-centre sweep
+solves its candidates exactly in a few batched passes, many candidates to
+a design matrix, by the closed form of a one-column solve.  On the points
+of a problem.GridSpec a wider sweep screens candidates with a cheaper
+certified solve, from per-axis kernel factors without the design matrix,
+and re-solves the possible winners exactly; any other sweep solves every
+candidate exactly, one at a time.  Either way the winner is the one of
+solving every candidate with kernels.solve_least_squares, and the fitted
+Surrogate carries the MSE that solve gave it.  Every design matrix takes
+its radii and gradient rows from the points and centres through
+kernels._radii and kernels.gradient_block.
 """
 
 from __future__ import annotations
@@ -199,8 +201,13 @@ class _Design:
         a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[self.mode], m))
         return r, a, np.empty((n, m)) if self.mode is FitMode.G else a[:n]
 
-    def write(self, eps: float) -> np.ndarray:
-        """a, overwritten with candidate eps's design matrix."""
+    def write(self, eps) -> np.ndarray:
+        """a, overwritten with candidate eps's design matrix.
+
+        eps may be an array of one eps per column, the kernels broadcasting
+        over it: with the one centre repeated, a's columns are the
+        candidates' one-column design matrices, bit for bit.
+        """
         r, a, phi = self.system
         value_block(r, eps, phi)
         if self.mode is not FitMode.F:
@@ -322,10 +329,60 @@ def _smallest_nonzero(r) -> float:
     return float(np.min(r, where=r > 0, initial=np.inf))
 
 
+def _swept_candidates(r_min: float) -> list[float]:
+    """The candidates a sweep solves: those up to and including the first in the tail.
+
+    r_min is the smallest nonzero point-centre radius (see _sweep).
+    """
+    eps_list = SHAPE_CANDIDATES.tolist()
+    for k, eps in enumerate(eps_list):
+        t = eps * r_min
+        if t * t > FLOOR_ARG:
+            return eps_list[: k + 1]
+    return eps_list
+
+
+def _column_outcomes(a, b) -> list:
+    """(MSE, coefficients, True) of solve_least_squares on each column of a alone, else None.
+
+    For one column, G = a^T a is 1 x 1 and LAPACK's eigensolve returns
+    lambda = G and v = 1, so the truncated solve is x = a^T b / G, or 0 if
+    G is 0 (nothing kept); numpy's matmul of [[1.0]] turns a -0.0 into
+    +0.0, as the x += 0.0 below does.  Each column's G and a^T b are
+    stacked (1 x R) @ (R x 1) products, the dot product the single-column
+    solve takes, not a matrix-vector product, whose rounding differs.  A
+    column is None, skipped, where the solve would raise NumericalError
+    (G, a^T b or x not finite) or its MSE is not finite.  Non-finite input
+    raises ValueError, as in solve_least_squares.
+    """
+    at = np.ascontiguousarray(a.T)
+    rows = at[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (rows @ at[:, :, None]).ravel()
+        atb = (rows @ b[:, None]).ravel()
+        solved = np.isfinite(g) & np.isfinite(atb)
+        if not solved.all() and not (np.isfinite(at).all() and np.isfinite(b).all()):
+            raise ValueError("matrix and rhs must be finite")
+        x = np.divide(atb, g, out=np.zeros_like(g), where=g > 0)
+        x += 0.0
+        r = at * x[:, None] - b
+        mse = np.mean(r * r, axis=1)
+    solved &= np.isfinite(x) & np.isfinite(mse)
+    return [
+        (m, x[k : k + 1], True) if ok else None
+        for k, (m, ok) in enumerate(zip(mse.tolist(), solved.tolist()))
+    ]
+
+
+# candidates per design matrix of the one-centre pass: 16 columns of the
+# 1875-row fg system are 240 kB
+_ONE_CENTRE_BLOCK = 16
+
+
 def _sweep(points, centres, b, mode):
     """(MSE, eps, coefficients) of one sweep's winner, or None if every candidate fails.
 
-    Each candidate has one outcome, _Grid.screen's or _Design.exact's, or
+    Each candidate has one outcome, _Grid.screen's or an exact one, or
     None if it is skipped.  Once a candidate's phi is zero everywhere off the
     centres (every nonzero radius is past the kernel floor,
     kernels.FLOOR_ARG), each larger eps gives the same 0/1 phi and the same
@@ -336,31 +393,37 @@ def _sweep(points, centres, b, mode):
     floor exactly when the smallest one is (t * t rounds as value_block's
     np.square does).
 
-    A sweep on the points of a GridSpec (GridSpec.of) with at least
-    kernels.SCREEN_MIN_COLS centres takes the grid route, _Grid.screen: a
-    certified full-rank or low-rank solve instead of a full eigensolve
-    where it can.  A candidate whose screen fails, and every candidate of
-    any other sweep, is solved with _Design.exact.  Selection stays exact:
-    the outcomes are taken in order of MSE, and each not exact is replaced
-    by design.exact's outcome, until the next MSE is beyond _MSE_BAND of
-    the best exact one.  The exact MSEs decide, ties going to the smallest
-    eps, so the winner and its coefficient bytes are those of solving every
-    candidate with solve_least_squares.  So None, no exact outcome left,
-    means that solve fails on every candidate: the tail's too, whose
-    system is the last one solved.
+    A one-centre sweep, on or off the grid, writes up to
+    _ONE_CENTRE_BLOCK candidates as the columns of one design matrix (the
+    kernels broadcast over an array of eps) and solves each column exactly
+    in one batched pass, _column_outcomes, bit for bit solve_least_squares
+    on that candidate's system.  A sweep on the points of a GridSpec
+    (GridSpec.of) with at least kernels.SCREEN_MIN_COLS centres takes the
+    grid route, _Grid.screen: a certified full-rank or low-rank solve
+    instead of a full eigensolve where it can.  A candidate whose screen
+    fails, and every candidate of any other sweep, is solved with
+    _Design.exact.  Selection stays exact: the outcomes are taken in order
+    of MSE, and each not exact is replaced by design.exact's outcome, until
+    the next MSE is beyond _MSE_BAND of the best exact one.  The exact MSEs
+    decide, ties going to the smallest eps, so the winner and its
+    coefficient bytes are those of solving every candidate with
+    solve_least_squares.  So None, no exact outcome left, means that solve
+    fails on every candidate: the tail's too, whose system is the last one
+    solved.
     """
-    spec = GridSpec.of(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
-    grid = None if spec is None else _Grid(spec, centres, b, mode)
-    design = _Design(points, centres, b, mode)
     # a fresh array, not held through the screens
-    r_min = _smallest_nonzero(_radii(points, centres))
-    eps_list = SHAPE_CANDIDATES.tolist()
-    outcomes = []
-    for eps in eps_list:
-        outcomes.append((grid is not None and grid.screen(eps)) or design.exact(eps))
-        t = eps * r_min
-        if t * t > FLOOR_ARG:
-            break
+    eps_list = _swept_candidates(_smallest_nonzero(_radii(points, centres)))
+    design = _Design(points, centres, b, mode)
+    if centres.shape[0] == 1:
+        outcomes = []
+        for start in range(0, len(eps_list), _ONE_CENTRE_BLOCK):
+            block = np.array(eps_list[start : start + _ONE_CENTRE_BLOCK])
+            a = _Design(points, centres.repeat(block.size, 0), b, mode).write(block)
+            outcomes += _column_outcomes(a, b)
+    else:
+        spec = GridSpec.of(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
+        grid = None if spec is None else _Grid(spec, centres, b, mode)
+        outcomes = [(grid is not None and grid.screen(eps)) or design.exact(eps) for eps in eps_list]
     best = None  # (MSE, index) of the best exact outcome
     for mse, k in sorted((o[0], k) for k, o in enumerate(outcomes) if o is not None):
         if best is not None and mse * (1.0 - _MSE_BAND) > best[0]:

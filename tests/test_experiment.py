@@ -4,6 +4,7 @@ import filecmp
 import json
 import multiprocessing.context
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,26 @@ def test_pool_starts_at_most_one_process_per_cell_and_cpu(tmp_path, monkeypatch)
     index = read_json(run_experiment(config, out_dir=tmp_path / "out", workers=8))
     assert [c["status"] for c in index["cells"]] == ["ok"] * 3
     assert len(started) == min(3, os.cpu_count() or 1)
+
+
+def test_pool_tasks_pickle_only_their_cells(tmp_path, monkeypatch):
+    # the forked workers inherit the run's config, data, references and
+    # output directory when they start, so what the pool pickles for each
+    # task is its RunCell and the worker function, not that shared state
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+    submit = ProcessPoolExecutor.submit
+
+    def measuring_submit(pool, fn, /, *args, **kwargs):
+        sizes.append(len(pickle.dumps((fn, args, kwargs))))
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", measuring_submit)
+    config = tiny_config(centre_list=(1,), mode_list=(FitMode.F, FitMode.FG, FitMode.G))
+    index = read_json(run_experiment(config, out_dir=tmp_path / "out", workers=2))
+    assert [c["status"] for c in index["cells"]] == ["ok"] * 3
+    assert len(sizes) == 3 and max(sizes) < 1000, sizes
 
 
 def test_cli_import_loads_no_process_pool():

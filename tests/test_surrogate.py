@@ -39,6 +39,7 @@ from gradsurf.surrogate import (
     FitRecipe,
     Surrogate,
     _MSE_BAND,
+    _column_outcomes,
     _Design,
     _Grid,
     _smallest_nonzero,
@@ -370,10 +371,11 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     None with the reference's, and the same shape and coefficient bytes
     from fit_surrogate (or a FitFailure); returns
     (screened solves, exact re-solves, reference distinct systems) of the
-    _sweep call, counted from the systems it builds (design matrices and
-    grid normal systems): a candidate's first system is its first solve,
-    screened or exact, and each later one a re-solve.  swept, if given, is
-    the reference sweep already run on this draw.
+    _sweep call, counted from the systems it builds (design matrices, one
+    per column of a one-centre block, and grid normal systems): a
+    candidate's first system is its first solve, screened or exact, and
+    each later one a re-solve.  swept, if given, is the reference sweep
+    already run on this draw.
     """
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
@@ -381,7 +383,7 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     built = []
 
     def counting_write(self, eps):
-        built.append(eps)
+        built.extend(np.atleast_1d(eps).tolist())
         return write(self, eps)
 
     def counting_normal(self, eps):
@@ -413,24 +415,55 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     return screened, len(built) - screened, distinct
 
 
+def count_one_centre_solves(monkeypatch):
+    """Counts of the batched pass's solved columns and of the solves it replaces.
+
+    A dict of the columns _column_outcomes solves and the calls of
+    solve_least_squares and _Grid.screen, updated as sweeps run.
+    """
+    counts = dict.fromkeys(("columns", "exact", "screen"), 0)
+    screen = _Grid.screen
+
+    def counting_columns(a, b):
+        counts["columns"] += a.shape[1]
+        return _column_outcomes(a, b)
+
+    def counting_exact(a, b):
+        counts["exact"] += 1
+        return solve_least_squares(a, b)
+
+    def counting_screen(self, eps):
+        counts["screen"] += 1
+        return screen(self, eps)
+
+    monkeypatch.setattr(gradsurf.surrogate, "_column_outcomes", counting_columns)
+    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_exact)
+    monkeypatch.setattr(_Grid, "screen", counting_screen)
+    return counts
+
+
 @pytest.mark.parametrize("mode", list(FitMode))
 @pytest.mark.parametrize("n_centres", [1, 100])
 def test_sweep_matches_reference_on_study_cells(mode, n_centres, monkeypatch):
     # the kernel floor zeroes every off-centre phi from eps ~ 113 on; the
     # sweep screens the 81 candidates below that and the first tail
     # candidate (eps ~ 119) once each, and leaves the other 39 of the 121
-    # unsolved.  A one-centre system is too narrow to screen, so every
-    # solve is exact; a c100 sweep on the grid route has no exact outcome
-    # until the band walk, which re-solves the candidates whose screened
-    # MSE is within the band of the best: at least the winner, and 1-4 per
-    # c100 fit over the default studies at seeds 0-3
+    # unsolved.  A one-centre sweep solves each of the 82 exactly, once, in
+    # the batched pass, with no per-candidate solve and no screen; a c100
+    # sweep on the grid route has no exact outcome until the band walk,
+    # which re-solves the candidates whose screened MSE is within the band
+    # of the best: at least the winner, and 1-4 per c100 fit over the
+    # default studies at seeds 0-3
     observations, swept = study_cell_reference(mode, n_centres)
+    counts = count_one_centre_solves(monkeypatch) if n_centres == 1 else None
     screened, resolved, distinct = sweep_against_reference(
         observations, mode, n_centres, monkeypatch, swept
     )
     assert screened == distinct == 82
     if n_centres == 1:
         assert resolved == 0
+        # fit_surrogate's sweep and the counted _sweep's
+        assert counts == {"columns": 2 * 82, "exact": 0, "screen": 0}
     else:
         assert 1 <= resolved <= 4
 
@@ -555,6 +588,65 @@ def test_grid_normal_systems_and_residuals_match_the_assembled_ones(mode):
             x = solver.solve(g, atb)[0]
             assert grid.mse(x) == pytest.approx(residual_mse(a, x, design.b), rel=1e-9), (k, eps)
     assert indices == list(range(82))
+
+
+def exact_column_outcome(column, b):
+    """(MSE, coefficient bytes) of solve_least_squares on one column, as _Design.exact
+    gives them; None where it skips: a NumericalError or a non-finite MSE."""
+    try:
+        x = solve_least_squares(column, b)
+    except NumericalError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = residual_mse(column, x, b)
+    return (mse, x.tobytes()) if np.isfinite(mse) else None
+
+
+def one_centre_columns(points, b, mode, centre_index):
+    """The design matrix of every candidate of a one-centre sweep, one per column."""
+    centres = points[[centre_index]].repeat(SHAPE_CANDIDATES.size, 0)
+    return _Design(points, centres, b, mode).write(np.array(SHAPE_CANDIDATES))
+
+
+def scattered_observations(n=40):
+    """n observations at points drawn uniformly over [-2, 2]^2, values and gradients drawn too."""
+    stream = derive_stream(11, "scattered")
+    draw = np.array([[uniform(stream, -2, 2) for _ in range(5)] for _ in range(n)])
+    return Observations(draw[:, :2], draw[:, 2], draw[:, 3:], np.ones(n, dtype=np.intp))
+
+
+def test_batched_one_centre_pass_is_bitwise_solve_least_squares():
+    # every candidate's column on the seed-0 b3 c1 study cells and on
+    # scattered points, in all three modes, and hand-made columns: zero
+    # (G == 0, nothing kept), a quotient that underflows to -0.0, and
+    # targets whose a^T b or residual overflows.  Each batched outcome is
+    # solve_least_squares's coefficient bytes and MSE, and a skip is that
+    # solve's NumericalError or a non-finite MSE
+    systems = []
+    for mode in FitMode:
+        for observations in (study_cell_observations(mode, 1), scattered_observations()):
+            b = _targets(observations, mode)
+            systems.append((one_centre_columns(observations.points, b, mode, 7), b))
+    ones, huge = np.ones(6), 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    hand_made = np.column_stack([np.zeros(6), np.full(6, 1e150), ones, 1e-200 * ones])
+    systems += [(hand_made, np.full(6, -1e-300)), (hand_made, huge), (hand_made, 1e300 * ones)]
+    skipped = zeros = 0
+    with single_threaded_blas():
+        for a, b in systems:
+            got = [o and (o[0], o[1].tobytes()) for o in _column_outcomes(a, b)]
+            want = [exact_column_outcome(a[:, [k]].copy(), b) for k in range(a.shape[1])]
+            assert got == want
+            skipped += want.count(None)
+            zeros += sum(o is not None and not np.frombuffer(o[1]).any() for o in want)
+    assert skipped > 0 and zeros > 0
+
+
+def test_gradient_scale_of_an_eps_array_is_each_candidates():
+    # the batched pass hands gradient_block an array of eps, whose
+    # -2 eps^2 numpy computes as a square; it is Python's float power on
+    # every candidate, though not on every double
+    eps = np.array(SHAPE_CANDIDATES)
+    assert (-2.0 * eps**2).tolist() == [-2.0 * e**2 for e in SHAPE_CANDIDATES.tolist()]
 
 
 def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatch):
@@ -735,9 +827,13 @@ def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
     points = np.column_stack([np.linspace(0.0, 2.0, 6), np.zeros(6)])
     values = 1.7e308 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     obs = Observations(points, values, np.zeros((6, 2)), np.ones(6, dtype=np.intp))
+    counts = count_one_centre_solves(monkeypatch)
     screened, resolved, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
     assert screened == distinct < SHAPE_CANDIDATES.size
     assert resolved == 0
+    # the batched pass solves each candidate, in fit_surrogate's sweep and
+    # the counted one, and skips it
+    assert counts == {"columns": 2 * screened, "exact": 0, "screen": 0}
 
 
 class FailOn:
@@ -757,6 +853,11 @@ class FailOn:
         if self(a):
             raise NumericalError("injected failure")
         return solve_least_squares(a, b)
+
+    def columns(self, a, b):
+        """_column_outcomes, skipping the column that is the system."""
+        outcomes = _column_outcomes(a, b)
+        return [None if self(a[:, [k]]) else o for k, o in enumerate(outcomes)]
 
 
 def winner_system(mode, n_centres, order="grid"):
@@ -808,6 +909,10 @@ def solver_failing_at(index, failure):
     return Failing
 
 
+def no_exact_solve(a, b):
+    raise AssertionError("a one-centre sweep called solve_least_squares")
+
+
 def injected_failure(solved):
     raise NumericalError("injected failure")
 
@@ -819,12 +924,16 @@ def injected_failure(solved):
 )
 def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, n_centres, order, monkeypatch):
     # a one-centre system, and a c100 one whose rows are out of grid order,
-    # is solved exactly; its winner's solve fails, so the winner is skipped
-    # and the runner-up wins
+    # is solved exactly, the one-centre system in the batched pass; its
+    # winner's solve fails, so the winner is skipped and the runner-up wins
     eps, system = winner_system(mode, n_centres, order)
     fail = FailOn(system)
+    exact = fail.exact
+    if n_centres == 1:
+        monkeypatch.setattr(gradsurf.surrogate, "_column_outcomes", fail.columns)
+        exact = no_exact_solve
     best = sweep_with_injected_failure(
-        mode, n_centres, monkeypatch, fail.exact, SweepSolver, FailOn(system).exact, order
+        mode, n_centres, monkeypatch, exact, SweepSolver, FailOn(system).exact, order
     )
     assert fail.fired == 1
     assert best[1] != eps
