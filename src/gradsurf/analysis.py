@@ -1,6 +1,9 @@
 """Loss-surface evaluation on grids and surface diagnostics.
 
-make_report gives the diagnostics of one surface as a JSON-ready dict.
+evaluate_surface evaluates a fitted surrogate on a grid separably, from
+per-axis kernel factors (surrogate.grid_values), with no N x M kernel
+matrix.  make_report gives the diagnostics of one surface as a JSON-ready
+dict.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import GridSpec
-from .surrogate import Surrogate, predict_values
+# predict_values is held, not called: perfbench's TRACED wraps it in this module
+from .surrogate import Surrogate, grid_values, predict_values
 
 
 @dataclass(frozen=True)
@@ -33,20 +37,19 @@ class SurfaceGrid:
 def evaluate_surface(source, grid: GridSpec) -> SurfaceGrid:
     """Evaluate a surface source on every grid node.
 
-    The source is a fitted Surrogate or a callable taking an (n, 2) array
-    of points and returning n values (e.g. the closed-form loss).
+    The source is a fitted Surrogate, evaluated by grid_values, or a
+    callable taking an (n, 2) array of points and returning n values (e.g.
+    the closed-form loss).
     """
-    res = grid.resolution
-    pts = grid.points()
     if isinstance(source, Surrogate):
-        flat = predict_values(source, pts)
-    elif callable(source):
-        flat = np.asarray(source(pts), dtype=np.float64)
-        if flat.shape != (pts.shape[0],):
-            raise ValueError(f"callable returned shape {flat.shape}, expected ({pts.shape[0]},)")
-    else:
+        return SurfaceGrid(grid=grid, values=grid_values(source, grid))
+    if not callable(source):
         raise TypeError(f"cannot evaluate a surface from {type(source).__name__}")
-    return SurfaceGrid(grid=grid, values=flat.reshape(res, res))
+    pts = grid.points()
+    flat = np.asarray(source(pts), dtype=np.float64)
+    if flat.shape != (pts.shape[0],):
+        raise ValueError(f"callable returned shape {flat.shape}, expected ({pts.shape[0]},)")
+    return SurfaceGrid(grid=grid, values=flat.reshape(grid.resolution, grid.resolution))
 
 
 def locate_min(surface: SurfaceGrid) -> tuple[np.ndarray, float]:

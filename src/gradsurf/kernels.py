@@ -16,8 +16,8 @@ argument passes FLOOR_ARG (all but the narrowest shapes) value_block is the
 plain ``exp(-arg)``, and otherwise it clamps the argument at FLOOR_ARG,
 takes exp and multiplies by the 0/1 mask, with no masked write and no
 ``exp(-inf)``, which numpy's SIMD exp takes on a special-value path.  Every
-route (the sweep, evaluation) goes through value_block, so the floor gives
-the same matrix bits everywhere.
+route (the sweep, evaluation, the per-axis factors) goes through
+value_block, so the floor gives the same bits everywhere.
 
 The geometry has one form on every route: _radii sums the squared
 coordinate differences in coordinate order, and gradient_block writes the
@@ -25,26 +25,30 @@ differences straight into the gradient rows it returns.  No (N, d, M)
 difference array is built.
 
 solve_least_squares is the truncated-SVD solve from the eigenpairs of
-``a^T a``.  A shape sweep on grid data screens its candidates with a
-SweepSolver instead: it takes a normal system ``(G, a^T b)``, and proves the
-rank eigh would find by a shifted Cholesky factorization (every eigenvalue
-kept) or a Rayleigh-Ritz step on the previous candidate's leading vectors
-(few kept), falling back to eigh.  Its solutions are not bitwise
-solve_least_squares's, so the sweep re-solves the candidates that may win.
+``a^T a``, and solve_normal the same eigen-solve of a normal system
+``(G, a^T b)`` given as such.  A shape sweep of several centres on grid
+data screens its candidates with a SweepSolver: it proves the rank eigh
+would find by a shifted Cholesky factorization (every eigenvalue kept) or
+a Rayleigh-Ritz step on the previous candidate's leading vectors (few
+kept), falling back to the eigen-solve, which is solve_normal's bit for
+bit.  The certified solutions are not bitwise the eigen-solve's, so the
+sweep re-solves the candidates that may win.
 
 The Gaussian factors over coordinates: phi(w - c) = prod_k
 exp(-(eps * (w_k - c_k))**2).  On a tensor grid of points the value rows
 of a design matrix are therefore a column-wise Khatri-Rao product of one
 block per axis (axis_factors), and G is a Hadamard product of the blocks'
-small Gram matrices, so a sweep on grid data forms its normal systems
-without the N x M design matrix (Fasshauer, *Meshfree Approximation
-Methods with MATLAB*, 2007; Saatci, PhD thesis, Cambridge, 2011).  The
-factors and their Gram blocks held no subnormal number on the seed-0 b3
-c100 study cells, but G did: an entry of G multiplies two Gram entries,
-each as small as about exp(-2 FLOOR_ARG), and 510 (mode f) and 586 (fg,
-g) entries underflowed, all at candidates 65-74.  They are left as they
-are: zeroing them would add about 20 us to every candidate, and the solves
-of those candidates timed no faster without them.
+small Gram matrices, so a sweep on grid data forms its normal systems,
+and a surrogate its values on a grid, without an N x M matrix (Fasshauer,
+*Meshfree Approximation Methods with MATLAB*, 2007; Saatci, PhD thesis,
+Cambridge, 2011).  The factors and their Gram blocks held no subnormal
+number on the seed-0 b3 c100 study cells, but G did: an entry of G
+multiplies two Gram entries, each as small as about exp(-2 FLOOR_ARG), and
+510 (mode f) and 586 (fg, g) entries underflowed, all at candidates 65-74.
+They are left as they are: zeroing them would add about 20 us to every
+candidate, and the solves of those candidates timed no faster without
+them.  _radii, assemble_value_matrix and solve_least_squares serve only
+points that are not a grid.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def axis_factors(d: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     a product E_1 E_2 may be nonzero where value_block floors phi of the
     whole radius, but it is then below exp(-FLOOR_ARG), up to rounding.
     """
-    e = value_block(d, eps, np.empty_like(d))
+    e = value_block(d, eps, np.empty(np.broadcast_shapes(d.shape, np.shape(eps))))
     dd = np.multiply(d, -2.0 * eps**2)
     dd *= e
     return e, dd
@@ -248,12 +252,6 @@ def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # the block route's columns beyond the previous candidate's rank
 _MARGIN = 12
-# the narrowest system worth screening: below it the block route cannot
-# apply even at rank 1, and an eigensolve of so few columns costs no more
-# than the screen, so a sweep solves such systems with solve_least_squares.
-# A one-centre sweep takes neither: it solves its one-column systems in
-# batched exact passes (surrogate._column_outcomes)
-SCREEN_MIN_COLS = 2 * (_MARGIN + 1)
 # the certificates: an eigenvalue proven above _KEEP times the cutoff is
 # kept by eigh, one proven below _DROP times the cutoff is dropped.  The
 # factors leave room for the rounding of eigh and of the factorizations,
@@ -336,15 +334,16 @@ class SweepSolver:
        previous candidate's leading k + _MARGIN vectors certifies eigh's
        kept count (_block_solve).  After a block step whose rank rose, the
        block holds fewer than k + _MARGIN Ritz vectors, and all are used;
-    3. otherwise the eigh solve of solve_least_squares on G, bit for bit.
+    3. otherwise the eigh solve of solve_least_squares, on G.
 
-    Routes 1 and 2 keep exactly the eigenvalues eigh keeps, but their x,
-    and so the candidate's MSE, is not bitwise eigh's: the MSE differs in
-    about the 14th digit on route 1 and by up to about 1e-3 relative on
-    route 2.  So a sweep re-solves the candidates that may win with
-    solve_least_squares.  A route that is refused, fails or gives a
-    non-finite x falls back to route 3.  One instance serves one sweep; it
-    is not thread-safe.
+    Route 3 is solve_normal, the exact solve.  Routes 1 and 2 keep exactly
+    the eigenvalues eigh keeps, but their x, and so the candidate's MSE, is
+    not bitwise eigh's: the MSE differs in about the 14th digit on route 1
+    and by up to about 1e-3 relative on route 2.  So a sweep re-solves the
+    candidates of those routes that may win with solve_normal.  Below
+    2 * (_MARGIN + 1) columns route 2 cannot apply.  A route that is
+    refused, fails or gives a non-finite x falls back to route 3.  One
+    instance serves one sweep; it is not thread-safe.
     """
 
     def __init__(self):
@@ -381,6 +380,18 @@ class SweepSolver:
         fits = vectors is not None and width <= m // 2
         self.basis = vectors[:, :width] if fits else None
         return x, self.rank, route
+
+
+def solve_normal(g: np.ndarray, atb: np.ndarray) -> np.ndarray:
+    """solve_least_squares's truncated eigen-solve of a normal system G x = a^T b.
+
+    G is symmetric positive semidefinite up to rounding.  A fresh
+    SweepSolver has no rank or basis to certify from, so it takes its eigh
+    route.  A non-finite G diagonal or a^T b, a failed eigensolve or a
+    non-finite x raise NumericalError.  A sweep on grid data takes it as
+    the exact solve.
+    """
+    return SweepSolver().solve(g, atb)[0]
 
 
 @functools.cache

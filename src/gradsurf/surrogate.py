@@ -12,17 +12,21 @@ which rows enter the system:
 The shape parameter is selected by sweeping the fixed log-equispaced
 candidates in SHAPE_CANDIDATES (121 from 1e-4 to 1e5, the constants of
 FitRecipe) and keeping the one with the lowest training mean squared error;
-candidates whose solve fails numerically are skipped.  A one-centre sweep
-solves its candidates exactly in a few batched passes, many candidates to
-a design matrix, by the closed form of a one-column solve.  On the points
-of a problem.GridSpec a wider sweep screens candidates with a cheaper
-certified solve, from per-axis kernel factors without the design matrix,
-and re-solves the possible winners exactly; any other sweep solves every
-candidate exactly, one at a time.  Either way the winner is the one of
-solving every candidate with kernels.solve_least_squares, and the fitted
-Surrogate carries the MSE that solve gave it.  Every design matrix takes
-its radii and gradient rows from the points and centres through
-kernels._radii and kernels.gradient_block.
+candidates whose solve fails numerically are skipped.
+
+On the points of a problem.GridSpec, which is where run and sample
+observe, the per-axis kernel factors are the fit's only geometry (_Grid):
+each candidate's system is the normal system formed from them, its exact
+solve is kernels.solve_normal of it, and no N x M matrix is built.  A
+one-centre sweep there solves all its candidates in one batched pass by
+the closed form x = a^T b / G; a wider one screens each candidate with a
+certified solve and re-solves the possible winners exactly.  On any other
+points a fit assembles its design matrices (_Design, from kernels._radii
+and kernels.gradient_block) and solves each with
+kernels.solve_least_squares.  Either way the winner is the one of solving every
+candidate exactly, and the fitted Surrogate carries the MSE that solve
+gave it.  Surrogate values on a grid (grid_values) are likewise a product
+of per-axis factors.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import numpy as np
 # assemble_gradient_matrix is held, not called: perfbench's TRACED wraps it in this module
 from .kernels import (
     FLOOR_ARG,
-    SCREEN_MIN_COLS,
     KernelParams,
     NumericalError,
     SweepSolver,
@@ -48,6 +51,7 @@ from .kernels import (
     axis_factors,
     gradient_block,
     solve_least_squares,
+    solve_normal,
     value_block,
 )
 from .problem import GridSpec, Observations
@@ -157,20 +161,44 @@ def _targets(observations: Observations, mode):
 def training_mse(surrogate: Surrogate, observations: Observations) -> float:
     """Mean squared residual of the surrogate over its mode's stacked system.
 
-    The system is built as the sweep builds it, so a fresh fit's MSE is
-    the one its candidate had in the sweep, bitwise: Surrogate.mse.  The
-    offset enters value residuals only; gradient rows are unaffected, so a
-    zero-translated mode-g surrogate keeps its training MSE.  The pipeline
-    reads Surrogate.mse; this recomputation is for checking it.
+    The system is formed as the sweep forms it, _Grid's on the points of a
+    GridSpec and _Design's on others, so a fresh fit's MSE is the one its
+    candidate had in the sweep, bitwise: Surrogate.mse.  The offset enters
+    value residuals only, taken off their targets; gradient rows are
+    unaffected, so a zero-translated mode-g surrogate keeps its training
+    MSE.  The pipeline reads Surrogate.mse; this recomputation is for
+    checking it.
     """
-    mode = surrogate.mode
-    b = _targets(observations, mode)
-    a = _Design(observations.points, surrogate.centres, b, mode).write(surrogate.params.shape)
-    r = a @ surrogate.coefficients - b
+    mode, eps = surrogate.mode, surrogate.params.shape
     if mode is not FitMode.G:
-        # the value rows come first (all of r in mode f); r is a fresh array
-        r[: observations.values.size] += surrogate.offset
-    return float(np.mean(r * r))
+        observations = replace(observations, values=observations.values - surrogate.offset)
+    b = _targets(observations, mode)
+    grid = GridSpec.of(observations.points)
+    if grid is None:
+        system = _Design(observations.points, surrogate.centres, b, mode)
+        system.write(eps)
+    else:
+        system = _Grid(grid, surrogate.centres, b, mode)
+        system.normal(eps)
+    return float(system.mse(surrogate.coefficients))
+
+
+def _outcome(solve, fit):
+    """(MSE, coefficients, exact) of one candidate, or None: the candidate skipped.
+
+    solve() forms the candidate's system in fit and solves it, giving the
+    coefficients and whether they are the exact solve's; fit.mse gives
+    their MSE.  A NumericalError from solve or a non-finite MSE skips the
+    candidate.
+    """
+    # overflow here just means another skipped candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x, exact = solve()
+        except NumericalError:
+            return None
+        mse = float(fit.mse(x))
+    return (mse, x, exact) if np.isfinite(mse) else None
 
 
 class _Design:
@@ -181,12 +209,11 @@ class _Design:
     stacked on the gradient rows.  phi is a's value block (a itself, or its
     first N rows) except in mode g, where it is an N x M scratch of its own.
     The radii are kernels._radii's, and the gradient rows are written by
-    kernels.gradient_block straight from the points and centres.
+    kernels.gradient_block straight from the points and centres.  Only
+    fits on points that are not a GridSpec's build one.
 
-    The radii and the buffers are built on the first write, which on the
-    grid route is the band walk's first re-solve: held through the screens
-    as well, they raised the two-worker study's peak RSS by 0.6-0.8 MiB.
-    They are local to the fit, so fits on concurrent threads share none.
+    The radii and the buffers are built on the first write and are local
+    to the fit, so fits on concurrent threads share none.
     """
 
     def __init__(self, points, centres, b, mode):
@@ -204,9 +231,6 @@ class _Design:
     def write(self, eps) -> np.ndarray:
         """a, overwritten with candidate eps's design matrix.
 
-        eps may be an array of one eps per column, the kernels broadcasting
-        over it: with the one centre repeated, a's columns are the
-        candidates' one-column design matrices, bit for bit.
         """
         r, a, phi = self.system
         value_block(r, eps, phi)
@@ -222,25 +246,12 @@ class _Design:
         return float(np.mean(r * r))
 
     def exact(self, eps: float):
-        """(MSE, coefficients, True) of solve_least_squares on candidate eps.
-
-        None, the candidate skipped, if the solve raises NumericalError or
-        the MSE is not finite.
-        """
-        a = self.write(eps)
-        try:
-            x = solve_least_squares(a, self.b)
-        except NumericalError:
-            return None
-        # overflow here just means another skipped candidate
-        with np.errstate(over="ignore", invalid="ignore"):
-            mse = self.mse(x)
-        return (mse, x, True) if np.isfinite(mse) else None
+        """(MSE, coefficients, True) of solve_least_squares on candidate eps, else None."""
+        return _outcome(lambda: (solve_least_squares(self.write(eps), self.b), True), self)
 
 
 class _Grid:
-    """The grid route of a fit on GridSpec data: each candidate screened by
-    one kernels.SweepSolver on a normal system from per-axis kernel factors.
+    """The systems of a fit on GridSpec data, from per-axis kernel factors.
 
     With the points at (u_i, v_j) on the grid's axes and the factors
     (E_u, D_u), (E_v, D_v) of kernels.axis_factors, the value row of node
@@ -250,13 +261,15 @@ class _Grid:
     (D_u^T D_u) * VV + UU * (D_v^T D_v), elementwise; a^T b sums columns of
     E_v * (B E_u) and the like, for the targets B on the (v, u) node array;
     and the fitted values are (E_v * x) E_u^T.  No N x M matrix is built.
-    The systems differ from a^T a in rounding only, and by the floor: a
-    product of factors can be nonzero where value_block floors phi of the
-    radius, but only below exp(-FLOOR_ARG).  On the study cells the factors
-    and the Gram blocks held no subnormal number, but G did, where the
-    product of two Gram entries underflows (see the kernels module
-    docstring).  The solver carries its rank and basis from one candidate
-    to the next, so the candidates are screened in order.
+    On a grid these are the fit's systems: a candidate's exact solution is
+    kernels.solve_normal's on its G, and its MSE the residual of mse.  They
+    differ from a^T a and the assembled residual in rounding only, and by
+    the floor: a product of factors can be nonzero where value_block floors
+    phi of the radius, but only below exp(-FLOOR_ARG).  On the study cells
+    the factors and the Gram blocks held no subnormal number, but G did,
+    where the product of two Gram entries underflows (see the kernels
+    module docstring).  The solver carries its rank and basis from one
+    candidate to the next, so the candidates are screened in order.
     """
 
     def __init__(self, grid: GridSpec, centres, b, mode):
@@ -271,49 +284,83 @@ class _Grid:
             grads = b[-2 * n :].reshape(*shape, 2)
             self.grads = grads[..., 0].copy(), grads[..., 1].copy()
 
-    def normal(self, eps: float):
-        """(G, a^T b) of candidate eps."""
+    def smallest_step(self) -> float:
+        """The smallest nonzero |node - centre| coordinate difference, inf if there is none."""
+        return min(_smallest_nonzero(np.abs(d)) for d in self.d)
+
+    def normal(self, eps):
+        """(G, a^T b) of candidate eps.
+
+        eps may be a (K, 1, 1) array, for a stack of K candidates: the
+        factors are then stacks of K blocks, and G and a^T b stacks of the
+        candidates' own.  numpy's matmul and vecdot run their inner routine
+        once per block, so each is the lone candidate's bit for bit.
+        """
         (eu, du), (ev, dv) = self.factors = [axis_factors(d, eps) for d in self.d]
-        uu, vv = eu.T @ eu, ev.T @ ev
+        uu, vv = eu.mT @ eu, ev.mT @ ev
         g, atb = 0.0, 0.0
         if self.values is not None:
             g = uu * vv
-            atb = np.einsum("jm,jm->m", ev, self.values @ eu)
+            atb = np.vecdot(ev, self.values @ eu, axis=-2)
         if self.grads is not None:
             gu, gv = self.grads
-            g = g + (du.T @ du) * vv + uu * (dv.T @ dv)
-            atb = atb + np.einsum("jm,jm->m", ev, gu @ du) + np.einsum("jm,jm->m", dv, gv @ eu)
+            g = g + (du.mT @ du) * vv + uu * (dv.mT @ dv)
+            atb = atb + np.vecdot(ev, gu @ du, axis=-2) + np.vecdot(dv, gv @ eu, axis=-2)
         return g, atb
 
-    def mse(self, x) -> float:
-        """Mean squared residual of x on the candidate last formed."""
+    def mse(self, x):
+        """Mean squared residual of x on the candidate (or stack) last formed."""
         (eu, du), (ev, dv) = self.factors
+        x = x[..., None, :]
         evx = ev * x
-        fitted = []
+        # (left, right, targets): the fitted values are left @ right^T
+        parts = []
         if self.values is not None:
-            fitted.append((evx @ eu.T, self.values))
+            parts.append((evx, eu, self.values))
         if self.grads is not None:
-            fitted += [(evx @ du.T, self.grads[0]), ((dv * x) @ eu.T, self.grads[1])]
+            parts += [(evx, du, self.grads[0]), (dv * x, eu, self.grads[1])]
         total = 0.0
-        for p, t in fitted:
+        for left, right, t in parts:
+            p = left @ right.mT
             p -= t
-            total += float(np.vdot(p, p))
+            p = p.reshape(*p.shape[:-2], -1)
+            total = total + np.vecdot(p, p)
         return total / self.rows
 
-    def screen(self, eps: float):
-        """(MSE, coefficients, False) of candidate eps screened by self.solver, else None.
+    def exact(self, eps: float):
+        """(MSE, coefficients, True) of solve_normal on candidate eps, else None."""
+        return _outcome(lambda: (solve_normal(*self.normal(eps)), True), self)
 
-        None, for a failed screen or a non-finite MSE, says nothing of the
-        exact solve, as the grid's system is not a^T a bitwise: the sweep
-        then solves the candidate exactly.
+    def screen(self, eps: float):
+        """(MSE, coefficients, exact) of candidate eps screened by self.solver, else None.
+
+        The outcome is exact when the solver took its eigh route, which is
+        solve_normal's bit for bit.  None, a failed screen or a non-finite
+        MSE, leaves the candidate to the exact solve.
+        """
+        return _outcome(lambda: self._screened(*self.normal(eps)), self)
+
+    def _screened(self, g, atb):
+        x, _, route = self.solver.solve(g, atb)
+        return x, route == "eigh"
+
+    def one_centre(self, eps: np.ndarray) -> list:
+        """(MSE, coefficients, True) of each candidate of eps, exact, or None: a one-centre sweep.
+
+        The candidates are formed as one stack.  With one centre G is
+        1 x 1, and LAPACK's eigensolve returns lambda = G and v = 1, so
+        solve_normal gives x = a^T b / G, or 0 when G is 0 (nothing kept);
+        numpy's matmul of [[1.0]] turns a -0.0 into +0.0, as adding 0.0
+        below does.  A candidate is None, skipped, where solve_normal would
+        raise (G, a^T b or x not finite) or its MSE is not finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                x = self.solver.solve(*self.normal(eps))[0]
-            except NumericalError:
-                return None
-            mse = self.mse(x)
-        return (mse, x, False) if np.isfinite(mse) else None
+            g, atb = (a.ravel() for a in self.normal(eps[:, None, None]))
+            x = np.divide(atb, g, out=np.zeros_like(g), where=g > 0) + 0.0
+            mse = self.mse(x[:, None])
+        solved = np.isfinite(g) & np.isfinite(atb) & np.isfinite(x) & np.isfinite(mse)
+        outcomes = zip(mse.tolist(), np.split(x, x.size), solved.tolist())
+        return [(m, coefficients, True) if ok else None for m, coefficients, ok in outcomes]
 
 
 # relative band on screened MSEs: a candidate whose screened MSE m has
@@ -342,94 +389,56 @@ def _swept_candidates(r_min: float) -> list[float]:
     return eps_list
 
 
-def _column_outcomes(a, b) -> list:
-    """(MSE, coefficients, True) of solve_least_squares on each column of a alone, else None.
-
-    For one column, G = a^T a is 1 x 1 and LAPACK's eigensolve returns
-    lambda = G and v = 1, so the truncated solve is x = a^T b / G, or 0 if
-    G is 0 (nothing kept); numpy's matmul of [[1.0]] turns a -0.0 into
-    +0.0, as the x += 0.0 below does.  Each column's G and a^T b are
-    stacked (1 x R) @ (R x 1) products, the dot product the single-column
-    solve takes, not a matrix-vector product, whose rounding differs.  A
-    column is None, skipped, where the solve would raise NumericalError
-    (G, a^T b or x not finite) or its MSE is not finite.  Non-finite input
-    raises ValueError, as in solve_least_squares.
-    """
-    at = np.ascontiguousarray(a.T)
-    rows = at[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (rows @ at[:, :, None]).ravel()
-        atb = (rows @ b[:, None]).ravel()
-        solved = np.isfinite(g) & np.isfinite(atb)
-        if not solved.all() and not (np.isfinite(at).all() and np.isfinite(b).all()):
-            raise ValueError("matrix and rhs must be finite")
-        x = np.divide(atb, g, out=np.zeros_like(g), where=g > 0)
-        x += 0.0
-        r = at * x[:, None] - b
-        mse = np.mean(r * r, axis=1)
-    solved &= np.isfinite(x) & np.isfinite(mse)
-    return [
-        (m, x[k : k + 1], True) if ok else None
-        for k, (m, ok) in enumerate(zip(mse.tolist(), solved.tolist()))
-    ]
-
-
-# candidates per design matrix of the one-centre pass: 16 columns of the
-# 1875-row fg system are 240 kB
-_ONE_CENTRE_BLOCK = 16
-
-
 def _sweep(points, centres, b, mode):
     """(MSE, eps, coefficients) of one sweep's winner, or None if every candidate fails.
 
-    Each candidate has one outcome, _Grid.screen's or an exact one, or
-    None if it is skipped.  Once a candidate's phi is zero everywhere off the
-    centres (every nonzero radius is past the kernel floor,
-    kernels.FLOOR_ARG), each larger eps gives the same 0/1 phi and the same
-    signed-zero gradient rows, so the same system: the sweep stops there.
-    The rest cannot win, since an equal MSE never displaces a smaller eps.
-    The tail is recognised from the smallest nonzero radius:
-    fl(fl(eps*r)**2) is monotone in r, so every nonzero radius is past the
-    floor exactly when the smallest one is (t * t rounds as value_block's
-    np.square does).
+    Each candidate has one outcome, exact or screened, or None if it is
+    skipped.  Once a candidate's kernel is zero everywhere off the centres
+    (every nonzero difference is past the kernel floor,
+    kernels.FLOOR_ARG), each larger eps gives the same 0/1 kernel values and
+    the same signed-zero gradient rows, so the same system: the sweep stops
+    there.  The rest cannot win, since an equal MSE never displaces a
+    smaller eps.  The tail is recognised from the smallest nonzero
+    difference that the kernels floor: fl(fl(eps*r)**2) is monotone in r,
+    so every nonzero one is past the floor exactly when the smallest one is
+    (t * t rounds as value_block's np.square does).
 
-    A one-centre sweep, on or off the grid, writes up to
-    _ONE_CENTRE_BLOCK candidates as the columns of one design matrix (the
-    kernels broadcast over an array of eps) and solves each column exactly
-    in one batched pass, _column_outcomes, bit for bit solve_least_squares
-    on that candidate's system.  A sweep on the points of a GridSpec
-    (GridSpec.of) with at least kernels.SCREEN_MIN_COLS centres takes the
-    grid route, _Grid.screen: a certified full-rank or low-rank solve
-    instead of a full eigensolve where it can.  A candidate whose screen
-    fails, and every candidate of any other sweep, is solved with
-    _Design.exact.  Selection stays exact: the outcomes are taken in order
-    of MSE, and each not exact is replaced by design.exact's outcome, until
-    the next MSE is beyond _MSE_BAND of the best exact one.  The exact MSEs
-    decide, ties going to the smallest eps, so the winner and its
-    coefficient bytes are those of solving every candidate with
-    solve_least_squares.  So None, no exact outcome left, means that solve
+    On the points of a GridSpec (GridSpec.of) the systems are _Grid's,
+    from per-axis factors, and those differences are the per-axis ones: a
+    one-centre sweep solves all its candidates exactly in one stacked pass
+    (_Grid.one_centre), and a wider one screens each candidate
+    (_Grid.screen), a certified full-rank or low-rank solve instead of a
+    full eigensolve where it can.  On other points the systems are
+    _Design's assembled matrices, and the differences the point-centre
+    radii: every candidate is solved with _Design.exact.  Selection stays
+    exact: the outcomes are taken in order of MSE, and each not exact is
+    replaced by the exact one, until the next MSE is beyond _MSE_BAND of
+    the best exact one.  The exact MSEs decide, ties going to the smallest
+    eps, so the winner and its coefficient bytes are those of solving every
+    candidate exactly.  So None, no exact outcome left, means that solve
     fails on every candidate: the tail's too, whose system is the last one
     solved.
     """
-    # a fresh array, not held through the screens
-    eps_list = _swept_candidates(_smallest_nonzero(_radii(points, centres)))
-    design = _Design(points, centres, b, mode)
-    if centres.shape[0] == 1:
-        outcomes = []
-        for start in range(0, len(eps_list), _ONE_CENTRE_BLOCK):
-            block = np.array(eps_list[start : start + _ONE_CENTRE_BLOCK])
-            a = _Design(points, centres.repeat(block.size, 0), b, mode).write(block)
-            outcomes += _column_outcomes(a, b)
+    spec = GridSpec.of(points)
+    if spec is None:
+        # a fresh array, not held through the solves
+        eps_list = _swept_candidates(_smallest_nonzero(_radii(points, centres)))
+        exact = _Design(points, centres, b, mode).exact
+        outcomes = [exact(eps) for eps in eps_list]
     else:
-        spec = GridSpec.of(points) if centres.shape[0] >= SCREEN_MIN_COLS else None
-        grid = None if spec is None else _Grid(spec, centres, b, mode)
-        outcomes = [(grid is not None and grid.screen(eps)) or design.exact(eps) for eps in eps_list]
+        grid = _Grid(spec, centres, b, mode)
+        eps_list = _swept_candidates(grid.smallest_step())
+        exact = grid.exact
+        if centres.shape[0] == 1:
+            outcomes = grid.one_centre(np.array(eps_list))
+        else:
+            outcomes = [grid.screen(eps) or exact(eps) for eps in eps_list]
     best = None  # (MSE, index) of the best exact outcome
     for mse, k in sorted((o[0], k) for k, o in enumerate(outcomes) if o is not None):
         if best is not None and mse * (1.0 - _MSE_BAND) > best[0]:
             break
         if not outcomes[k][2]:
-            outcomes[k] = design.exact(eps_list[k])
+            outcomes[k] = exact(eps_list[k])
             if outcomes[k] is None:
                 continue
         # ties go to the earliest, i.e. smallest, eps
@@ -455,41 +464,43 @@ def fit_surrogate(observations: Observations, recipe: FitRecipe, stream) -> Surr
     return Surrogate(centres, coef, KernelParams(eps), recipe.mode, mse=mse)
 
 
-# rows of points per kernel matrix in predict_values: a 1024 x 100 block is
-# 0.8 MB, where the 10201-node report grid in one piece is 8.2 MB
-_EVAL_ROWS = 1024
-
-
 def predict_values(surrogate: Surrogate, points: np.ndarray) -> np.ndarray:
     """Surrogate values at an (n, d) array of points, offset included.
 
-    The points go through in blocks of at most _EVAL_ROWS rows, so no
-    N x M kernel matrix is built whole, and the values are bitwise those of
-    one product over all points.  Single-threaded OpenBLAS dgemv (its
-    x86-64 kernel) takes the rows in groups of 4 and the last n % 4 on
-    their own, so blocks starting at multiples of 16 group every row as one
-    product does.  A one-row block would go to numpy's dot product instead,
-    so when one row is left over the last two blocks are _EVAL_ROWS - 16
-    and 17 rows.
+    On the points of a GridSpec these are grid_values', flattened in node
+    order, so a value at a grid node is the same whichever function gives
+    it; on other points, the product of one n x M kernel matrix with the
+    coefficients.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    out = np.empty(n)
-    bounds = [*range(0, n, _EVAL_ROWS), n]
-    if n > 1 and n - bounds[-2] == 1:
-        bounds[-2] -= 16
-    for start, stop in zip(bounds, bounds[1:]):
-        a = assemble_value_matrix(points[start:stop], surrogate.centres, surrogate.params)
-        np.add(a @ surrogate.coefficients, surrogate.offset, out=out[start:stop])
-    return out
+    grid = GridSpec.of(points)
+    if grid is not None:
+        return grid_values(surrogate, grid).ravel()
+    a = assemble_value_matrix(points, surrogate.centres, surrogate.params)
+    return a @ surrogate.coefficients + surrogate.offset
+
+
+def grid_values(surrogate: Surrogate, grid: GridSpec) -> np.ndarray:
+    """Surrogate values on a grid's nodes, offset included, [j, i] at node (i, j).
+
+    The Gaussian factors over the axes, so with the per-axis value factors
+    E_u, E_v of kernels.axis_factors the values are (E_v * c) E_u^T plus
+    the offset: on the 101-node report grid a 101 x M by M x 101 product,
+    with no N x M kernel matrix.  They differ from the kernel matrix's
+    product by rounding, of order ||c||_1 u.
+    """
+    eps = surrogate.params.shape
+    d = (np.subtract.outer(grid.axis(k), surrogate.centres[:, k]) for k in range(2))
+    eu, ev = (axis_factors(dk, eps)[0] for dk in d)
+    return (ev * surrogate.coefficients) @ eu.T + surrogate.offset
 
 
 def translate_to_zero(surrogate: Surrogate, values: np.ndarray) -> Surrogate:
     """Fix the additive constant of a mode-g surrogate from its values on a grid.
 
     values are the kernel sums v_i = sum_j coef_j * phi(...) at the grid
-    nodes, without any offset: predict_values of a fresh fit, whose offset
-    is 0.  The new offset is -min(v_i), so an evaluation at grid node i
+    nodes, without any offset: grid_values of a fresh fit, whose offset is
+    0.  The new offset is -min(v_i), so an evaluation at grid node i
     yields fl(v_i - min v), which is nonnegative everywhere and exactly 0.0
     at the grid minimum.  Idempotent for the same values; surrogates of
     other modes are returned unchanged.

@@ -4,8 +4,9 @@ The sampler, the CSV writers and the heatmap renderer work on whole arrays
 or blocks of rows.  The functions here do the same one node at a time, in
 the most direct form: each node's batch from its own `Stream.derive`/
 `choose`, its loss and gradient from the definitions, one CSV line or SVG
-rectangle per node or observation.  The shape sweep here assembles every
-candidate's system afresh and compares it with the previous one, and
+rectangle per node or observation.  The shape sweep here forms every
+candidate's system afresh (on a grid, a fresh surrogate._Grid's) and
+compares it with the previous one, and
 truncated_svd_solve is the solve the shipped normal-matrix solver stands in
 for, computed from an SVD of the system itself.  predict_values_one_shot
 evaluates a surrogate from one kernel matrix over all points, and
@@ -33,9 +34,10 @@ from gradsurf.kernels import (
     assemble_gradient_matrix,
     assemble_value_matrix,
     solve_least_squares,
+    solve_normal,
 )
 from gradsurf.rng import Stream
-from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode
+from gradsurf.surrogate import SHAPE_CANDIDATES, FitMode, _Grid
 
 
 def _batch(data: Dataset1D, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -206,33 +208,47 @@ def truncated_svd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def shape_sweep(
-    observations: Observations, centres: np.ndarray, mode: FitMode, solve=solve_least_squares
-):
+def shape_sweep(observations: Observations, centres: np.ndarray, mode: FitMode, solve=None):
     """(best, solves) of a sweep over all 121 candidates.
 
     best is (training MSE, eps, coefficients) of the lowest-MSE candidate,
     the smallest eps on ties, or None if every solve failed or gave a
-    non-finite MSE.  Each system is assembled in full and solved by solve;
-    one bitwise equal to the previous candidate's keeps its outcome
-    unsolved, and solves counts the solved, i.e. distinct, systems.
+    non-finite MSE.  With no solve given, on the points of a GridSpec each
+    candidate's system is the one a fit on a grid solves: a fresh
+    surrogate._Grid forms its per-axis factors and normal system, which
+    kernels.solve_normal solves, and _Grid.mse gives the MSE.  Otherwise
+    each system is assembled in full from the defining expressions and
+    solved by solve, solve_least_squares by default.  A system bitwise
+    equal to the previous candidate's (its factors on a grid) keeps its
+    outcome unsolved, and solves counts the solved, i.e. distinct, systems.
     """
     b = _targets(observations, mode)
+    spec = GridSpec.of(observations.points) if solve is None else None
     best = prev = outcome = None
     solves = 0
     for eps in SHAPE_CANDIDATES.tolist():
-        a = _system(observations.points, centres, eps, mode)
-        if prev is None or not np.array_equal(a, prev):
+        if spec is None:
+            a = _system(observations.points, centres, eps, mode)
+            system = [a]
+        else:
+            grid = _Grid(spec, centres, b, mode)
+            normal = grid.normal(eps)
+            system = [f for pair in grid.factors for f in pair]
+        if prev is None or not all(map(np.array_equal, system, prev)):
             solves += 1
             try:
-                coef = solve(a, b)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    r = a @ coef - b
-                    mse = float(np.mean(r * r))
+                    if spec is None:
+                        coef = (solve or solve_least_squares)(a, b)
+                        r = a @ coef - b
+                        mse = float(np.mean(r * r))
+                    else:
+                        coef = solve_normal(*normal)
+                        mse = float(grid.mse(coef))
                 outcome = (mse, coef) if np.isfinite(mse) else None
             except NumericalError:
                 outcome = None
-        prev = a
+        prev = system
         if outcome is not None and (best is None or outcome[0] < best[0]):
             best = (outcome[0], eps, outcome[1])
     return best, solves

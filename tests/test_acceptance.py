@@ -331,7 +331,7 @@ def test_criterion_7_determinism(default_run):
 
 
 def _check_cell_optimality(out, entry):
-    """Re-run a cell's sweep from the kernel formula, not the sweep's code.
+    """Re-run a cell's sweep with the reference, which solves every candidate afresh.
 
     Returns the distinct systems the reference solved, the recorded model
     fields (shape, training MSE, coefficient bytes) that differ from the

@@ -14,6 +14,8 @@ import pytest
 
 import gradsurf
 import gradsurf.experiment
+import gradsurf.kernels
+import gradsurf.surrogate
 from gradsurf.artifacts import (
     read_json,
     read_observations_csv,
@@ -24,9 +26,14 @@ from gradsurf.artifacts import (
 from gradsurf.config import ExperimentConfig
 from gradsurf.experiment import RunCell, enumerate_cells, fit_cell, run_experiment
 from gradsurf.kernels import single_threaded_blas
-from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
+from gradsurf.problem import (
+    MiniBatchPolicy,
+    Observations,
+    generate_full_batch,
+    sample_loss_surface,
+)
 from gradsurf.rng import derive_key, derive_stream
-from gradsurf.surrogate import FitFailure, FitMode, FitRecipe
+from gradsurf.surrogate import FitFailure, FitMode, FitRecipe, _Design
 
 
 def tiny_config(**overrides):
@@ -115,6 +122,51 @@ def test_gradient_cells_are_zero_translated(tmp_path):
     assert report["report_surface"]["min_value"] == 0.0
     assert report["report_surface"]["negative_fraction"] == 0.0
     assert report["fit"]["offset"] != 0.0
+
+
+def refuse_n_by_m_arrays(monkeypatch):
+    """Make the point-centre radii, the design matrix and the kernel matrix raise."""
+
+    def refuse(*args):
+        raise AssertionError("built an N x M array")
+
+    for owner in (gradsurf.kernels, gradsurf.surrogate):
+        monkeypatch.setattr(owner, "_radii", refuse)
+        monkeypatch.setattr(owner, "assemble_value_matrix", refuse)
+    monkeypatch.setattr(_Design, "system", property(refuse))
+
+
+def test_grid_cells_build_no_n_by_m_array(tmp_path, monkeypatch):
+    # a run observes on the train grid, so every fit takes its systems from
+    # per-axis factors and every surface is evaluated separably: each mode
+    # at c1 and c100 runs with no radii, design matrix or kernel matrix
+    refuse_n_by_m_arrays(monkeypatch)
+    config = tiny_config(
+        centre_list=(1, 100), mode_list=tuple(FitMode), train_resolution=25, report_resolution=5
+    )
+    index = read_json(run_experiment(config, out_dir=tmp_path / "out"))
+    assert [e["status"] for e in index["cells"]] == ["ok"] * 6
+
+
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_off_grid_fits_still_build_n_by_m_arrays(n_centres, monkeypatch):
+    # the study cell's observations without their last row, 624 points and
+    # not a grid: the fit assembles its design matrices, which the same
+    # patches refuse
+    config = ExperimentConfig()
+    observations = sample_loss_surface(
+        config.train_grid, generate_full_batch(), MiniBatchPolicy(3), derive_stream(0, "s")
+    )
+    short = Observations(
+        observations.points[:-1],
+        observations.values[:-1],
+        observations.gradients[:-1],
+        observations.batch_sizes[:-1],
+    )
+    refuse_n_by_m_arrays(monkeypatch)
+    recipe = FitRecipe(mode=FitMode.FG, n_centres=n_centres)
+    with pytest.raises(AssertionError, match="N x M"):
+        fit_cell(short, recipe, derive_stream(0, "centres"), config.report_grid)
 
 
 def test_observations_reproducible_from_derived_seed(tmp_path):

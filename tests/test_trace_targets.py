@@ -31,11 +31,17 @@ from gradsurf.surrogate import FitMode, FitRecipe, fit_surrogate
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # traced names the pipeline no longer calls; each stays where TRACED looks
-# it up, so a traced run still installs, and its span reads 0
+# it up, so a traced run still installs, and its span reads 0.  On the
+# grid points a run observes on, surfaces are evaluated separably and the
+# sweep solves normal systems from per-axis factors, so the kernel-matrix
+# evaluation, assembly and solve serve only points that are not a grid
 HELD = {
     ("gradsurf.experiment", "locate_min"),
     ("gradsurf.experiment", "training_mse"),
+    ("gradsurf.analysis", "predict_values"),
+    ("gradsurf.surrogate", "assemble_value_matrix"),
     ("gradsurf.surrogate", "assemble_gradient_matrix"),
+    ("gradsurf.surrogate", "solve_least_squares"),
     ("gradsurf.rng", "Stream.derive"),
 }
 
@@ -106,7 +112,7 @@ def test_every_traced_name_but_the_held_ones_is_called(tmp_path, monkeypatch):
             owner = getattr(owner, part)
         key = (module_name, attr)
         monkeypatch.setattr(owner, leaf, counted(calls, key, getattr(owner, leaf)))
-    # 6 cells; 26 centres is SCREEN_MIN_COLS, so the screened sweep runs too
+    # 6 cells: the one-centre grid pass and the screened sweep
     config = {
         "batch_max_list": [3],
         "centre_list": [1, 26],
