@@ -1191,6 +1191,32 @@ def test_separable_surfaces_match_the_kernel_matrix_product(default_run):
     assert len(entries) == 24
 
 
+@pytest.mark.parametrize("mode", [FitMode.F, FitMode.G])
+def test_predict_values_in_blocks_equals_one_shot_product(default_run, mode):
+    # predict_values takes no row blocks: a tail of the report grid's points
+    # is no grid, so its values are the one-shot product bit for bit, and
+    # the whole grid's are grid_values', within SEPARABLE_BOUND ||c||_1 of
+    # it; the g surrogate is translated, so the offset is added either way
+    _, out = default_run
+    entries = read_json(out / "index.json")["cells"]
+    (entry,) = (e for e in entries if e["id"] == f"b3_{mode.value}_c100_r0")
+    s = recorded_surrogate(out, entry)
+    assert s.mode is mode
+    assert (s.offset != 0.0) == (mode is FitMode.G)
+    grid = ExperimentConfig().report_grid
+    grid_points = grid.points()
+    with single_threaded_blas():
+        for n in (1, 4, 100, 101, 102, 1023, 1025, grid_points.shape[0] - 1):
+            points = grid_points[-n:]
+            assert GridSpec.of(points) is None
+            got = predict_values(s, points)
+            assert got.tobytes() == reference.predict_values_one_shot(s, points).tobytes()
+        got = predict_values(s, grid_points)
+        assert got.tobytes() == grid_values(s, grid).ravel().tobytes()
+        error = np.abs(got - reference.predict_values_one_shot(s, grid_points)).max()
+        assert error <= SEPARABLE_BOUND * np.abs(s.coefficients).sum()
+
+
 def test_evaluate_gradient_ignores_offset():
     stream = derive_stream(16, "off")
     s = random_surrogate(stream, mode=FitMode.G, eps=1.0)
