@@ -24,15 +24,18 @@ coordinate differences in coordinate order, and gradient_block writes the
 differences straight into the gradient rows it returns.  No (N, d, M)
 difference array is built.
 
-solve_least_squares is the truncated-SVD solve from the eigenpairs of
-``a^T a``, and solve_normal the same eigen-solve of a normal system
-``(G, a^T b)`` given as such.  A shape sweep of several centres on grid
-data screens its candidates with a SweepSolver: it proves the rank eigh
-would find by a shifted Cholesky factorization (every eigenvalue kept) or
-a Rayleigh-Ritz step on the previous candidate's leading vectors (few
-kept), falling back to the eigen-solve, which is solve_normal's bit for
-bit.  The certified solutions are not bitwise the eigen-solve's, so the
-sweep re-solves the candidates that may win.
+solve_normal is the truncated-SVD solve of a normal system
+``(G, a^T b)`` from the eigenpairs of ``G = a^T a``.  It is every sweep's
+exact solve: on grid data the normal system is formed from per-axis
+factors, and off it normal_system forms it from the assembled design
+matrix.  solve_least_squares is the same solve of ``a @ x = b``; no sweep
+calls it.  A shape sweep of several centres on grid data screens its
+candidates with a SweepSolver: it proves the rank eigh would find by a
+shifted Cholesky factorization (every eigenvalue kept) or a Rayleigh-Ritz
+step on the previous candidate's leading vectors (few kept), falling back
+to the eigen-solve, which is solve_normal's bit for bit.  The certified
+solutions are not bitwise the eigen-solve's, so the sweep re-solves the
+candidates that may win.
 
 The Gaussian factors over coordinates: phi(w - c) = prod_k
 exp(-(eps * (w_k - c_k))**2).  On a tensor grid of points the value rows
@@ -47,8 +50,8 @@ multiplies two Gram entries, each as small as about exp(-2 FLOOR_ARG), and
 510 (mode f) and 586 (fg, g) entries underflowed, all at candidates 65-74.
 They are left as they are: zeroing them would add about 20 us to every
 candidate, and the solves of those candidates timed no faster without
-them.  _radii, assemble_value_matrix and solve_least_squares serve only
-points that are not a grid.
+them.  _radii, normal_system and assemble_value_matrix serve only points
+that are not a grid.
 """
 
 from __future__ import annotations
@@ -221,33 +224,18 @@ def normal_system(a, b) -> tuple[np.ndarray, np.ndarray]:
     return g, atb
 
 
-def _eigh_solve(g: np.ndarray, atb: np.ndarray):
-    """(x, v, keep): the truncated eigen-solve of G x = a^T b, eigenvalues ascending."""
-    try:
-        lam, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolve failed: {exc}") from exc
-    keep = lam > REL_TOL * lam.max(initial=0.0)
-    vk = v[:, keep]
-    x = vk @ ((vk.T @ atb) / lam[keep])
-    if not np.isfinite(x).all():
-        raise NumericalError("least-squares solution is not finite")
-    return x, v, keep
-
-
 def solve_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated-SVD least-squares solution of a @ x = b, via the normal matrix.
+    """Truncated-SVD least squares of a @ x = b: solve_normal of normal_system(a, b).
 
     The eigenpairs (lam, V) of G = a^T a are a's squared singular values and
     right singular vectors.  x = V_k diag(1/lam_k) V_k^T a^T b over the k
     with lam > REL_TOL * lam_max (sigma > 1e-6 * sigma_max), a cutoff above
     G's rounding of about N * u * lam_max (under 2e-13 * lam_max for N <=
     1875 rows).  Non-finite input raises ValueError; overflow, a failed
-    eigensolve or a non-finite x raise NumericalError, so sweeps can skip
-    the candidate.
+    eigensolve or a non-finite x raise NumericalError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _eigh_solve(*normal_system(a, b))[0]
+        return solve_normal(*normal_system(a, b))
 
 
 # the block route's columns beyond the previous candidate's rank
@@ -334,7 +322,7 @@ class SweepSolver:
        previous candidate's leading k + _MARGIN vectors certifies eigh's
        kept count (_block_solve).  After a block step whose rank rose, the
        block holds fewer than k + _MARGIN Ritz vectors, and all are used;
-    3. otherwise the eigh solve of solve_least_squares, on G.
+    3. otherwise the truncated eigh solve of G (see solve_least_squares).
 
     Route 3 is solve_normal, the exact solve.  Routes 1 and 2 keep exactly
     the eigenvalues eigh keeps, but their x, and so the candidate's MSE, is
@@ -373,7 +361,15 @@ class SweepSolver:
                 if solved is not None and not np.isfinite(solved[0]).all():
                     solved = None
             if solved is None:
-                x, v, keep = _eigh_solve(g, atb)
+                try:
+                    lam, v = np.linalg.eigh(g)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(f"eigensolve failed: {exc}") from exc
+                keep = lam > REL_TOL * lam.max(initial=0.0)
+                vk = v[:, keep]
+                x = vk @ ((vk.T @ atb) / lam[keep])
+                if not np.isfinite(x).all():
+                    raise NumericalError("least-squares solution is not finite")
                 solved = (x, int(np.count_nonzero(keep)), v[:, ::-1], "eigh")
         x, self.rank, vectors, route = solved
         width = self.rank + _MARGIN
@@ -383,13 +379,13 @@ class SweepSolver:
 
 
 def solve_normal(g: np.ndarray, atb: np.ndarray) -> np.ndarray:
-    """solve_least_squares's truncated eigen-solve of a normal system G x = a^T b.
+    """The truncated eigen-solve of a normal system G x = a^T b, cut off as solve_least_squares's.
 
     G is symmetric positive semidefinite up to rounding.  A fresh
     SweepSolver has no rank or basis to certify from, so it takes its eigh
     route.  A non-finite G diagonal or a^T b, a failed eigensolve or a
-    non-finite x raise NumericalError.  A sweep on grid data takes it as
-    the exact solve.
+    non-finite x raise NumericalError.  Every sweep takes it as the exact
+    solve.
     """
     return SweepSolver().solve(g, atb)[0]
 

@@ -26,6 +26,7 @@ from gradsurf.kernels import (
     SweepSolver,
     _radii,
     assemble_value_matrix,
+    normal_system,
     single_threaded_blas,
     solve_least_squares,
     solve_normal,
@@ -47,6 +48,7 @@ from gradsurf.surrogate import (
     _MSE_BAND,
     _Design,
     _Grid,
+    _outcome,
     _smallest_nonzero,
     _sweep,
     _targets,
@@ -248,13 +250,12 @@ def test_fit_carries_its_training_mse_bitwise(mode, n_centres):
     # the winner's MSE from the sweep, which fit_cell and the artifacts
     # read, is training_mse's recomputation bit for bit: on the grid (c1
     # solved in the stacked pass, c100 screened, then re-solved) and on the
-    # c100 rows interleaved, where every candidate is solved exactly; and
-    # after zero-translation, which gives a mode-g surrogate an offset
+    # rows interleaved, where every candidate is solved exactly; and after
+    # zero-translation, which gives a mode-g surrogate an offset
     observations = study_cell_observations(mode, n_centres)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
-    cases = [observations, *([interleaved(observations)] if n_centres == 100 else [])]
     with single_threaded_blas():
-        for obs in cases:
+        for obs in (observations, interleaved(observations)):
             fitted = fit_surrogate(obs, recipe, derive_stream(1, "sweep"))
             assert fitted.mse == training_mse(fitted, obs)
             translated = translate_to_zero(fitted, predict_values(fitted, obs.points))
@@ -376,9 +377,9 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
     None with the reference's, and the same shape and coefficient bytes
     from fit_surrogate (or a FitFailure); returns
     (screened solves, exact re-solves, reference distinct systems) of the
-    _sweep call, counted from the systems it builds (design matrices, one
-    per column of a one-centre block, and grid normal systems, one per
-    candidate of a stack): a candidate's first system is its first solve,
+    _sweep call, counted from the systems it builds (design matrices, and
+    grid normal systems, one per candidate of a stack): a candidate's
+    first system is its first solve,
     screened or exact, and each later one a re-solve.
     swept, if given, is the reference sweep already run on this draw.
     """
@@ -423,32 +424,29 @@ def sweep_against_reference(observations, mode, n_centres, monkeypatch, swept=No
 def count_one_centre_solves(monkeypatch):
     """Counts of the grid's one-centre pass's solved candidates and of the other solves.
 
-    A dict of the candidates _Grid.one_centre solves and of the calls of
-    solve_least_squares, solve_normal and _Grid.screen, updated as sweeps
-    run.
+    A dict of the candidates _Grid.one_centre solves, of the calls of
+    solve_normal, the exact solve on the grid and off it, and of the
+    screens of the sweep's SweepSolver, updated as sweeps run.
     """
     counts = dict.fromkeys(("columns", "exact", "screen"), 0)
-    screen, one_centre = _Grid.screen, _Grid.one_centre
+    one_centre = _Grid.one_centre
 
     def counting_one_centre(self, eps):
         counts["columns"] += eps.size
         return one_centre(self, eps)
 
-    def counting(solve):
-        def wrapper(*args):
-            counts["exact"] += 1
-            return solve(*args)
+    def counting_exact(g, atb):
+        counts["exact"] += 1
+        return solve_normal(g, atb)
 
-        return wrapper
-
-    def counting_screen(self, eps):
-        counts["screen"] += 1
-        return screen(self, eps)
+    class CountingSolver(SweepSolver):
+        def solve(self, g, atb):
+            counts["screen"] += 1
+            return super().solve(g, atb)
 
     monkeypatch.setattr(_Grid, "one_centre", counting_one_centre)
-    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting(solve_least_squares))
-    monkeypatch.setattr(gradsurf.surrogate, "solve_normal", counting(solve_normal))
-    monkeypatch.setattr(_Grid, "screen", counting_screen)
+    monkeypatch.setattr(gradsurf.surrogate, "solve_normal", counting_exact)
+    monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", CountingSolver)
     return counts
 
 
@@ -488,27 +486,39 @@ def test_sweep_matches_reference_on_interleaved_study_cells(mode, order, monkeyp
     # the c100 study cells with their rows out of grid order, or without
     # their last grid row (a 25 x 24 tensor grid), are not a GridSpec grid:
     # no _Grid is built, each of the 82 candidates is solved exactly once,
-    # and the band walk has nothing to re-solve
+    # by solve_normal with no screen, and the band walk has nothing to
+    # re-solve
     observations, swept = study_cell_reference(mode, 100, order)
 
     def no_grid(*args):
         raise AssertionError(f"a sweep on {order} rows built a _Grid")
 
     monkeypatch.setattr(gradsurf.surrogate, "_Grid", no_grid)
-    exact = solve_least_squares
-    solved = []
-
-    def counting_exact(a, b):
-        solved.append(None)
-        return exact(a, b)
-
-    monkeypatch.setattr(gradsurf.surrogate, "solve_least_squares", counting_exact)
+    counts = count_one_centre_solves(monkeypatch)
     screened, resolved, distinct = sweep_against_reference(
         observations, mode, 100, monkeypatch, swept
     )
     assert (screened, resolved) == (distinct, 0) == (82, 0)
     # fit_surrogate's sweep and the counted _sweep's
-    assert len(solved) == 2 * 82
+    assert counts == {"columns": 0, "exact": 2 * 82, "screen": 0}
+
+
+@pytest.mark.parametrize("n_centres", [1, 100])
+def test_off_grid_fit_computes_its_radii_once(n_centres, monkeypatch):
+    # the sweep's tail test reads the radii the design matrices are written
+    # from: a fit on interleaved rows computes them once
+    observations = interleaved(study_cell_observations(FitMode.FG, n_centres))
+    calls = []
+
+    def counting_radii(points, centres):
+        calls.append(None)
+        return _radii(points, centres)
+
+    monkeypatch.setattr(gradsurf.surrogate, "_radii", counting_radii)
+    recipe = FitRecipe(mode=FitMode.FG, n_centres=n_centres)
+    with single_threaded_blas():
+        fit_surrogate(observations, recipe, derive_stream(1, "sweep"))
+    assert len(calls) == 1
 
 
 def residual_mse(a, x, b):
@@ -618,8 +628,8 @@ def test_one_centre_grid_pass_is_bitwise_each_candidates_exact_solve():
     # 3 x 3 grid whose values overflow a^T b and whose gradients make the
     # quotient -0.0: the stacked pass gives each candidate the coefficient
     # bytes and MSE of its lone system formed by _Grid.normal and solved by
-    # solve_normal (_Grid.exact), and skips where that skips.  The g cells'
-    # tail candidates have G == 0, and are solved as 0
+    # solve_normal (_outcome with no solver), and skips where that skips.
+    # The g cells' tail candidates have G == 0, and are solved as 0
     cases = []
     for mode in FitMode:
         observations = study_cell_observations(mode, 1)
@@ -631,7 +641,8 @@ def test_one_centre_grid_pass_is_bitwise_each_candidates_exact_solve():
             spec, b = GridSpec.of(observations.points), _targets(observations, mode)
             stacked = _Grid(spec, centre, b, mode).one_centre(np.array(SHAPE_CANDIDATES))
             got = [o and (o[0], o[1].tobytes()) for o in stacked]
-            lone = [_Grid(spec, centre, b, mode).exact(eps) for eps in SHAPE_CANDIDATES.tolist()]
+            grid = _Grid(spec, centre, b, mode)
+            lone = [_outcome(grid, eps) for eps in SHAPE_CANDIDATES.tolist()]
             want = [o and (o[0], o[1].tobytes()) for o in lone]
             assert got == want, mode
             skipped += want.count(None)
@@ -650,22 +661,24 @@ def test_gradient_scale_of_an_eps_array_is_each_candidates():
 def sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatch):
     """Asserts the reference winner of a c100 study cell from _sweep under perturbed screens.
 
-    Every screened MSE is off by half the band, up and down on alternate
-    candidates, and none is marked exact.
+    Every screened MSE (an _outcome with the sweep's solver) is off by half
+    the band, up and down on alternate candidates, and none is marked exact.
     """
     observations, (want, _) = study_cell_reference(mode, 100)
-    screen_one = _Grid.screen
+    outcome_of = gradsurf.surrogate._outcome
     calls = []
 
-    def perturbed(self, eps):
-        outcome = screen_one(self, eps)
+    def perturbed(system, eps, solver=None):
+        outcome = outcome_of(system, eps, solver)
+        if solver is None:
+            return outcome
         calls.append(None)
         if outcome is None:
             return None
         up = (len(calls) % 2 == 1) == inflate_even
         return outcome[0] * (1.0 + (0.5 if up else -0.5) * _MSE_BAND), outcome[1], False
 
-    monkeypatch.setattr(_Grid, "screen", perturbed)
+    monkeypatch.setattr(gradsurf.surrogate, "_outcome", perturbed)
     recipe = FitRecipe(mode=mode, n_centres=100)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     with single_threaded_blas():
@@ -682,6 +695,13 @@ def test_selection_is_exact_under_screened_mses_off_by_half_the_band(
 ):
     # the re-solves must still find the reference winner
     sweep_with_screened_mses_off_by_half_the_band(mode, inflate_even, monkeypatch)
+
+
+class NoScreen(SweepSolver):
+    """A SweepSolver whose every screen fails, so the sweep solves each candidate exactly."""
+
+    def solve(self, g, atb):
+        raise NumericalError("no screen")
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -711,7 +731,7 @@ def test_sweep_winner_equals_the_all_eigh_sweep_on_held_out_seeds(seed, monkeypa
                     got = _sweep(*args)
                     # no screen: every candidate is solved with solve_normal
                     with monkeypatch.context() as patch:
-                        patch.setattr(_Grid, "screen", lambda self, eps: None)
+                        patch.setattr(gradsurf.surrogate, "SweepSolver", NoScreen)
                         want = _sweep(*args)
                     assert got[:2] == want[:2], cell
                     assert got[2].tobytes() == want[2].tobytes(), cell
@@ -830,7 +850,7 @@ def test_sweep_matches_reference_when_all_candidates_fail(monkeypatch):
     screened, resolved, distinct = sweep_against_reference(obs, FitMode.F, 1, monkeypatch)
     assert screened == distinct < SHAPE_CANDIDATES.size
     assert resolved == 0
-    # off the grid each candidate is solved with solve_least_squares, in
+    # off the grid each candidate is solved with solve_normal, in
     # fit_surrogate's sweep and the counted one, and skipped
     assert counts == {"columns": 0, "exact": 2 * screened, "screen": 0}
 
@@ -848,8 +868,8 @@ class FailOn:
         return hit
 
     def exact(self, a, b):
-        """solve_least_squares, raising NumericalError on the system."""
-        if self(a):
+        """solve_least_squares, raising NumericalError where a's G is the system."""
+        if self(normal_system(a, b)[0]):
             raise NumericalError("injected failure")
         return solve_least_squares(a, b)
 
@@ -861,18 +881,22 @@ class FailOn:
 
 
 def winner_system(mode, n_centres, order="grid"):
-    """The seed-0 study cell's reference winner's eps and system, on the fit's centre draw.
+    """The seed-0 study cell's reference winner's eps and G, on the fit's centre draw.
 
-    The system is the winner's G on the grid, and its design matrix on
-    rows that are not a grid.
+    G is formed from the grid's factors on the grid, and from the assembled
+    design matrix on rows that are not a grid, under the pin the sweeps
+    run with.
     """
     observations, (want, _) = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
     centres = sample_centres(derive_stream(1, "sweep"), observations, recipe)
     grid = GridSpec.of(observations.points)
-    if grid is None:
-        return want[1], reference._system(observations.points, centres, want[1], mode)
-    return want[1], _Grid(grid, centres, _targets(observations, mode), mode).normal(want[1])[0]
+    b = _targets(observations, mode)
+    with single_threaded_blas():
+        if grid is None:
+            a = reference._system(observations.points, centres, want[1], mode)
+            return want[1], normal_system(a, b)[0]
+        return want[1], _Grid(grid, centres, b, mode).normal(want[1])[0]
 
 
 def sweep_with_injected_failure(
@@ -881,10 +905,10 @@ def sweep_with_injected_failure(
     """The winner of _sweep on a study cell, asserted to be the reference sweep's.
 
     exact stands in for the sweep's exact solve (gradsurf.surrogate's
-    solve_normal on the grid, solve_least_squares off it) and
-    reference_exact for the reference sweep's, and solver for
-    gradsurf.surrogate.SweepSolver.  The winner's eps, MSE and
-    coefficient bytes must be the reference's.
+    solve_normal, on the grid and off it) and reference_exact for the
+    reference sweep's (its solve_normal on the grid, and its solve off
+    it), and solver for gradsurf.surrogate.SweepSolver.  The winner's eps,
+    MSE and coefficient bytes must be the reference's.
     """
     observations, _ = study_cell_reference(mode, n_centres, order)
     recipe = FitRecipe(mode=mode, n_centres=n_centres)
@@ -896,9 +920,8 @@ def sweep_with_injected_failure(
             want, _ = reference.shape_sweep(observations, centres, mode)
         else:
             want, _ = reference.shape_sweep(observations, centres, mode, reference_exact)
-    name = "solve_normal" if on_grid else "solve_least_squares"
     with single_threaded_blas():
-        monkeypatch.setattr(gradsurf.surrogate, name, exact)
+        monkeypatch.setattr(gradsurf.surrogate, "solve_normal", exact)
         monkeypatch.setattr(gradsurf.surrogate, "SweepSolver", solver)
         best = _sweep(observations.points, centres, _targets(observations, mode), mode)
     assert best[:2] == want[:2]
@@ -940,11 +963,11 @@ def injected_failure(solved):
 def test_sweep_skips_a_candidate_whose_exact_solve_raises(mode, n_centres, order, monkeypatch):
     # a one-centre system on the grid is solved exactly in the grid's
     # stacked pass, and a c100 one whose rows are out of grid order by
-    # solve_least_squares; its winner's solve fails, so the winner is
-    # skipped and the runner-up wins
+    # solve_normal on its normal system; its winner's solve fails, so the
+    # winner is skipped and the runner-up wins
     eps, system = winner_system(mode, n_centres, order)
     fail = FailOn(system)
-    exact = fail.exact
+    exact = fail.normal
     if n_centres == 1:
         one_centre = _Grid.one_centre
 
@@ -1023,15 +1046,15 @@ def test_sweep_skips_a_candidate_whose_exact_re_solve_fails(mode, monkeypatch):
     # and loses to the runner-up
     eps, system = winner_system(mode, 100)
     fail = FailOn(system)
-    screen = _Grid.screen
 
-    def never_exact(self, candidate):
-        outcome = screen(self, candidate)
-        return outcome and (*outcome[:2], False)
+    class NeverExact(SweepSolver):
+        def solve(self, g, atb):
+            x, kept, _ = super().solve(g, atb)
+            # any route but eigh's marks the screen not exact
+            return x, kept, "relabelled"
 
-    monkeypatch.setattr(_Grid, "screen", never_exact)
     best = sweep_with_injected_failure(
-        mode, 100, monkeypatch, fail.normal, SweepSolver, FailOn(system).normal
+        mode, 100, monkeypatch, fail.normal, NeverExact, FailOn(system).normal
     )
     assert fail.fired == 1
     assert best[1] != eps

@@ -34,7 +34,10 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # it up, so a traced run still installs, and its span reads 0.  On the
 # grid points a run observes on, surfaces are evaluated separably and the
 # sweep solves normal systems from per-axis factors, so the kernel-matrix
-# evaluation, assembly and solve serve only points that are not a grid
+# evaluation and assembly serve only points that are not a grid.
+# surrogate.solve_least_squares is held because no sweep calls it, on the
+# grid or off it: every sweep solves its candidates' normal systems with
+# solve_normal
 HELD = {
     ("gradsurf.experiment", "locate_min"),
     ("gradsurf.experiment", "training_mse"),
