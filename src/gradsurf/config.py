@@ -6,8 +6,10 @@ repeats, and a 25x25 training grid and a 101x101 reporting grid.  The
 problem itself (the dataset and the weight box the grids span) is fixed in
 gradsurf.problem and has no key.  Every value is an integer, a list or a
 string; unknown or repeated keys, repeated list values and constraint
-violations are rejected with the offending field named.  Files are read
-with load_mapping and validated with from_mapping.
+violations are rejected with the offending field named.  repeats,
+train_grid and report_grid have upper bounds (1000, 1001 and 4001), checked
+with the rest before any output is written.  Files are read with
+load_mapping and validated with from_mapping.
 """
 
 from __future__ import annotations
@@ -112,11 +114,11 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
             _want_distinct(key, raw)
             values["mode_list"] = tuple(modes)
         elif key == "repeats":
-            values["repeats"] = _want_int(key, raw, lo=1)
+            values["repeats"] = _want_int(key, raw, lo=1, hi=1000)
         elif key == "train_grid":
-            values["train_resolution"] = _want_int(key, raw, lo=2)
+            values["train_resolution"] = _want_int(key, raw, lo=2, hi=1001)
         elif key == "report_grid":
-            values["report_resolution"] = _want_int(key, raw, lo=2)
+            values["report_resolution"] = _want_int(key, raw, lo=2, hi=4001)
         elif key == "output_dir":
             if not isinstance(raw, str) or not raw:
                 raise ConfigError(f"{key}: expected a nonempty string, got {raw!r}")

@@ -10,13 +10,12 @@ structured storage.
 phi is floored: where ``(eps * r)**2`` exceeds FLOOR_ARG it is exactly
 ``+0.0``, so every nonzero kernel value is a normal double of at least about
 ``2**-511``, and so is the product of any two.  Without the floor the
-narrow shapes of a sweep fill the matrices with subnormal numbers, which x86
-CPUs handle on a slow path.  The floor has no slow path of its own: when no
-argument passes FLOOR_ARG (all but the narrowest shapes) value_block is the
-plain ``exp(-arg)``, and otherwise it clamps the argument at FLOOR_ARG,
-takes exp and multiplies by the 0/1 mask, with no masked write and no
-``exp(-inf)``, which numpy's SIMD exp takes on a special-value path.  Every
-route (the sweep, evaluation, the per-axis factors) goes through
+narrow shapes of a sweep (eps 5-30 on the study cells) fill the matrices
+with subnormal numbers, which x86 CPUs handle on a slow path.  value_block
+clamps the argument at FLOOR_ARG, takes exp and multiplies by the 0/1
+mask: bitwise the plain ``exp(-arg)`` below the floor, with no masked write
+and no ``exp(-inf)``, which numpy's SIMD exp takes on a special-value path.
+Every route (the sweep, evaluation, the per-axis factors) goes through
 value_block, so the floor gives the same bits everywhere.
 
 The geometry has one form on every route: _radii sums the squared
@@ -25,17 +24,15 @@ differences straight into the gradient rows it returns.  No (N, d, M)
 difference array is built.
 
 solve_normal is the truncated-SVD solve of a normal system
-``(G, a^T b)`` from the eigenpairs of ``G = a^T a``.  It is every sweep's
-exact solve: on grid data the normal system is formed from per-axis
-factors, and off it normal_system forms it from the assembled design
-matrix.  solve_least_squares is the same solve of ``a @ x = b``; no sweep
-calls it.  A shape sweep of several centres on grid data screens its
-candidates with a SweepSolver: it proves the rank eigh would find by a
-shifted Cholesky factorization (every eigenvalue kept) or a Rayleigh-Ritz
-step on the previous candidate's leading vectors (few kept), falling back
-to the eigen-solve, which is solve_normal's bit for bit.  The certified
-solutions are not bitwise the eigen-solve's, so the sweep re-solves the
-candidates that may win.
+``(G, a^T b)`` from the eigenpairs of ``G = a^T a``, cut off at REL_TOL,
+which also keeps the flat, ill-conditioned shapes from winning on
+directions the data barely determine (Hansen, *BIT* 27, 1987).  It is
+every sweep's exact solve: on grid data the normal system is formed from
+per-axis factors, and off it normal_system forms it from the assembled
+design matrix.  solve_least_squares is the same solve of ``a @ x = b``; no
+sweep calls it.  SweepSolver screens the candidates of one sweep by rank
+certificates, with solve_normal's eigensolve as its fallback; its
+docstring sets out the routes.
 
 The Gaussian factors over coordinates: phi(w - c) = prod_k
 exp(-(eps * (w_k - c_k))**2).  On a tensor grid of points the value rows
@@ -48,10 +45,9 @@ Cambridge, 2011).  The factors and their Gram blocks held no subnormal
 number on the seed-0 b3 c100 study cells, but G did: an entry of G
 multiplies two Gram entries, each as small as about exp(-2 FLOOR_ARG), and
 510 (mode f) and 586 (fg, g) entries underflowed, all at candidates 65-74.
-They are left as they are: zeroing them would add about 20 us to every
-candidate, and the solves of those candidates timed no faster without
-them.  _radii, normal_system and assemble_value_matrix serve only points
-that are not a grid.
+They are left as they are: the solves of those candidates timed no faster
+without them.  _radii, normal_system and assemble_value_matrix serve only
+points that are not a grid.
 """
 
 from __future__ import annotations
@@ -91,14 +87,11 @@ def value_block(r: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
 
     phi is +0.0 wherever (eps*r)**2 > FLOOR_ARG, so exp never produces a
     subnormal.  out has r's shape and may be r itself.  The ufuncs run in
-    place, so a shape sweep rewrites one buffer per candidate instead of
-    allocating.
+    place, so a shape sweep rewrites one buffer per candidate and allocates
+    only the boolean floor mask.
     """
     np.multiply(r, eps, out=out)
     np.square(out, out=out)
-    if out.max(initial=0.0) <= FLOOR_ARG:
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
     # entries past the floor become exp(-FLOOR_ARG) * 0.0 = +0.0 and the
     # others x * 1.0 = x: the bits of a masked exp, without its slow paths
     keep = out <= FLOOR_ARG
@@ -244,35 +237,23 @@ _MARGIN = 12
 # kept by eigh, one proven below _DROP times the cutoff is dropped.  The
 # factors leave room for the rounding of eigh and of the factorizations,
 # about M * u * lam_max, 1e-14 * lam_max against a cutoff of 1e-12 * lam_max
+# (at most 1e-3 of the cutoff on the seed-0 study cells)
 _KEEP = 1.1
 _DROP = 0.9
 
 
-def _shift_diagonal(m: np.ndarray, shift: float) -> np.ndarray:
-    """m + shift * I, in place on a square C-contiguous m."""
-    m.reshape(-1)[:: m.shape[0] + 1] += shift
-    return m
-
-
-def _positive_definite(m: np.ndarray) -> bool:
-    """Whether a Cholesky factorization of the symmetric m succeeds."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _full_rank_solve(g, atb):
-    """(x, M, None, "full") if G is certified to keep all M eigenvalues, else None.
+    """(x, M, None, "full") if G is certified to keep all M eigenvalues; else LinAlgError.
 
     tau = REL_TOL * ||G||_F is at least REL_TOL * lam_max.  If
     G - _KEEP * tau * I factors, lam_min > _KEEP * tau, so eigh keeps every
     eigenvalue and the truncated solve is the plain solve of G x = a^T b.
     """
     tau = REL_TOL * float(np.linalg.norm(g))
-    if not _positive_definite(_shift_diagonal(g.copy(), -_KEEP * tau)):
-        return None
+    shifted = g.copy()
+    shifted.reshape(-1)[:: g.shape[0] + 1] -= _KEEP * tau
+    # raises LinAlgError unless the shifted matrix is positive definite
+    np.linalg.cholesky(shifted)
     return np.linalg.solve(g, atb), g.shape[0], None, "full"
 
 
@@ -281,26 +262,27 @@ def _block_solve(g, atb, basis):
 
     One product by G of the starting basis and a QR give Q; the Ritz pairs
     (theta, U) of G on Q come from eigh(Q^T G Q), and the cutoff is
-    REL_TOL * theta_max.  The result is accepted only if the block is not
-    saturated (its smallest theta is below the cutoff), the k kept theta
-    are at least _KEEP times the cutoff, and
-    _DROP * cutoff * I - (G - U_k Theta_k U_k^T) factors.  By Cauchy
+    REL_TOL * theta_max.  The result is accepted only if the k kept theta
+    are at least _KEEP times the cutoff and the residual
+    R = G - U_k Theta_k U_k^T has ||R||_F < _DROP * cutoff.  By Cauchy
     interlacing lam_i >= theta_i, and by Weyl's inequality lam_{k+1} and
-    lam_max - theta_max are below _DROP * cutoff: eigh keeps exactly these
-    k.  x = U_k Theta_k^-1 U_k^T a^T b is then the least-squares solution
-    over span(U_k), close to, but not bitwise, eigh's.  The Ritz vectors are
-    returned in descending order of theta.
+    lam_max - theta_max are at most ||R||_2 <= ||R||_F: eigh keeps exactly
+    these k, also when every theta of the block is kept.  (Parlett, *The
+    Symmetric Eigenvalue Problem*, SIAM, 1998.)  x = U_k Theta_k^-1 U_k^T
+    a^T b is then the least-squares solution over span(U_k), close to, but
+    not bitwise, eigh's.  The Ritz vectors are returned in descending order
+    of theta.
     """
     q = np.linalg.qr(g @ basis)[0]
     theta, w = np.linalg.eigh(q.T @ (g @ q))
     cutoff = REL_TOL * theta[-1]
     # k >= 1 whenever the cutoff is positive and finite
     k = int(np.count_nonzero(theta > cutoff))
-    if not (0 < cutoff < np.inf and theta[0] < cutoff and theta[-k] >= _KEEP * cutoff):
+    if not (0 < cutoff < np.inf and theta[-k] >= _KEEP * cutoff):
         return None
     u = q @ w[:, ::-1]
     uk, theta_k = u[:, :k], theta[: -k - 1 : -1]
-    if not _positive_definite(_shift_diagonal((uk * theta_k) @ uk.T - g, _DROP * cutoff)):
+    if not np.linalg.norm(g - (uk * theta_k) @ uk.T) < _DROP * cutoff:
         return None
     return uk @ ((uk.T @ atb) / theta_k), k, u, "block"
 
@@ -309,7 +291,8 @@ class SweepSolver:
     """The solves of one shape sweep, screened by rank certificates.
 
     Along a sweep the cutoff keeps either few eigenvalues of G = a^T a (the
-    flat limit's polynomial ranks 1, 3, 10, ...) or all of them, and the
+    flat limit's polynomial ranks 1, 3, 10, ...; Driscoll & Fornberg,
+    *Comput. Math. Appl.* 43, 2002) or all of them, and the
     rank never fell from one candidate to the next in the measured study
     cells.  So each solve carries the previous candidate's kept count k and
     its leading eigen- or Ritz vectors (rank and basis), and takes the
@@ -319,9 +302,11 @@ class SweepSolver:
        shifted Cholesky factorization proves this one does too
        (_full_rank_solve);
     2. block: k + _MARGIN <= M // 2, and a Rayleigh-Ritz step on the
-       previous candidate's leading k + _MARGIN vectors certifies eigh's
-       kept count (_block_solve).  After a block step whose rank rose, the
-       block holds fewer than k + _MARGIN Ritz vectors, and all are used;
+       previous candidate's leading k + _MARGIN vectors (Halko, Martinsson
+       & Tropp, *SIAM Rev.* 53, 2011) certifies eigh's kept count by the
+       norm of its residual (_block_solve).  After a block step whose rank
+       rose, the block holds fewer than k + _MARGIN Ritz vectors, and all
+       are used;
     3. otherwise the truncated eigh solve of G (see solve_least_squares).
 
     Route 3 is solve_normal, the exact solve.  Routes 1 and 2 keep exactly

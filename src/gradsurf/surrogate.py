@@ -16,24 +16,29 @@ candidates whose solve fails numerically are skipped.
 
 A fit's systems (_system) have one interface on every geometry.  On the
 points of a problem.GridSpec, which is where run and sample observe, the
-per-axis kernel factors are the fit's only geometry (_Grid): each
-candidate's normal system is formed from them, and no N x M matrix is
-built.  On any other points a fit assembles its design matrices (_Design,
-from kernels._radii and kernels.gradient_block) and forms their normal
-systems with kernels.normal_system.  Every candidate is solved by
-_outcome, exactly with kernels.solve_normal or screened with the sweep's
-SweepSolver.  A one-centre sweep on the grid solves all its candidates
-exactly in one batched pass by the closed form x = a^T b / G; a wider one
-screens each candidate with a certified solve and re-solves the possible
-winners exactly; off the grid every candidate is solved exactly.  The
-winner is the one of solving every candidate exactly as long as the
-screened MSEs stay within _MSE_BAND / 2 of the exact ones.  That held on
-the noisy study cells, but not on the full-batch c100 g fit at seed 2,
-which misses the all-exact winner (the strict xfail
+per-axis kernel factors (kernels.axis_factors) are the fit's only geometry
+(_Grid), and no N x M matrix is built.  On any other points a fit
+assembles its design matrices (_Design) and forms their normal systems
+with kernels.normal_system.  Every candidate is solved by _outcome,
+exactly with kernels.solve_normal or screened by the sweep's
+kernels.SweepSolver:
+
+* a one-centre sweep on the grid solves all its candidates exactly in one
+  stacked pass, by the closed form x = a^T b / G (_Grid.one_centre);
+* a wider sweep on the grid screens each candidate, and re-solves exactly
+  the screened ones whose MSE is within _MSE_BAND of the best exact one
+  (_sweep);
+* off the grid every candidate is solved exactly.
+
+A sweep stops at the kernel floor's tail, where every larger candidate has
+the same system (_swept_candidates).  The winner is the one of solving
+every candidate exactly as long as the screened MSEs stay within
+_MSE_BAND / 2 of the exact ones.  That held on the noisy study cells, but
+not on the full-batch c100 g fit at seed 2, which misses the all-exact
+winner (the strict xfail
 test_fit_picks_the_reference_winner_on_full_batch_observations).  The
-fitted Surrogate carries the exact MSE of its winner.  Surrogate
-values on a grid (grid_values) are likewise a product of per-axis
-factors.
+fitted Surrogate carries the exact MSE of its winner.  Surrogate values on
+a grid (grid_values) are a product of the same per-axis factors.
 """
 
 from __future__ import annotations
@@ -301,10 +306,7 @@ class _Grid:
     kernels.solve_normal's on its G, and its MSE the residual of mse.  They
     differ from a^T a and the assembled residual in rounding only, and by
     the floor: a product of factors can be nonzero where value_block floors
-    phi of the radius, but only below exp(-FLOOR_ARG).  On the study cells
-    the factors and the Gram blocks held no subnormal number, but G did,
-    where the product of two Gram entries underflows (see the kernels
-    module docstring).
+    phi of the radius, but only below exp(-FLOOR_ARG).
     """
 
     def __init__(self, grid: GridSpec, centres, b, mode):
@@ -409,7 +411,9 @@ def _smallest_nonzero(r) -> float:
 def _swept_candidates(r_min: float) -> list[float]:
     """The candidates a sweep solves: those up to and including the first in the tail.
 
-    r_min is the smallest nonzero point-centre radius (see _sweep).
+    r_min is the smallest nonzero point-centre radius (see _sweep).  On the
+    study's 25 x 25 grid it is 1/6, so the tail starts at eps above
+    6 * sqrt(FLOOR_ARG), about 113, and 82 of the 121 candidates are solved.
     """
     eps_list = SHAPE_CANDIDATES.tolist()
     for k, eps in enumerate(eps_list):

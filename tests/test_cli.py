@@ -458,6 +458,14 @@ def test_run_verb_repeated_config_key_exits_1_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_run_verb_report_grid_past_its_bound_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--report-grid", "4002", "--out", str(out))
+    assert code == 1
+    assert "report_grid: must be <= 4001, got 4002" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_run_verb_nonpositive_workers_exits_1(tmp_path, capsys, workers):
     out = tmp_path / "out"

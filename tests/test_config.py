@@ -68,6 +68,21 @@ def test_from_mapping_type_errors():
         from_mapping({"centre_list": [0]})
 
 
+# the largest value of each bounded key
+UPPER_BOUNDS = {"repeats": 1000, "train_grid": 1001, "report_grid": 4001}
+
+
+@pytest.mark.parametrize("key", sorted(UPPER_BOUNDS))
+def test_from_mapping_bounds_the_study_size(key):
+    # checked without running a study: the bound itself is accepted, the next
+    # integer is rejected with the key named
+    bound = UPPER_BOUNDS[key]
+    assert from_mapping({key: bound}).to_mapping()[key] == bound
+    with pytest.raises(ConfigError) as err:
+        from_mapping({key: bound + 1})
+    assert str(err.value) == f"{key}: must be <= {bound}, got {bound + 1}"
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("key", ["batch_max_list", "centre_list", "repeats"])
 def test_load_config_rejects_nonfinite_numbers(tmp_path, key, literal):
@@ -198,3 +213,10 @@ def test_readme_configuration_block_is_the_default_config():
     want = {**ExperimentConfig().to_mapping(), "output_dir": ExperimentConfig().output_dir}
     assert documented == list(want.items())
     assert from_mapping(dict(documented)) == ExperimentConfig()
+
+
+def test_readme_is_at_most_300_lines():
+    # the README states what the tool promises and the tests that check it;
+    # the solver's mechanism lives in the module docstrings
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert len(readme.read_text(encoding="utf-8").splitlines()) <= 300

@@ -497,9 +497,23 @@ def test_sweep_solver_refuses_a_stale_block_missing_the_dominant_eigenvector():
     assert x.tobytes() == solve_least_squares(a, b).tobytes()
 
 
+def test_sweep_solver_refuses_a_residual_whose_norm_reaches_the_drop_bound():
+    # the block holds the exact leading vectors and eigh keeps its 3, but
+    # the 4 dropped eigenvalues at half the cutoff give the residual
+    # R = G - U_k Theta_k U_k^T a 2-norm of 0.5 and a Frobenius norm of
+    # sqrt(4) * 0.5 = 1.0 times the cutoff: below and above _DROP = 0.9.
+    # The certificate is the Frobenius norm, so the block is refused
+    lam = np.concatenate([[1.0, 0.3, 0.1], np.full(4, 0.5 * REL_TOL), np.full(33, 1e-15)])
+    a, b, q = system_with_spectrum(lam, "frobenius")
+    x, kept, route = screen(sweep_solver(rank=3, basis=q[:, :15]), a, b)
+    assert (kept, route) == (3, "eigh")
+    assert x.tobytes() == solve_least_squares(a, b).tobytes()
+
+
 def test_sweep_solver_refuses_a_saturated_block():
     # the previous rank was 1, so the block has 13 vectors; this system
-    # keeps 20, more than the block holds
+    # keeps 20, more than the block holds, so every Ritz value is kept and
+    # the 7 kept eigenvalues the block misses stay in the residual
     lam = np.concatenate([np.geomspace(1.0, 1e-6, 20), np.full(40, 1e-15)])
     a, b, q = system_with_spectrum(lam, "saturated")
     x, kept, route = screen(sweep_solver(rank=1, basis=q[:, :13]), a, b)
