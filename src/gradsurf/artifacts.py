@@ -104,12 +104,12 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # and at 16 or 17 two may, and repr takes the nearer one, which r is.  (A
 # power of two has a lopsided interval, but in this range it is a decimal
 # of at most 15 digits, which r then is.)  The sums carry a rounding error
-# below 1e-13; a value whose r lies within _MARGIN of a rounding tie or of
-# the interval's ends is left to repr.
+# below 1e-13; a value whose r lies within _TIE_MARGIN of a rounding tie or
+# of the interval's ends is left to repr.
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter: 26-bit high and low halves
 _POW10 = 10.0 ** np.arange(21)
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
-_MARGIN = 1e-9
+_TIE_MARGIN = 1e-9
 # below this many values, repr costs less than _decimals' fixed overhead
 _DECIMALS_MIN = 512
 
@@ -133,7 +133,7 @@ def _rounded(a, a_split, half, k, digits):
     d = np.abs(s - q)
     bound = half * b
     r = r_hi.astype(np.int64) + q.astype(np.int64)
-    sure = (np.abs(d - 0.5) > _MARGIN) & (np.abs(d - bound) > _MARGIN)
+    sure = (np.abs(d - 0.5) > _TIE_MARGIN) & (np.abs(d - bound) > _TIE_MARGIN)
     sure &= (r >= _POW10_INT[digits - 1]) & (r <= _POW10_INT[digits])
     return r, d < bound, sure
 

@@ -43,7 +43,6 @@ a grid (grid_values) are a product of the same per-axis factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -197,8 +196,8 @@ def _system(points, centres, b, mode):
     Both give smallest_step(), the smallest nonzero difference the kernel
     floors; normal(eps), candidate eps's normal system (G, a^T b); and
     mse(x), the mean squared residual of x on the candidate last formed.
-    first_outcomes(eps_list, solver) gives each candidate's first outcome
-    (see _sweep).
+    first_outcomes(eps_list) gives each candidate's first outcome (see
+    _sweep).
     """
     grid = GridSpec.of(points)
     if grid is None:
@@ -241,36 +240,31 @@ class _Design:
     kernels.gradient_block straight from the points and centres.  Only
     fits on points that are not a GridSpec's build one.
 
-    The radii and the buffers are built on first use and are local to the
-    fit, so fits on concurrent threads share none; the radii give
+    The radii and the buffers are built with the system and are local to
+    the fit, so fits on concurrent threads share none; the radii give
     smallest_step too, so a fit computes them once.
     """
 
     def __init__(self, points, centres, b, mode):
-        self.points, self.centres, self.b, self.mode = points, centres, b, mode
-
-    @functools.cached_property
-    def system(self):
-        """(radii, a, phi), a and phi uninitialised."""
-        r = _radii(self.points, self.centres)
-        n, m = r.shape
-        d = self.points.shape[1]
-        a = np.empty(({FitMode.F: n, FitMode.G: n * d, FitMode.FG: n + n * d}[self.mode], m))
-        return r, a, np.empty((n, m)) if self.mode is FitMode.G else a[:n]
+        self.points, self.centres, self.b = points, centres, b
+        self.r = _radii(points, centres)
+        n, m = self.r.shape
+        nd = n * points.shape[1]
+        self.a = np.empty(({FitMode.F: n, FitMode.G: nd, FitMode.FG: n + nd}[mode], m))
+        self.phi = np.empty((n, m)) if mode is FitMode.G else self.a[:n]
+        # the gradient rows: all of a in mode g, and those after phi's in fg
+        self.gradient_rows = None if mode is FitMode.F else self.a[-nd:]
 
     def smallest_step(self) -> float:
         """The smallest nonzero point-centre radius, inf if there is none."""
-        return _smallest_nonzero(self.system[0])
+        return _smallest_nonzero(self.r)
 
     def write(self, eps) -> np.ndarray:
         """a, overwritten with candidate eps's design matrix."""
-        r, a, phi = self.system
-        value_block(r, eps, phi)
-        if self.mode is not FitMode.F:
-            # the gradient rows: all of a in mode g, and those after phi's in fg
-            rows = a if self.mode is FitMode.G else a[r.shape[0] :]
-            gradient_block(self.points, self.centres, phi, eps, rows)
-        return a
+        value_block(self.r, eps, self.phi)
+        if self.gradient_rows is not None:
+            gradient_block(self.points, self.centres, self.phi, eps, self.gradient_rows)
+        return self.a
 
     def normal(self, eps):
         """(G, a^T b) of candidate eps: normal_system of the design matrix, written first."""
@@ -278,11 +272,11 @@ class _Design:
 
     def mse(self, x) -> float:
         """Mean squared residual of x on the candidate last written."""
-        r = self.system[1] @ x - self.b
+        r = self.a @ x - self.b
         return float(np.mean(r * r))
 
-    def first_outcomes(self, eps_list, solver):
-        """Each candidate's outcome, solved once by solve_normal: solver goes unused.
+    def first_outcomes(self, eps_list):
+        """Each candidate's outcome, solved once by solve_normal.
 
         Screened MSEs were measured within _MSE_BAND / 2 of the exact ones
         on grid data only, and one further off can hide the exact winner
@@ -297,11 +291,13 @@ class _Grid:
     With the points at (u_i, v_j) on the grid's axes and the factors
     (E_u, D_u), (E_v, D_v) of kernels.axis_factors, the value row of node
     (i, j) is E_u[i] * E_v[j] and its gradient rows D_u[i] * E_v[j] and
-    E_u[i] * D_v[j].  So, with UU = E_u^T E_u and VV = E_v^T E_v, the value
-    rows' G is UU * VV and the gradient rows' is
-    (D_u^T D_u) * VV + UU * (D_v^T D_v), elementwise; a^T b sums columns of
-    E_v * (B E_u) and the like, for the targets B on the (v, u) node array;
-    and the fitted values are (E_v * x) E_u^T.  No N x M matrix is built.
+    E_u[i] * D_v[j].  So the rows come in blocks, each a (v factor, u
+    factor, targets) triple: the values (E_v, E_u), the gradients' u
+    components (E_v, D_u) and their v components (D_v, E_u), with the
+    targets T of each block on the (v, u) node array.  Mode f has the first
+    block, g the other two and fg all three.  A block with factors (V, U)
+    adds (U^T U) * (V^T V), elementwise, to G, the columns of V * (T U) to
+    a^T b, and (V * x) U^T - T to the residual.  No N x M matrix is built.
     On a grid these are the fit's systems: a candidate's exact solution is
     kernels.solve_normal's on its G, and its MSE the residual of mse.  They
     differ from a^T a and the assembled residual in rounding only, and by
@@ -314,66 +310,61 @@ class _Grid:
         shape = grid.resolution, grid.resolution
         n = shape[0] * shape[1]
         self.rows = b.size
-        self.values = None if mode is FitMode.G else b[:n].reshape(shape)
-        self.grads = None
+        # (v factor, u factor, targets), a factor being 0 for E and 1 for D;
+        # kinds are the factors whose Grams G takes
+        self.blocks = [] if mode is FitMode.G else [(0, 0, b[:n].reshape(shape))]
         if mode is not FitMode.F:
             grads = b[-2 * n :].reshape(*shape, 2)
-            self.grads = grads[..., 0].copy(), grads[..., 1].copy()
+            self.blocks += [(0, 1, grads[..., 0].copy()), (1, 0, grads[..., 1].copy())]
+        self.kinds = {k for v, u, _ in self.blocks for k in (v, u)}
 
     def smallest_step(self) -> float:
         """The smallest nonzero |node - centre| coordinate difference, inf if there is none."""
         return min(_smallest_nonzero(np.abs(d)) for d in self.d)
 
     def normal(self, eps):
-        """(G, a^T b) of candidate eps.
+        """(G, a^T b) of candidate eps, each Gram formed once, summed over the blocks.
 
         eps may be a (K, 1, 1) array, for a stack of K candidates: the
         factors are then stacks of K blocks, and G and a^T b stacks of the
         candidates' own.  numpy's matmul and vecdot run their inner routine
         once per block, so each is the lone candidate's bit for bit.
         """
-        (eu, du), (ev, dv) = self.factors = [axis_factors(d, eps) for d in self.d]
-        uu, vv = eu.mT @ eu, ev.mT @ ev
-        g, atb = 0.0, 0.0
-        if self.values is not None:
-            g = uu * vv
-            atb = np.vecdot(ev, self.values @ eu, axis=-2)
-        if self.grads is not None:
-            gu, gv = self.grads
-            g = g + (du.mT @ du) * vv + uu * (dv.mT @ dv)
-            atb = atb + np.vecdot(ev, gu @ du, axis=-2) + np.vecdot(dv, gv @ eu, axis=-2)
+        fu, fv = self.factors = [axis_factors(d, eps) for d in self.d]
+        gu, gv = ({k: f[k].mT @ f[k] for k in self.kinds} for f in self.factors)
+        # the value block, always the first where there is one, starts the
+        # sums, and in mode g they start from 0.0: another start could flip
+        # the sign of a zero
+        g = atb = 0.0
+        for v, u, t in self.blocks:
+            gk, atbk = gu[u] * gv[v], np.vecdot(fv[v], t @ fu[u], axis=-2)
+            g, atb = (gk, atbk) if v == u == 0 else (g + gk, atb + atbk)
         return g, atb
 
     def mse(self, x):
         """Mean squared residual of x on the candidate (or stack) last formed."""
-        (eu, du), (ev, dv) = self.factors
+        fu, fv = self.factors
         x = x[..., None, :]
-        evx = ev * x
-        # (left, right, targets): the fitted values are left @ right^T
-        parts = []
-        if self.values is not None:
-            parts.append((evx, eu, self.values))
-        if self.grads is not None:
-            parts += [(evx, du, self.grads[0]), (dv * x, eu, self.grads[1])]
         total = 0.0
-        for left, right, t in parts:
-            p = left @ right.mT
+        for v, u, t in self.blocks:
+            p = (fv[v] * x) @ fu[u].mT
             p -= t
             p = p.reshape(*p.shape[:-2], -1)
             total = total + np.vecdot(p, p)
         return total / self.rows
 
-    def first_outcomes(self, eps_list, solver):
+    def first_outcomes(self, eps_list):
         """Each candidate's first outcome: exact in one stacked pass, or screened.
 
         A one-centre sweep solves every candidate exactly (one_centre).  A
-        wider one screens each with solver, which carries its rank and
-        basis from one candidate to the next, so the candidates are
+        wider one screens each with one SweepSolver, which carries its rank
+        and basis from one candidate to the next, so the candidates are
         screened in order; a screen that fails or gives a non-finite MSE is
         redone exactly at once.
         """
         if self.d[0].shape[1] == 1:
             return self.one_centre(np.array(eps_list))
+        solver = SweepSolver()
         return [_outcome(self, eps, solver) or _outcome(self, eps) for eps in eps_list]
 
     def one_centre(self, eps: np.ndarray) -> list:
@@ -439,14 +430,14 @@ def _sweep(points, centres, b, mode):
     np.square does).
 
     The system is _system's, and its first_outcomes give the first
-    outcomes, with the sweep's one SweepSolver: on the points of a
-    GridSpec, from per-axis factors, a one-centre sweep solves all its
-    candidates exactly in one stacked pass and a wider one screens each
-    candidate, a certified full-rank or low-rank solve instead of a full
-    eigensolve where it can; on other points every candidate is solved
-    exactly.  Then the outcomes are taken in order of MSE, and each not
-    exact is replaced by the exact one, until the next MSE is beyond
-    _MSE_BAND of the best exact one.  The exact MSEs decide, ties going to
+    outcomes: on the points of a GridSpec, from per-axis factors, a
+    one-centre sweep solves all its candidates exactly in one stacked pass
+    and a wider one screens each candidate with one SweepSolver, a
+    certified full-rank or low-rank solve instead of a full eigensolve
+    where it can; on other points every candidate is solved exactly.
+    Then the outcomes are taken in order of MSE, and each not exact is
+    replaced by the exact one, until the next MSE is beyond _MSE_BAND of
+    the best exact one.  The exact MSEs decide, ties going to
     the smallest eps.  So the winner and its coefficient bytes are those
     of solving every candidate exactly as long as each screened MSE is
     within _MSE_BAND / 2 of its exact one; a screen further off can keep
@@ -456,7 +447,7 @@ def _sweep(points, centres, b, mode):
     """
     system = _system(points, centres, b, mode)
     eps_list = _swept_candidates(system.smallest_step())
-    outcomes = system.first_outcomes(eps_list, SweepSolver())
+    outcomes = system.first_outcomes(eps_list)
     best = None  # (MSE, index) of the best exact outcome
     for mse, k in sorted((o[0], k) for k, o in enumerate(outcomes) if o is not None):
         if best is not None and mse * (1.0 - _MSE_BAND) > best[0]:
@@ -508,14 +499,15 @@ def grid_values(surrogate: Surrogate, grid: GridSpec) -> np.ndarray:
     """Surrogate values on a grid's nodes, offset included, [j, i] at node (i, j).
 
     The Gaussian factors over the axes, so with the per-axis value factors
-    E_u, E_v of kernels.axis_factors the values are (E_v * c) E_u^T plus
-    the offset: on the 101-node report grid a 101 x M by M x 101 product,
-    with no N x M kernel matrix.  They differ from the kernel matrix's
+    E_u, E_v (value_block of each axis's differences, the E of
+    kernels.axis_factors) the values are (E_v * c) E_u^T plus the offset:
+    on the 101-node report grid a 101 x M by M x 101 product, with no
+    N x M kernel matrix.  They differ from the kernel matrix's
     product by rounding, of order ||c||_1 u.
     """
     eps = surrogate.params.shape
     d = (np.subtract.outer(grid.axis(k), surrogate.centres[:, k]) for k in range(2))
-    eu, ev = (axis_factors(dk, eps)[0] for dk in d)
+    eu, ev = (value_block(dk, eps, dk) for dk in d)
     return (ev * surrogate.coefficients) @ eu.T + surrogate.offset
 
 

@@ -133,7 +133,7 @@ def refuse_n_by_m_arrays(monkeypatch):
     for owner in (gradsurf.kernels, gradsurf.surrogate):
         monkeypatch.setattr(owner, "_radii", refuse)
         monkeypatch.setattr(owner, "assemble_value_matrix", refuse)
-    monkeypatch.setattr(_Design, "system", property(refuse))
+    monkeypatch.setattr(_Design, "__init__", refuse)
 
 
 def test_grid_cells_build_no_n_by_m_array(tmp_path, monkeypatch):
