@@ -25,7 +25,7 @@ from .artifacts import (
     write_json,
     write_observations_csv,
 )
-from .config import ConfigError, ExperimentConfig, from_mapping, load_mapping
+from .config import ConfigError, from_mapping, load_mapping, study_grid
 from .experiment import fit_cell, run_experiment, write_surface
 from .kernels import single_threaded_blas
 from .problem import (
@@ -66,8 +66,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    grid = study_grid("report_grid", args.grid, "--grid")
     data = generate_full_batch()
-    grid = ExperimentConfig().grid(args.grid)
     surface = evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
     out = Path(args.out)
     write_surface(surface, out)
@@ -76,8 +76,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    grid = study_grid("train_grid", args.grid, "--grid")
     data = generate_full_batch()
-    grid = ExperimentConfig().grid(args.grid)
     stream = derive_stream(args.seed, "sample")
     observations = sample_loss_surface(grid, data, MiniBatchPolicy(args.batch_max), stream)
     out = Path(args.out)
@@ -98,10 +98,10 @@ def _canonical_order(obs: Observations) -> Observations:
 
 @single_threaded_blas()
 def _cmd_fit(args) -> int:
+    grid = study_grid("report_grid", args.report_grid, "--report-grid")
     observations = _canonical_order(read_observations_csv(args.observations))
     recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)
     stream = derive_stream(args.seed, "centres")
-    grid = ExperimentConfig().grid(args.report_grid)
     surrogate, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)
     write_json(surrogate_json(surrogate), out / "model.json")
@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=[m.value for m in FitMode], help="restrict to one fit mode")
     run.add_argument("--batch-max", type=int, help="restrict to one batch maximum")
     run.add_argument("--centres", type=int, help="restrict to one centre count")
-    run.add_argument("--grid", type=int, help="training grid resolution")
-    run.add_argument("--report-grid", type=int, help="reporting grid resolution")
+    run.add_argument("--grid", type=int, help="training grid resolution, 2-1001")
+    run.add_argument("--report-grid", type=int, help="reporting grid resolution, 2-4001")
     run.add_argument(
         "--workers",
         type=int,
@@ -139,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser("oracle", help="emit the analytic full-batch surface")
-    oracle.add_argument("--grid", type=int, default=25, help="grid resolution (default 25)")
+    oracle.add_argument("--grid", type=int, default=25, help="grid resolution, 2-4001 (default 25)")
     oracle.add_argument("--out", default="out", help="output directory")
     oracle.set_defaults(func=_cmd_oracle)
 
     sample = sub.add_parser("sample", help="sample one mini-batch observation set")
     sample.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
     sample.add_argument("--batch-max", type=int, default=3, help="largest batch size (default 3)")
-    sample.add_argument("--grid", type=int, default=25, help="grid resolution (default 25)")
+    sample.add_argument("--grid", type=int, default=25, help="grid resolution, 2-1001 (default 25)")
     sample.add_argument("--out", default="out", help="output directory")
     sample.set_defaults(func=_cmd_sample)
 
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mode", choices=[m.value for m in FitMode], default="g")
     fit.add_argument("--centres", type=int, default=100, help="number of centres (default 100)")
     fit.add_argument("--seed", type=int, default=0, help="centre-draw seed (default 0)")
-    fit.add_argument("--report-grid", type=int, default=101, help="evaluation grid (default 101)")
+    fit.add_argument("--report-grid", type=int, default=101, help="resolution, 2-4001 (default 101)")
     fit.add_argument("--out", default="out", help="output directory")
     fit.set_defaults(func=_cmd_fit)
 

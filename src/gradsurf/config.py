@@ -9,7 +9,9 @@ string; unknown or repeated keys, repeated list values and constraint
 violations are rejected with the offending field named.  repeats,
 train_grid and report_grid have upper bounds (1000, 1001 and 4001), checked
 with the rest before any output is written.  Files are read with
-load_mapping and validated with from_mapping.
+load_mapping and validated with from_mapping.  study_grid turns a grid
+key's resolution into its grid, through the same check, for the config and
+for the verbs' grid flags alike.
 """
 
 from __future__ import annotations
@@ -22,10 +24,31 @@ from .problem import BOX, DATASET_SIZE, GridSpec
 from .surrogate import FitMode, FitRecipe
 
 _SEED_MAX = (1 << 64) - 1
+# the largest resolution of each grid key; the smallest is 2 for both
+_GRID_MAX = {"train_grid": 1001, "report_grid": 4001}
 
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
+
+
+def _want_int(key, value, lo, hi=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if value < lo:
+        raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{key}: must be <= {hi}, got {value}")
+    return value
+
+
+def study_grid(key: str, resolution, name: str | None = None) -> GridSpec:
+    """The square grid over the study box, its resolution checked against
+    the bounds of the config key (train_grid or report_grid).  An error
+    message starts with name, the flag a verb read, if given, else the key."""
+    resolution = _want_int(name or key, resolution, lo=2, hi=_GRID_MAX[key])
+    lo, hi = BOX
+    return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -35,22 +58,9 @@ class ExperimentConfig:
     centre_list: tuple[int, ...] = (1, 100)
     mode_list: tuple[FitMode, ...] = (FitMode.F, FitMode.FG, FitMode.G)
     repeats: int = 2
-    train_resolution: int = 25
-    report_resolution: int = 101
+    train_grid: GridSpec = study_grid("train_grid", 25)
+    report_grid: GridSpec = study_grid("report_grid", 101)
     output_dir: str = "out"
-
-    def grid(self, resolution: int) -> GridSpec:
-        """The square grid of the given resolution over the study box."""
-        lo, hi = BOX
-        return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=resolution)
-
-    @property
-    def train_grid(self) -> GridSpec:
-        return self.grid(self.train_resolution)
-
-    @property
-    def report_grid(self) -> GridSpec:
-        return self.grid(self.report_resolution)
 
     def to_mapping(self) -> dict:
         """Canonical echo of the config (output location excluded)."""
@@ -60,19 +70,9 @@ class ExperimentConfig:
             "centre_list": list(self.centre_list),
             "mode_list": [m.value for m in self.mode_list],
             "repeats": self.repeats,
-            "train_grid": self.train_resolution,
-            "report_grid": self.report_resolution,
+            "train_grid": self.train_grid.resolution,
+            "report_grid": self.report_grid.resolution,
         }
-
-
-def _want_int(key, value, lo=None, hi=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{key}: must be <= {hi}, got {value}")
-    return value
 
 
 def _want_distinct(key, values) -> None:
@@ -81,10 +81,10 @@ def _want_distinct(key, values) -> None:
             raise ConfigError(f"{key}: {v!r} is listed more than once")
 
 
-def _want_int_list(key, value, lo=1) -> tuple[int, ...]:
+def _want_int_list(key, value) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key}: expected a nonempty list of integers, got {value!r}")
-    ints = tuple(_want_int(f"{key}[{i}]", v, lo=lo) for i, v in enumerate(value))
+    ints = tuple(_want_int(f"{key}[{i}]", v, lo=1) for i, v in enumerate(value))
     _want_distinct(key, ints)
     return ints
 
@@ -115,10 +115,8 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
             values["mode_list"] = tuple(modes)
         elif key == "repeats":
             values["repeats"] = _want_int(key, raw, lo=1, hi=1000)
-        elif key == "train_grid":
-            values["train_resolution"] = _want_int(key, raw, lo=2, hi=1001)
-        elif key == "report_grid":
-            values["report_resolution"] = _want_int(key, raw, lo=2, hi=4001)
+        elif key in _GRID_MAX:
+            values[key] = study_grid(key, raw)
         elif key == "output_dir":
             if not isinstance(raw, str) or not raw:
                 raise ConfigError(f"{key}: expected a nonempty string, got {raw!r}")
@@ -131,15 +129,16 @@ def from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def _check_consistency(config: ExperimentConfig) -> None:
-    n_obs = config.train_resolution**2
+    res = config.train_grid.resolution
+    n_obs = res**2
     ratio = FitRecipe.basis_ratio
     limit = n_obs // ratio
     for c in config.centre_list:
         if c * ratio > n_obs:
             raise ConfigError(
                 f"centre_list: {c} centres need {c * ratio} observations "
-                f"(ratio {ratio}) but the {config.train_resolution}x"
-                f"{config.train_resolution} grid has {n_obs}; at most {limit} fit"
+                f"(ratio {ratio}) but the {res}x{res} grid has {n_obs}; "
+                f"at most {limit} fit"
             )
     for b in config.batch_max_list:
         if b > DATASET_SIZE:

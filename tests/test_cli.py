@@ -103,6 +103,23 @@ def test_fit_verb_gradient_mode(tmp_path, capsys):
     assert (fit_dir / "heatmap.svg").is_file()
 
 
+def test_fit_verb_at_the_practical_report_grid(tmp_path, capsys):
+    # the largest report grid the README calls practical: a g c100 fit on
+    # the default sample keeps its surface's minimum at exactly 0, with no
+    # negative node, and a heatmap under 64 MB (61 MB when measured)
+    run_cli(capsys, "sample", "--out", str(tmp_path / "s"))
+    out = tmp_path / "f"
+    argv = ["--mode", "g", "--centres", "100", "--report-grid", "1001", "--out", str(out)]
+    code, _, _ = run_cli(capsys, "fit", str(tmp_path / "s" / "observations.csv"), *argv)
+    assert code == 0
+    report = read_json(out / "report.json")
+    assert report["surface"]["min_value"] == 0.0
+    assert report["surface"]["negative_fraction"] == 0.0
+    assert (out / "heatmap.svg").stat().st_size < 64_000_000
+    for name in ("heatmap.svg", "surface.csv"):
+        (out / name).unlink()  # about 100 MB together; pytest keeps tmp_path
+
+
 def test_fit_verb_missing_observations_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(tmp_path / "nope.csv"))
     assert code == 1
@@ -463,6 +480,28 @@ def test_run_verb_report_grid_past_its_bound_exits_1_and_writes_nothing(tmp_path
     code, _, err = run_cli(capsys, "run", "--report-grid", "4002", "--out", str(out))
     assert code == 1
     assert "report_grid: must be <= 4001, got 4002" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--grid", "4002"], "--grid: must be <= 4001, got 4002"),
+        (["sample", "--grid", "1002"], "--grid: must be <= 1001, got 1002"),
+        (["sample", "--grid", "1"], "--grid: must be >= 2, got 1"),
+        (["fit", "MISSING", "--report-grid", "4002"], "--report-grid: must be <= 4001, got 4002"),
+    ],
+    ids=["oracle", "sample", "sample-below", "fit"],
+)
+def test_verb_grid_past_its_bound_exits_1_before_reading_or_writing(tmp_path, capsys, argv, message):
+    # the verbs' grid flags share the config's bounds: oracle and fit the
+    # report grid's, sample the train grid's.  fit checks its grid before it
+    # reads its CSV, so a missing file is not what it reports
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing.csv") if a == "MISSING" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err == f"gradsurf: {message}\n"
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from gradsurf.config import (
     from_mapping,
     load_mapping,
 )
+from gradsurf.problem import GridSpec
 from gradsurf.surrogate import FitMode
 
 
@@ -22,8 +23,8 @@ def test_defaults():
     assert c.centre_list == (1, 100)
     assert c.mode_list == (FitMode.F, FitMode.FG, FitMode.G)
     assert c.repeats == 2
-    assert c.train_resolution == 25
-    assert c.report_resolution == 101
+    assert c.train_grid == GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=25)
+    assert c.report_grid == GridSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0), resolution=101)
     assert c.output_dir == "out"
 
 

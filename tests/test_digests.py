@@ -19,14 +19,36 @@ import hashlib
 import pytest
 
 from gradsurf.artifacts import write_observations_csv
-from gradsurf.config import ExperimentConfig
+from gradsurf.config import ExperimentConfig, study_grid
 from gradsurf.experiment import enumerate_cells
 from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
 from gradsurf.rng import derive_stream
 
-# one seed-0 default-study cell per batch maximum, and `gradsurf sample --seed 3`
+# every cell of the seed-0 default study, and `gradsurf sample --seed 3`
 OBSERVATIONS_SHA256 = {
     "cells/b3_f_c1_r0/observations.csv": "784f9bc5e97bf080119c59206edb51ef8dd3778048d3e956ca86d4a866e21d9b",
+    "cells/b3_f_c1_r1/observations.csv": "38fca7ecf692fd3dbd96158602206ccf566d9d5ea994c72e611b78e2d816c33a",
+    "cells/b3_f_c100_r0/observations.csv": "71d918074e6d59219354446439406e6e1034dcb5a175ca0a3bd648f7e8e5fcd5",
+    "cells/b3_f_c100_r1/observations.csv": "52bfbcb1c08a5082061ce9f654f9bd83b147890605bdad01980695e7818a6908",
+    "cells/b3_fg_c1_r0/observations.csv": "5bca42c39039e9a53800eb8da9bb8b867985e511634962b65a6e4102e6cc1e5a",
+    "cells/b3_fg_c1_r1/observations.csv": "c1e9828fcd5acacb3ff6698635065d343b87b007d897c416fdfdeefb8e6e318d",
+    "cells/b3_fg_c100_r0/observations.csv": "e2682f12dd9bfeb38e4b2ebf0f47d19622fe378c4c761d0ba339ae3986a79ba8",
+    "cells/b3_fg_c100_r1/observations.csv": "b72be76889ac8caf4c21ce09f7ac4ea3500c96187bf09257058374ed8ee52a88",
+    "cells/b3_g_c1_r0/observations.csv": "b991954c4ae1c2ff3e5f0b9afb53afbf883ea9ade06fe12b01dec2c27831d867",
+    "cells/b3_g_c1_r1/observations.csv": "7a338f50baaa04945b92d47a4e8acae7c32a8957fcb2d7628eb214193bf208f3",
+    "cells/b3_g_c100_r0/observations.csv": "7b9325089d7c5a6ea83161962ffeb0406835081be91a2458b6a1777b16f55685",
+    "cells/b3_g_c100_r1/observations.csv": "f34c282437f7853fb1212b977cde9f34601f8c1dc5d682886ba4508351076c64",
+    "cells/b30_f_c1_r0/observations.csv": "776465fb94fd23afe4eb473cb949f15d42b4df0e1fcf7607f99106179132da5c",
+    "cells/b30_f_c1_r1/observations.csv": "19c3446b76c3e19381af50582d3d03ed38739ff4ead6976f6fa0e44cdb0b9895",
+    "cells/b30_f_c100_r0/observations.csv": "506b50f55da1a111d2862dfdc5a75f41105904859a46516fc401596c6185a926",
+    "cells/b30_f_c100_r1/observations.csv": "789841ae0dfacbeb475d6e57db07777aa29789a23a7ccc06e01d241b86327218",
+    "cells/b30_fg_c1_r0/observations.csv": "ca62267c74e830d7a793cb051d0bb976fde79c03b37cc44db839cbe9e61d2894",
+    "cells/b30_fg_c1_r1/observations.csv": "58e94a4e0af3bcbfcaedc95806a82f2f030652247e654eb2711b9d07966c318e",
+    "cells/b30_fg_c100_r0/observations.csv": "11dda5c37d4296386da9cdc32499ba09cca2ef7e143eb4b50d755481197b5525",
+    "cells/b30_fg_c100_r1/observations.csv": "a8e2d9c0b1ae4e09930d75c0403e7871ea7e331f6ab83d6bd1d0ea13ecfc4deb",
+    "cells/b30_g_c1_r0/observations.csv": "961ca64ab6446f82c20caa7b7fb0c6a4feea7408617e72eb55a0644f39af6269",
+    "cells/b30_g_c1_r1/observations.csv": "50c5c8b181355bacae2a9235c540448190c17856bf60e5ccbf7c761f6345f390",
+    "cells/b30_g_c100_r0/observations.csv": "26273c97d78fd25eb700fb2afa37760a4605636ef786e5f09c6b2eae37f12257",
     "cells/b30_g_c100_r1/observations.csv": "c8247fde819df2c9428eaf646bf6651021cecc94f4fa5de8ef8b20540c827ff5",
     "sample --seed 3": "b4e4b41fd85f9a33f25f86136bfba533ff56a2688526abcdb3bf3b164e41b64b",
 }
@@ -47,7 +69,10 @@ def observations(name):
     if name.startswith("sample"):
         seed = int(name.split()[-1])
         return sample_loss_surface(
-            config.grid(25), generate_full_batch(), MiniBatchPolicy(3), derive_stream(seed, "sample")
+            study_grid("train_grid", 25),
+            generate_full_batch(),
+            MiniBatchPolicy(3),
+            derive_stream(seed, "sample"),
         )
     cell_id = name.split("/")[1]
     cell = next(c for c in enumerate_cells(config) if c.cell_id == cell_id)
