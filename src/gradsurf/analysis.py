@@ -53,10 +53,15 @@ def evaluate_surface(source, grid: GridSpec) -> SurfaceGrid:
 
 
 def locate_min(surface: SurfaceGrid) -> tuple[np.ndarray, float]:
-    """Node with the lowest value; ties resolved to the smallest flat index."""
+    """Node with the lowest value; ties resolved to the smallest flat index.
+
+    The node is read off the two axes, points()[k] bit for bit, without
+    building every point of the grid.
+    """
     flat = surface.values.ravel()
     k = int(np.argmin(flat))
-    return surface.grid.points()[k], float(flat[k])
+    j, i = divmod(k, surface.grid.resolution)
+    return np.array([surface.grid.axis(0)[i], surface.grid.axis(1)[j]]), float(flat[k])
 
 
 def count_local_minima(surface: SurfaceGrid) -> int:

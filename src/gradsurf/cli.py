@@ -25,7 +25,7 @@ from .artifacts import (
     write_json,
     write_observations_csv,
 )
-from .config import ConfigError, from_mapping, load_mapping, study_grid
+from .config import ConfigError, from_mapping, load_mapping, study_value
 from .experiment import fit_cell, run_experiment, write_surface
 from .kernels import single_threaded_blas
 from .problem import (
@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    grid = study_grid("report_grid", args.grid, "--grid")
+    grid = study_value("report_grid", args.grid, "--grid")
     data = generate_full_batch()
     surface = evaluate_surface(lambda pts: analytic_loss(pts, data), grid)
     out = Path(args.out)
@@ -76,10 +76,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    grid = study_grid("train_grid", args.grid, "--grid")
+    grid = study_value("train_grid", args.grid, "--grid")
+    seed = study_value("seed", args.seed, "--seed")
+    batch_max = study_value("batch_max_list", args.batch_max, "--batch-max")
     data = generate_full_batch()
-    stream = derive_stream(args.seed, "sample")
-    observations = sample_loss_surface(grid, data, MiniBatchPolicy(args.batch_max), stream)
+    stream = derive_stream(seed, "sample")
+    observations = sample_loss_surface(grid, data, MiniBatchPolicy(batch_max), stream)
     out = Path(args.out)
     write_observations_csv(observations, out / "observations.csv")
     print(f"wrote {out / 'observations.csv'} ({observations.values.size} observations)")
@@ -98,10 +100,12 @@ def _canonical_order(obs: Observations) -> Observations:
 
 @single_threaded_blas()
 def _cmd_fit(args) -> int:
-    grid = study_grid("report_grid", args.report_grid, "--report-grid")
+    grid = study_value("report_grid", args.report_grid, "--report-grid")
+    centres = study_value("centre_list", args.centres, "--centres")
+    seed = study_value("seed", args.seed, "--seed")
     observations = _canonical_order(read_observations_csv(args.observations))
-    recipe = FitRecipe(mode=FitMode(args.mode), n_centres=args.centres)
-    stream = derive_stream(args.seed, "centres")
+    recipe = FitRecipe(mode=FitMode(args.mode), n_centres=centres)
+    stream = derive_stream(seed, "centres")
     surrogate, surface = fit_cell(observations, recipe, stream, grid)
     out = Path(args.out)
     write_json(surrogate_json(surrogate), out / "model.json")

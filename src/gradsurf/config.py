@@ -6,12 +6,12 @@ repeats, and a 25x25 training grid and a 101x101 reporting grid.  The
 problem itself (the dataset and the weight box the grids span) is fixed in
 gradsurf.problem and has no key.  Every value is an integer, a list or a
 string; unknown or repeated keys, repeated list values and constraint
-violations are rejected with the offending field named.  repeats,
-train_grid and report_grid have upper bounds (1000, 1001 and 4001), checked
-with the rest before any output is written.  Files are read with
-load_mapping and validated with from_mapping.  study_grid turns a grid
-key's resolution into its grid, through the same check, for the config and
-for the verbs' grid flags alike.
+violations are rejected with the offending field named, before any
+output is written.  One table, _ITEMS, states each key's item check and
+bounds once; study_value applies an entry to a config scalar, to each item
+of a config list and to a verb's flag alike, and turns a grid key's
+resolution into its grid.  Files are read with load_mapping and validated
+with from_mapping.
 """
 
 from __future__ import annotations
@@ -23,32 +23,48 @@ from pathlib import Path
 from .problem import BOX, DATASET_SIZE, GridSpec
 from .surrogate import FitMode, FitRecipe
 
-_SEED_MAX = (1 << 64) - 1
-# the largest resolution of each grid key; the smallest is 2 for both
-_GRID_MAX = {"train_grid": 1001, "report_grid": 4001}
+# each key's item check: the inclusive bounds of an integer (None: no upper
+# bound; the centre budget depends on train_grid and is checked after), or
+# the enum a string must name.  A list key checks each of its items
+_ITEMS = {
+    "seed": (0, (1 << 64) - 1),
+    "batch_max_list": (1, DATASET_SIZE),
+    "centre_list": (1, None),
+    "mode_list": FitMode,
+    "repeats": (1, 1000),
+    "train_grid": (2, 1001),
+    "report_grid": (2, 4001),
+}
 
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
 
 
-def _want_int(key, value, lo, hi=None) -> int:
+def study_value(key: str, value, name: str | None = None):
+    """value checked as an item of the config key: a FitMode for mode_list,
+    the square grid over the study box at that resolution for a grid key,
+    else the integer.  An error message starts with name, the list item or
+    the flag a verb read, if given, else the key."""
+    name = name or key
+    if _ITEMS[key] is FitMode:
+        try:
+            return FitMode(value)
+        except ValueError:
+            allowed = ", ".join(m.value for m in FitMode)
+            # named by the list: the message quotes the bad item
+            raise ConfigError(f"{key}: {value!r} is not one of {allowed}") from None
+    lo, hi = _ITEMS[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
     if value < lo:
-        raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+        raise ConfigError(f"{name}: must be >= {lo}, got {value}")
     if hi is not None and value > hi:
-        raise ConfigError(f"{key}: must be <= {hi}, got {value}")
+        raise ConfigError(f"{name}: must be <= {hi}, got {value}")
+    if key.endswith("_grid"):
+        lo, hi = BOX
+        return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=value)
     return value
-
-
-def study_grid(key: str, resolution, name: str | None = None) -> GridSpec:
-    """The square grid over the study box, its resolution checked against
-    the bounds of the config key (train_grid or report_grid).  An error
-    message starts with name, the flag a verb read, if given, else the key."""
-    resolution = _want_int(name or key, resolution, lo=2, hi=_GRID_MAX[key])
-    lo, hi = BOX
-    return GridSpec(lower=(lo, lo), upper=(hi, hi), resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -58,8 +74,8 @@ class ExperimentConfig:
     centre_list: tuple[int, ...] = (1, 100)
     mode_list: tuple[FitMode, ...] = (FitMode.F, FitMode.FG, FitMode.G)
     repeats: int = 2
-    train_grid: GridSpec = study_grid("train_grid", 25)
-    report_grid: GridSpec = study_grid("report_grid", 101)
+    train_grid: GridSpec = study_value("train_grid", 25)
+    report_grid: GridSpec = study_value("report_grid", 101)
     output_dir: str = "out"
 
     def to_mapping(self) -> dict:
@@ -81,54 +97,32 @@ def _want_distinct(key, values) -> None:
             raise ConfigError(f"{key}: {v!r} is listed more than once")
 
 
-def _want_int_list(key, value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key}: expected a nonempty list of integers, got {value!r}")
-    ints = tuple(_want_int(f"{key}[{i}]", v, lo=1) for i, v in enumerate(value))
-    _want_distinct(key, ints)
-    return ints
-
-
 def from_mapping(mapping: dict) -> ExperimentConfig:
     """Build and validate a config from a flat JSON-style mapping."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config must be a JSON object, got {type(mapping).__name__}")
     values = {}
     for key, raw in mapping.items():
-        if key == "seed":
-            values["seed"] = _want_int(key, raw, lo=0, hi=_SEED_MAX)
-        elif key == "batch_max_list":
-            values["batch_max_list"] = _want_int_list(key, raw)
-        elif key == "centre_list":
-            values["centre_list"] = _want_int_list(key, raw)
-        elif key == "mode_list":
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{key}: expected a nonempty list of modes, got {raw!r}")
-            modes = []
-            for v in raw:
-                try:
-                    modes.append(FitMode(v))
-                except ValueError:
-                    allowed = ", ".join(m.value for m in FitMode)
-                    raise ConfigError(f"{key}: {v!r} is not one of {allowed}") from None
-            _want_distinct(key, raw)
-            values["mode_list"] = tuple(modes)
-        elif key == "repeats":
-            values["repeats"] = _want_int(key, raw, lo=1, hi=1000)
-        elif key in _GRID_MAX:
-            values[key] = study_grid(key, raw)
-        elif key == "output_dir":
+        if key == "output_dir":
             if not isinstance(raw, str) or not raw:
                 raise ConfigError(f"{key}: expected a nonempty string, got {raw!r}")
-            values["output_dir"] = raw
-        else:
+            values[key] = raw
+        elif key not in _ITEMS:
             raise ConfigError(f"unknown config key {key!r}")
+        elif not key.endswith("_list"):
+            values[key] = study_value(key, raw)
+        elif not isinstance(raw, list) or not raw:
+            kind = "modes" if key == "mode_list" else "integers"
+            raise ConfigError(f"{key}: expected a nonempty list of {kind}, got {raw!r}")
+        else:
+            values[key] = tuple(study_value(key, v, f"{key}[{i}]") for i, v in enumerate(raw))
+            _want_distinct(key, raw)
     config = ExperimentConfig(**values)
-    _check_consistency(config)
+    _check_centre_budget(config)
     return config
 
 
-def _check_consistency(config: ExperimentConfig) -> None:
+def _check_centre_budget(config: ExperimentConfig) -> None:
     res = config.train_grid.resolution
     n_obs = res**2
     ratio = FitRecipe.basis_ratio
@@ -139,11 +133,6 @@ def _check_consistency(config: ExperimentConfig) -> None:
                 f"centre_list: {c} centres need {c * ratio} observations "
                 f"(ratio {ratio}) but the {res}x{res} grid has {n_obs}; "
                 f"at most {limit} fit"
-            )
-    for b in config.batch_max_list:
-        if b > DATASET_SIZE:
-            raise ConfigError(
-                f"batch_max_list: {b} exceeds the dataset size {DATASET_SIZE}"
             )
 
 

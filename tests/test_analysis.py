@@ -102,6 +102,31 @@ def test_locate_min_constant_surface():
     assert value == 2.5
 
 
+@pytest.mark.parametrize(
+    "lower, upper, resolution",
+    [
+        ((-2.0, -2.0), (2.0, 2.0), 2),
+        ((-2.0, -2.0), (2.0, 2.0), 101),
+        ((-1.0, -3.0), (2.5, 0.0), 7),
+        ((0.1, -0.3), (0.7, 1e-3), 64),
+    ],
+)
+def test_locate_min_node_is_the_points_row_bit_for_bit(lower, upper, resolution):
+    # locate_min reads the node off the axes; it must be the row of points()
+    # that argmin picks, ties included (small integer values repeat, so the
+    # minimum is tied), and at the grid's last node
+    grid = GridSpec(lower=lower, upper=upper, resolution=resolution)
+    rng = np.random.default_rng(resolution)
+    tied = rng.integers(0, 3, size=(resolution, resolution)).astype(float)
+    last = np.ones((resolution, resolution))
+    last[-1, -1] = 0.0
+    for values in (tied, last, rng.standard_normal((resolution, resolution))):
+        node, value = locate_min(SurfaceGrid(grid=grid, values=values))
+        k = int(np.argmin(values))
+        assert node.tobytes() == grid.points()[k].tobytes()
+        assert value == values.ravel()[k]
+
+
 def brute_force_minima(values):
     res_j, res_i = values.shape
     count = 0

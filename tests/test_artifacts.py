@@ -29,7 +29,7 @@ from gradsurf.artifacts import (
     write_observations_csv,
     write_surface_csv,
 )
-from gradsurf.config import study_grid
+from gradsurf.config import study_value
 from gradsurf.kernels import KernelParams
 from gradsurf.problem import (
     GridSpec,
@@ -351,7 +351,7 @@ def test_observations_writer_matches_reference_on_every_study_cell(default_run, 
 )
 def test_observations_writer_matches_reference_on_samples(tmp_path, batch_max, resolution):
     observations = sample_loss_surface(
-        study_grid("train_grid", resolution),
+        study_value("train_grid", resolution),
         generate_full_batch(),
         MiniBatchPolicy(batch_max),
         derive_stream(3, "sample"),

@@ -23,7 +23,7 @@ import pytest
 
 import gradsurf
 import gradsurf.experiment
-from gradsurf.config import ExperimentConfig, study_grid
+from gradsurf.config import ExperimentConfig, study_value
 from gradsurf.experiment import run_experiment
 from gradsurf.kernels import _bundled_openblas_threads, single_threaded_blas
 from gradsurf.surrogate import FitMode
@@ -88,8 +88,8 @@ def tiny_config(repeats=1):
         centre_list=(2,),
         mode_list=(FitMode.G,),
         repeats=repeats,
-        train_grid=study_grid("train_grid", 7),
-        report_grid=study_grid("report_grid", 9),
+        train_grid=study_value("train_grid", 7),
+        report_grid=study_value("report_grid", 9),
     )
 
 

@@ -489,14 +489,35 @@ def test_run_verb_report_grid_past_its_bound_exits_1_and_writes_nothing(tmp_path
         (["oracle", "--grid", "4002"], "--grid: must be <= 4001, got 4002"),
         (["sample", "--grid", "1002"], "--grid: must be <= 1001, got 1002"),
         (["sample", "--grid", "1"], "--grid: must be >= 2, got 1"),
+        (["sample", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["sample", "--batch-max", "0"], "--batch-max: must be >= 1, got 0"),
+        (["sample", "--batch-max", "122"], "--batch-max: must be <= 121, got 122"),
         (["fit", "MISSING", "--report-grid", "4002"], "--report-grid: must be <= 4001, got 4002"),
+        (["fit", "MISSING", "--centres", "0"], "--centres: must be >= 1, got 0"),
+        (
+            ["fit", "MISSING", "--seed", str(2**64)],
+            f"--seed: must be <= {2**64 - 1}, got {2**64}",
+        ),
     ],
-    ids=["oracle", "sample", "sample-below", "fit"],
+    ids=[
+        "oracle",
+        "sample",
+        "sample-below",
+        "sample-seed",
+        "sample-batch-max-below",
+        "sample-batch-max",
+        "fit",
+        "fit-centres",
+        "fit-seed",
+    ],
 )
-def test_verb_grid_past_its_bound_exits_1_before_reading_or_writing(tmp_path, capsys, argv, message):
-    # the verbs' grid flags share the config's bounds: oracle and fit the
-    # report grid's, sample the train grid's.  fit checks its grid before it
-    # reads its CSV, so a missing file is not what it reports
+def test_verb_flag_out_of_range_exits_1_before_reading_or_writing(tmp_path, capsys, argv, message):
+    # the verbs' numeric flags pass the config's item checks: the grid flags
+    # those of the grid keys (oracle and fit the report grid's, sample the
+    # train grid's), --seed that of seed, --batch-max that of a
+    # batch_max_list item and --centres that of a centre_list item.  fit
+    # checks its flags before it reads its CSV, so a missing file is not
+    # what it reports
     out = tmp_path / "out"
     argv = [str(tmp_path / "missing.csv") if a == "MISSING" else a for a in argv]
     code, _, err = run_cli(capsys, *argv, "--out", str(out))

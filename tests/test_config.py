@@ -11,6 +11,7 @@ from gradsurf.config import (
     ExperimentConfig,
     from_mapping,
     load_mapping,
+    study_value,
 )
 from gradsurf.problem import GridSpec
 from gradsurf.surrogate import FitMode
@@ -69,19 +70,43 @@ def test_from_mapping_type_errors():
         from_mapping({"centre_list": [0]})
 
 
-# the largest value of each bounded key
-UPPER_BOUNDS = {"repeats": 1000, "train_grid": 1001, "report_grid": 4001}
+# the smallest and the largest value of each integer key (None: no upper
+# bound; the centre budget, checked apart, depends on train_grid)
+BOUNDS = {
+    "seed": (0, 2**64 - 1),
+    "batch_max_list": (1, 121),
+    "centre_list": (1, None),
+    "repeats": (1, 1000),
+    "train_grid": (2, 1001),
+    "report_grid": (2, 4001),
+}
 
 
-@pytest.mark.parametrize("key", sorted(UPPER_BOUNDS))
+@pytest.mark.parametrize("key", sorted(BOUNDS))
 def test_from_mapping_bounds_the_study_size(key):
-    # checked without running a study: the bound itself is accepted, the next
-    # integer is rejected with the key named
-    bound = UPPER_BOUNDS[key]
-    assert from_mapping({key: bound}).to_mapping()[key] == bound
+    # checked without running a study: each bound itself is accepted, the
+    # integer past it is rejected with the key, or a list's item, named
+    assert set(BOUNDS) == set(ExperimentConfig().to_mapping()) - {"mode_list"}
+    lo, hi = BOUNDS[key]
+    listed = key.endswith("_list")
+    field = f"{key}[0]" if listed else key
+
+    def config(value):
+        return from_mapping({key: [value] if listed else value})
+
+    # each lower bound passes the item check; a 2 x 2 training grid fits no
+    # centre, so the config as a whole would not
+    checked = study_value(key, lo)
+    assert getattr(checked, "resolution", checked) == lo
     with pytest.raises(ConfigError) as err:
-        from_mapping({key: bound + 1})
-    assert str(err.value) == f"{key}: must be <= {bound}, got {bound + 1}"
+        config(lo - 1)
+    assert str(err.value) == f"{field}: must be >= {lo}, got {lo - 1}"
+    if hi is None:
+        return
+    assert config(hi).to_mapping()[key] == ([hi] if listed else hi)
+    with pytest.raises(ConfigError) as err:
+        config(hi + 1)
+    assert str(err.value) == f"{field}: must be <= {hi}, got {hi + 1}"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

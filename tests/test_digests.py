@@ -19,7 +19,7 @@ import hashlib
 import pytest
 
 from gradsurf.artifacts import write_observations_csv
-from gradsurf.config import ExperimentConfig, study_grid
+from gradsurf.config import ExperimentConfig, study_value
 from gradsurf.experiment import enumerate_cells
 from gradsurf.problem import MiniBatchPolicy, generate_full_batch, sample_loss_surface
 from gradsurf.rng import derive_stream
@@ -69,7 +69,7 @@ def observations(name):
     if name.startswith("sample"):
         seed = int(name.split()[-1])
         return sample_loss_surface(
-            study_grid("train_grid", 25),
+            study_value("train_grid", 25),
             generate_full_batch(),
             MiniBatchPolicy(3),
             derive_stream(seed, "sample"),

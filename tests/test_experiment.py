@@ -23,7 +23,7 @@ from gradsurf.artifacts import (
     write_json,
     write_surface_csv,
 )
-from gradsurf.config import ExperimentConfig, study_grid
+from gradsurf.config import ExperimentConfig, study_value
 from gradsurf.experiment import RunCell, enumerate_cells, fit_cell, run_experiment
 from gradsurf.kernels import single_threaded_blas
 from gradsurf.problem import (
@@ -42,8 +42,8 @@ def tiny_config(**overrides):
         centre_list=(1, 2),
         mode_list=(FitMode.F, FitMode.G),
         repeats=1,
-        train_grid=study_grid("train_grid", 7),
-        report_grid=study_grid("report_grid", 9),
+        train_grid=study_value("train_grid", 7),
+        report_grid=study_value("report_grid", 9),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -144,8 +144,8 @@ def test_grid_cells_build_no_n_by_m_array(tmp_path, monkeypatch):
     config = tiny_config(
         centre_list=(1, 100),
         mode_list=tuple(FitMode),
-        train_grid=study_grid("train_grid", 25),
-        report_grid=study_grid("report_grid", 5),
+        train_grid=study_value("train_grid", 25),
+        report_grid=study_value("report_grid", 5),
     )
     index = read_json(run_experiment(config, out_dir=tmp_path / "out"))
     assert [e["status"] for e in index["cells"]] == ["ok"] * 6
